@@ -42,7 +42,6 @@ from evidencesql.sql import (
     ValidatedQuery,
     check_schema,
     execute,
-    execute_batch,
     parse,
     render,
     sanitize,
@@ -63,6 +62,6 @@ __all__ = [
     "fetch_llm_ranges", "score_fit",
     "EvalSummary", "RunConfig", "batch_eval", "run_case",
     "GuardRejection", "QueryAst", "ResultTable", "ValidatedQuery",
-    "check_schema", "execute", "execute_batch", "parse", "render",
+    "check_schema", "execute", "parse", "render",
     "sanitize", "validate_pipeline",
 ]

@@ -77,14 +77,6 @@ class AgentTranscript:
     guard_outcomes: list[ValidatedQuery | GuardRejection] = field(default_factory=list)
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def prompt_sent(self) -> str:
-        return self.attempts[-1].user_prompt if self.attempts else ""
-
-    @property
-    def raw_response(self) -> str:
-        return self.attempts[-1].response if self.attempts else ""
-
     def to_json_dict(self) -> dict:
         return {
             "agent": self.agent,
@@ -103,14 +95,14 @@ class AgentTranscript:
         }
 
 
-def extract_sql(raw_response: str) -> list[str]:
+def extract_sql(response: str) -> list[str]:
     """All fenced SQL blocks, in document order.
 
     A fence counts when tagged ``sql`` or when untagged and its first word
     is SELECT (any casing).
     """
     found = []
-    for match in _FENCE_ANY_RE.finditer(raw_response):
+    for match in _FENCE_ANY_RE.finditer(response):
         tag = match.group(1).lower()
         body = match.group(2).strip()
         if not body:
@@ -203,8 +195,8 @@ def build_local_prompts(
     return system, "\n".join(user_parts)
 
 
-def _parse_plan(raw_response: str) -> list[PlanTarget] | None:
-    match = _FENCE_JSON_RE.search(raw_response)
+def _parse_plan(response: str) -> list[PlanTarget] | None:
+    match = _FENCE_JSON_RE.search(response)
     if match is None:
         return None
     try:

@@ -31,7 +31,7 @@ from evidencesql.pipeline import (
     write_case_outputs,
     write_run_metadata,
 )
-from evidencesql.serialize import canonical_json, write_text_atomic
+from evidencesql.serialize import canonical_json, write_json_atomic
 from evidencesql.sql.guard import GuardRejection, validate_pipeline
 from evidencesql.sql.executor import execute
 from evidencesql.values import render_value
@@ -184,7 +184,7 @@ def calibrate_ranges(manifest_path, training_dir, features, q, out_file):
         _fail(EXIT_CONFIG, "config", exc)
     except EvidenceSqlError as exc:
         _fail(EXIT_PIPELINE, "calibrate", exc)
-    write_text_atomic(out_file, canonical_json(ranges_to_json_list(ranges)))
+    write_json_atomic(out_file, ranges_to_json_list(ranges))
     click.echo(json.dumps({
         "ranges_written": len(ranges),
         "out_file": str(out_file),

@@ -87,9 +87,6 @@ class FeatureTable:
     columns: dict[str, tuple[Value, ...]]
     row_count: int
 
-    def column_values(self, name: str) -> tuple[Value, ...]:
-        return self.columns[name]
-
     def row(self, index: int) -> dict[str, Value]:
         return {name: values[index] for name, values in self.columns.items()}
 
@@ -183,7 +180,7 @@ def load_manifest(path: str | Path) -> SchemaManifest:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestParseError("manifest root must be a JSON object")
@@ -212,7 +209,7 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
                     table=schema.name,
                 )
             raw_rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
 
     columns: dict[str, list[Value]] = {c.name: [] for c in schema.columns}
@@ -269,7 +266,7 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
 def _load_sidecar(path: Path) -> tuple[dict[str, float] | None, str | None]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SidecarError(f"cannot read sidecar {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SidecarError("sidecar root must be a JSON object")

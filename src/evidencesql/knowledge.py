@@ -100,10 +100,6 @@ class Hypothesis:
     def confidences(self) -> dict[str, float]:
         return dict(self.ranked_options)
 
-    @property
-    def top_option(self) -> str:
-        return self.ranked_options[0][0]
-
 
 # -- empirical ranges ----------------------------------------------------------
 
@@ -145,7 +141,7 @@ def case_feature_value(bundle: CaseBundle, table: str, column: str) -> float | N
         return None
     if feature_table.schema.level is Level.GLOBAL:
         return values[0]
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def compute_empirical_ranges(

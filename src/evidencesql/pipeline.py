@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from evidencesql import __version__
@@ -79,21 +79,7 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "manifest_path": str(self.manifest_path),
-            "out_dir": str(self.out_dir),
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "ranges_path": str(self.ranges_path) if self.ranges_path else None,
-            "backend": {
-                "kind": self.backend.kind,
-                "temperature": self.backend.temperature,
-                "timeout_seconds": self.backend.timeout_seconds,
-                "max_retries": self.backend.max_retries,
-                "prompt_version": self.backend.prompt_version,
-            },
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -281,8 +267,7 @@ def _execute_into_trace(
 
 def write_case_outputs(out_dir: str | Path, result: CaseResult) -> None:
     out = Path(out_dir)
-    write_text_atomic(out / "reports" / f"{result.case_id}.json",
-                      canonical_json(result.report))
+    write_json_atomic(out / "reports" / f"{result.case_id}.json", result.report)
     write_text_atomic(out / "reports" / f"{result.case_id}.md", result.markdown)
     if result.transcripts:
         write_json_atomic(

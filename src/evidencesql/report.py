@@ -16,7 +16,7 @@ from evidencesql.agents import Question
 from evidencesql.errors import DanglingQueryId
 from evidencesql.fusion import FusedDecision
 from evidencesql.knowledge import Hypothesis, hypothesis_to_json_dict
-from evidencesql.serialize import canonical_json, quantize_float
+from evidencesql.serialize import quantize_float
 from evidencesql.sql.executor import ExecError, ResultTable
 from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.values import Value, render_value
@@ -123,10 +123,6 @@ def build_report(
         "transcripts_ref": transcripts_ref,
         "data_quality_notes": notes,
     }
-
-
-def render_report_json(report: dict) -> str:
-    return canonical_json(report)
 
 
 def _format_cell(value: Value) -> str:

@@ -37,23 +37,9 @@ def canonical_json(obj) -> str:
     return json.dumps(quantize_tree(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def write_json_atomic(path: str | Path, obj) -> None:
-    """Write canonical JSON via a temp file + rename so readers never see a
-    half-written artifact."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(obj))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` via a temp file + rename so readers never see a
+    half-written artifact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -65,3 +51,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str | Path, obj) -> None:
+    write_text_atomic(path, canonical_json(obj))

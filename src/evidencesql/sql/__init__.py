@@ -15,7 +15,7 @@ from evidencesql.sql.ast import (
     Star,
     Unary,
 )
-from evidencesql.sql.executor import ExecError, ResultTable, execute, execute_batch
+from evidencesql.sql.executor import ExecError, ResultTable, execute
 from evidencesql.sql.guard import (
     GuardRejection,
     RepairAction,
@@ -46,7 +46,6 @@ __all__ = [
     "ExecError",
     "ResultTable",
     "execute",
-    "execute_batch",
     "GuardRejection",
     "RepairAction",
     "SchemaViolation",

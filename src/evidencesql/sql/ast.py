@@ -134,8 +134,13 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(node, AggFn) for node in walk(expr))
 
 
-def column_refs(expr: Expr) -> list[ColumnRef]:
-    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+def is_grouped(ast: QueryAst) -> bool:
+    """Whether the query evaluates per group: it has GROUP BY or a projection
+    containing an aggregate (one implicit group). The guard and the executor
+    both decide grouping here."""
+    return bool(ast.group_by) or any(
+        isinstance(p.expr, Expr) and contains_aggregate(p.expr) for p in ast.projections
+    )
 
 
 def resolve_order_aliases(ast: QueryAst) -> QueryAst:

@@ -7,8 +7,11 @@ Semantics are pinned so the audit trail is reproducible bit for bit:
   together. Aggregates ignore nulls except COUNT(*). SUM/AVG/STDDEV over
   empty or all-null input yield null, COUNT yields 0. STDDEV is the sample
   deviation (n - 1).
-- Real accumulation is compensated (Kahan), so results do not depend on
-  platform summation quirks.
+- Real accumulation uses ``math.fsum``, which is correctly rounded, so
+  results do not depend on summation order or platform quirks.
+- A query is grouped when it has GROUP BY or an aggregate in its
+  projections (``ast.is_grouped``); an aggregate in ORDER BY needs an
+  aggregating or grouped query, which the guard enforces.
 - ORDER BY is a stable sort with nulls last in both directions; ties keep
   input order.
 - Division by zero and non-finite float results yield null. Square root of
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable
 
 from evidencesql.errors import ArithmeticDomain, TableNotInBundle
 from evidencesql.feature_store import CaseBundle, FeatureTable
@@ -37,7 +39,7 @@ from evidencesql.sql.ast import (
     ScalarFn,
     Star,
     Unary,
-    contains_aggregate,
+    is_grouped,
     resolve_order_aliases,
 )
 from evidencesql.sql.guard import ValidatedQuery
@@ -75,21 +77,6 @@ class ExecError:
         if self.row_index is not None:
             doc["row_index"] = self.row_index
         return doc
-
-
-def kahan_sum(values: Iterable[float]) -> float:
-    """Neumaier-compensated summation: order-stable and immune to the
-    classic large/small cancellation failure of plain Kahan."""
-    total = 0.0
-    compensation = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            compensation += (total - t) + v
-        else:
-            compensation += (v - t) + total
-        total = t
-    return total + compensation
 
 
 def _finite_or_null(x: float) -> Value:
@@ -251,21 +238,24 @@ def _aggregate(fn: AggFn, rows: list[tuple[int, dict[str, Value]]]) -> Value:
         return min(values)
     if fn.name == "MAX":
         return max(values)
-    if fn.name == "SUM":
-        if all(isinstance(v, int) for v in values):
-            return sum(values)
-        return _finite_or_null(kahan_sum(float(v) for v in values))
-    if fn.name == "AVG":
-        total = kahan_sum(float(v) for v in values)
-        return _finite_or_null(total / len(values))
-    # STDDEV, sample definition; a constant input has exactly zero spread.
-    if len(values) < 2:
+    try:
+        if fn.name == "SUM":
+            if all(isinstance(v, int) for v in values):
+                return sum(values)
+            return math.fsum(values)
+        if fn.name == "AVG":
+            return math.fsum(values) / len(values)
+        # STDDEV, sample definition; a constant input has exactly zero spread.
+        if len(values) < 2:
+            return None
+        if min(values) == max(values):
+            return 0.0
+        mean = math.fsum(values) / len(values)
+        squared = math.fsum((float(v) - mean) ** 2 for v in values)
+        return _finite_or_null(math.sqrt(squared / (len(values) - 1)))
+    except OverflowError:
+        # fsum and ** raise where a result from finite inputs leaves float range
         return None
-    if min(values) == max(values):
-        return 0.0
-    mean = kahan_sum(float(v) for v in values) / len(values)
-    squared = kahan_sum((float(v) - mean) ** 2 for v in values)
-    return _finite_or_null(math.sqrt(squared / (len(values) - 1)))
 
 
 def _projection_names(ast: QueryAst, table: FeatureTable) -> tuple[str, ...]:
@@ -322,13 +312,8 @@ def execute(query: ValidatedQuery, bundle: CaseBundle) -> ResultTable:
             if _Evaluator(row=row, row_index=i).eval(ast.where) is True
         ]
 
-    aggregated = any(
-        isinstance(p.expr, Expr) and contains_aggregate(p.expr) for p in ast.projections
-    )
-    grouped = bool(ast.group_by) or aggregated
-
     entries: list[tuple[tuple[Value, ...], tuple[Value, ...]]] = []
-    if grouped:
+    if is_grouped(ast):
         groups: dict[tuple, list[tuple[int, dict[str, Value]]]] = {}
         if ast.group_by:
             for i, row in rows:
@@ -372,17 +357,3 @@ def execute(query: ValidatedQuery, bundle: CaseBundle) -> ResultTable:
         provenance=provenance,
     )
 
-
-def execute_batch(
-    queries: list[ValidatedQuery], bundle: CaseBundle,
-) -> list[tuple[int, ResultTable | ExecError]]:
-    """Execute queries in order; one failure never aborts the batch."""
-    results: list[tuple[int, ResultTable | ExecError]] = []
-    for query_id, query in enumerate(queries):
-        try:
-            results.append((query_id, execute(query, bundle)))
-        except TableNotInBundle as exc:
-            results.append((query_id, ExecError("table_not_in_bundle", str(exc))))
-        except ArithmeticDomain as exc:
-            results.append((query_id, ExecError("arithmetic_domain", str(exc), exc.row_index)))
-    return results

@@ -31,6 +31,7 @@ from evidencesql.sql.ast import (
     Star,
     Unary,
     contains_aggregate,
+    is_grouped,
     resolve_order_aliases,
 )
 from evidencesql.sql.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS
@@ -337,18 +338,7 @@ def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolatio
         )]
     checker = _TypeChecker(table)
 
-    aggregated = any(
-        isinstance(p.expr, Expr) and contains_aggregate(p.expr) for p in ast.projections
-    )
-    if ast.having is not None:
-        aggregated = aggregated or contains_aggregate(ast.having)
-    for item in ast.order_by:
-        aggregated = aggregated or contains_aggregate(item.expr)
-    grouped = bool(ast.group_by) or aggregated
-
-    star = any(isinstance(p.expr, Star) for p in ast.projections)
-    if star and aggregated:
-        checker.flag("aggregation", "SELECT * cannot be combined with aggregates")
+    grouped = is_grouped(ast)
 
     for expr in ast.group_by:
         checker.check(expr)
@@ -382,6 +372,11 @@ def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolatio
             checker.flag(
                 "aggregation",
                 "ORDER BY references a column that is not grouped or aggregated",
+            )
+        if not grouped and contains_aggregate(item.expr):
+            checker.flag(
+                "aggregation",
+                "aggregate in ORDER BY requires an aggregating or grouped query",
             )
     return checker.violations
 

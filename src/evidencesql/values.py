@@ -21,10 +21,6 @@ class Dtype(enum.Enum):
     TEXT = "text"
 
 
-def is_null(v: Value) -> bool:
-    return v is None
-
-
 def coerce(text: str, dtype: Dtype) -> Value:
     """Convert a raw CSV field to a typed value. Empty string means null.
 
@@ -48,19 +44,6 @@ def coerce(text: str, dtype: Dtype) -> Value:
     if not math.isfinite(value):
         raise TypeMismatch(f"{text!r} is not finite")
     return value
-
-
-def conforms(value: Value, dtype: Dtype) -> bool:
-    """Whether an in-memory value matches ``dtype`` (null always conforms)."""
-    if value is None:
-        return True
-    if dtype is Dtype.INTEGER:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if dtype is Dtype.REAL:
-        if isinstance(value, bool):
-            return False
-        return isinstance(value, (int, float)) and math.isfinite(float(value))
-    return isinstance(value, str)
 
 
 def render_value(value: Value) -> str:

@@ -222,6 +222,35 @@ def test_batch_eval_per_case_failure_does_not_abort(runner, manifest_path,
     assert [f["case_id"] for f in summary["failures"]] == ["case_00"]
 
 
+def test_batch_eval_undecodable_case_files_fail_per_case(runner, manifest_path,
+                                                        eval_dataset, tmp_path):
+    """A stray non-UTF-8 byte or an oversized CSV field is a typed per-case
+    failure, not a traceback that loses the whole batch."""
+    import shutil
+
+    dataset = tmp_path / "dataset_with_undecodable_cases"
+    shutil.copytree(eval_dataset["dataset"], dataset)
+    cells = dataset / "case_03" / "cells.csv"
+    cells.write_bytes(cells.read_bytes().replace(b"\n", b"\n\xff", 1))
+    sidecar = dataset / "case_07" / "sidecar.json"
+    sidecar.write_bytes(b"\xff" + sidecar.read_bytes())
+    structures = dataset / "case_11" / "structures.csv"
+    header = structures.read_text(encoding="utf-8").splitlines()[0]
+    structures.write_text(header + "\n" + "x" * 200_000 + "\n", encoding="utf-8")
+    out = tmp_path / "batch_undecodable"
+    result = invoke(runner, [
+        "batch-eval", "--manifest", str(manifest_path), "--dataset", str(dataset),
+        "--questions", str(eval_dataset["questions"]),
+        "--ranges", str(eval_dataset["ranges"]),
+        "--out", str(out), "--mode", "sql_only", "--json",
+    ])
+    assert result.exit_code == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["n_cases"] == 17
+    assert [f["case_id"] for f in summary["failures"]] == ["case_03", "case_07", "case_11"]
+    assert all(f["error"].startswith("cannot read") for f in summary["failures"])
+
+
 def test_batch_eval_workers_do_not_change_output(runner, manifest_path,
                                                  eval_dataset, tmp_path):
     outputs = []

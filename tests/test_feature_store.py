@@ -80,6 +80,9 @@ def test_malformed_manifest_file(tmp_path):
     bad.write_text('{"version": "1"}', encoding="utf-8")
     with pytest.raises(ManifestParseError):
         load_manifest(bad)
+    bad.write_bytes(b'{"version": "\xff"}')
+    with pytest.raises(ManifestParseError):
+        load_manifest(bad)
 
 
 def test_demo_ingestion_row_counts(demo_bundle):

@@ -7,9 +7,9 @@ import pytest
 from evidencesql.agents import Question
 from evidencesql.backends import BackendConfig, ScriptedBackend, TemplateBackend
 from evidencesql.errors import ConfigError
-from evidencesql.feature_store import ingest_case_dir
 from evidencesql.knowledge import ranges_from_json_list
 from evidencesql.pipeline import RunConfig, run_case, write_case_outputs
+from evidencesql.sql.guard import GuardRejection
 
 from datasets import OPTIONS, QUESTION_TEXT, RANGE_FIXTURE
 
@@ -155,29 +155,68 @@ def test_run_config_validation(tmp_path):
     assert config.config_hash() == config.config_hash()
     assert config.config_hash() != RunConfig(manifest_path="m", out_dir="o",
                                              alpha=0.5).config_hash()
+    # run.json is part of the audit trail: the same settings keep their digest
+    assert config.config_hash() == (
+        "2013b49a08ad3bd026f386e3a2459d3db9c5e99708f2c831f8306af10dd6825a"
+    )
+    config = RunConfig(
+        "m", "o", mode="sql_only", alpha=0.5, ranges_path="r.json",
+        backend=BackendConfig(kind="remote", max_retries=0), workers=3,
+    )
+    assert config.config_hash() == (
+        "943be768bc12e72d0535c73f681f05ba202f9296a86aea357b3a4006a8fa9cc5"
+    )
 
 
-def test_execution_error_lands_in_trace_not_findings(manifest, demo_case_dir,
+def test_public_exports_resolve():
+    import evidencesql
+    import evidencesql.sql
+
+    for module in (evidencesql, evidencesql.sql):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
+def test_execution_error_lands_in_trace_not_findings(manifest, demo_bundle,
                                                      question, tmp_path):
     """A validated query that fails at execution is recorded with its error
-    and produces no findings."""
-    import shutil
-
-    case = tmp_path / "case_missing_table"
-    shutil.copytree(demo_case_dir, case)
-    (case / "structures.csv").unlink()
-    config = make_config(tmp_path, mode="sql_only")
-    # structures.csv gone: ingest fails outright, so drop the table from the
-    # bundle manually instead to hit the executor path.
-    bundle = ingest_case_dir(manifest, demo_case_dir)
-    stripped = bundle.__class__(
+    and produces no findings; the queries after it still execute."""
+    stripped = demo_bundle.__class__(
         case_id="stripped",
-        tables={k: v for k, v in bundle.tables.items() if k != "structures"},
-        cnn_probs=bundle.cnn_probs, ground_truth=bundle.ground_truth,
+        tables={k: v for k, v in demo_bundle.tables.items() if k != "global_features"},
+        cnn_probs=demo_bundle.cnn_probs, ground_truth=demo_bundle.ground_truth,
     )
+    config = make_config(tmp_path, mode="sql_only")
     result = run_case(manifest, stripped, question, config, TemplateBackend())
-    errored = [e for e in result.report["sql_trace"] if "error" in e]
-    assert len(errored) == 1
+    trace = result.report["sql_trace"]
+    errored = [e for e in trace if "error" in e]
+    assert [e["query_id"] for e in errored] == [0]
     assert errored[0]["error"]["kind"] == "table_not_in_bundle"
+    later = [e for e in trace if e["query_id"] > 0]
+    assert later and all("rows" in e for e in later)
     finding_ids = {f["query_id"] for f in result.report["hypothesis"]["findings"]}
-    assert errored[0]["query_id"] not in finding_ids
+    assert 0 not in finding_ids
+    assert finding_ids & {e["query_id"] for e in later}
+
+
+def test_grouping_rejection_is_recorded_not_raised(manifest, demo_bundle, question,
+                                                   file_ranges, tmp_path):
+    """An aggregate in ORDER BY of an ungrouped query is a guard rejection in
+    the local transcript, not an executor crash that ends the case."""
+    global_resp = TemplateBackend().complete(
+        "Task: global-feature-analysis\n" + _schema_text(manifest), "", 0, 0,
+    )
+    local_resp = (
+        "```sql\nSELECT 1 AS one FROM cells ORDER BY COUNT(*)\n```\n"
+        "```sql\nSELECT COUNT(*) AS n FROM cells\n```\n"
+    )
+    backend = ScriptedBackend([global_resp, local_resp])
+    config = make_config(tmp_path, mode="sql_only")
+    result = run_case(manifest, demo_bundle, question, config, backend, file_ranges)
+    local = next(t for t in result.transcripts if t.agent == "local")
+    outcome = local.guard_outcomes[0]
+    assert isinstance(outcome, GuardRejection)
+    assert outcome.stage == "schema"
+    assert [e["canonical_text"] for e in result.report["sql_trace"]][-1] == (
+        "SELECT COUNT(*) AS n FROM cells"
+    )

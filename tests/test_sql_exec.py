@@ -4,8 +4,9 @@ import random
 import pytest
 
 from evidencesql.errors import ArithmeticDomain, TableNotInBundle
-from evidencesql.feature_store import CaseBundle
-from evidencesql.sql.executor import ExecError, ResultTable, execute, execute_batch, kahan_sum
+from evidencesql.feature_store import CaseBundle, FeatureTable
+from evidencesql.pipeline import _execute_into_trace
+from evidencesql.sql.executor import ExecError, ResultTable, execute
 from evidencesql.sql.guard import ValidatedQuery, validate_pipeline
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
@@ -136,16 +137,21 @@ def test_table_not_in_bundle(manifest, demo_bundle):
 
 
 def test_execute_batch_isolation(manifest, demo_bundle):
+    """A query that fails at execution is captured as its own ``ExecError``;
+    the queries after it still execute."""
     good = q("SELECT COUNT(*) FROM cells", manifest)
     missing = ValidatedQuery(parse("SELECT COUNT(*) FROM absent"),
                              "SELECT COUNT(*) FROM absent")
-    out = execute_batch([good, missing, good], demo_bundle)
-    assert [qid for qid, _ in out] == [0, 1, 2]
-    assert isinstance(out[0][1], ResultTable)
-    assert isinstance(out[1][1], ExecError)
-    assert out[1][1].kind == "table_not_in_bundle"
-    assert isinstance(out[2][1], ResultTable)
-    assert execute_batch([], demo_bundle) == []
+    out = [_execute_into_trace(qid, "local", query, demo_bundle)
+           for qid, query in enumerate([good, missing, good])]
+    assert [entry.query_id for entry, _ in out] == [0, 1, 2]
+    assert [ok for _, ok in out] == [True, False, True]
+    assert isinstance(out[0][0].result, ResultTable)
+    assert isinstance(out[1][0].error, ExecError)
+    assert out[1][0].result is None
+    assert out[1][0].error.kind == "table_not_in_bundle"
+    assert isinstance(out[2][0].result, ResultTable)
+    assert rows_of(out[2][0].result) == rows_of(out[0][0].result)
 
 
 def test_execution_is_deterministic_and_pure(manifest, demo_bundle, demo_case_dir):
@@ -159,9 +165,29 @@ def test_execution_is_deterministic_and_pure(manifest, demo_bundle, demo_case_di
     assert demo_bundle == ingest_case_dir(manifest, demo_case_dir)
 
 
-def test_kahan_sum_counteracts_cancellation():
-    values = [1e16, 1.0, -1e16] * 100
-    assert kahan_sum(values) == 100.0
+def area_bundle(manifest, areas) -> CaseBundle:
+    """A ``cells`` table whose ``area`` column holds ``areas``, all else null."""
+    schema = manifest.table("cells")
+    columns = {name: (None,) * len(areas) for name in schema.column_names}
+    columns["area"] = tuple(areas)
+    return CaseBundle("areas", {"cells": FeatureTable(schema, columns, len(areas))})
+
+
+def test_real_sums_survive_cancellation(manifest):
+    # a naive left-to-right sum loses every 1.0 and returns 0.0
+    bundle = area_bundle(manifest, [1e16, 1.0, -1e16] * 100)
+    result = execute(q("SELECT SUM(area), AVG(area) FROM cells", manifest), bundle)
+    assert rows_of(result) == [[100.0, 100.0 / 300]]
+
+
+def test_real_aggregates_beyond_float_range_are_null(manifest):
+    query = q("SELECT SUM(area), AVG(area), STDDEV(area) FROM cells", manifest)
+    # the running sum overflows
+    assert rows_of(execute(query, area_bundle(manifest, [1e308, 1e308, -1e308]))) == [
+        [None, None, None]]
+    # the sum is exact but the squared deviations overflow
+    assert rows_of(execute(query, area_bundle(manifest, [1e200, -1e200]))) == [
+        [0.0, 0.0, None]]
 
 
 def test_aggregate_identities(manifest, demo_bundle):

@@ -83,6 +83,31 @@ def test_check_schema_order_alias(manifest):
     assert check_schema(ast, manifest) == []
 
 
+def test_aggregate_in_order_by_needs_a_grouped_query(manifest):
+    import sqlite3
+    from contextlib import closing
+
+    ungrouped = "SELECT 1 AS one FROM cells ORDER BY COUNT(*)"
+    grouped = (
+        "SELECT COUNT(*) AS n FROM cells ORDER BY COUNT(*)",
+        "SELECT cell_type FROM cells GROUP BY cell_type ORDER BY COUNT(*) DESC",
+    )
+    out = validate_pipeline(ungrouped, manifest)
+    assert isinstance(out, GuardRejection)
+    assert out.stage == "schema"
+    violations = check_schema(parse("SELECT * FROM cells ORDER BY COUNT(*)"), manifest)
+    assert [v.kind for v in violations] == ["aggregation"]
+    for text in grouped:
+        assert isinstance(validate_pipeline(text, manifest), ValidatedQuery), text
+    # SQLite draws the same line: "misuse of aggregate: count()"
+    with closing(sqlite3.connect(":memory:")) as db:
+        db.execute("CREATE TABLE cells (cell_type TEXT)")
+        with pytest.raises(sqlite3.OperationalError, match="misuse of aggregate"):
+            db.execute(ungrouped).fetchall()
+        for text in grouped:
+            db.execute(text).fetchall()
+
+
 def test_pipeline_idempotent_on_validated(manifest):
     first = validate_pipeline("SELECT  avg( are ) FROM cells", manifest)
     assert isinstance(first, ValidatedQuery)
