@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 
 import requests
@@ -178,13 +179,18 @@ class ScriptedBackend(LlmBackendPort):
     responses: list[str]
     name: str = "scripted"
     calls: list[tuple[str, str]] = field(default_factory=list)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
 
     def complete(self, system_prompt: str, user_prompt: str,
                  temperature: float, timeout: float) -> str:
-        self.calls.append((system_prompt, user_prompt))
+        # one lock over the append and the index read, so concurrent callers
+        # (batch workers) each get their own position in the script
+        with self._lock:
+            self.calls.append((system_prompt, user_prompt))
+            index = min(len(self.calls), len(self.responses)) - 1
         if not self.responses:
             raise BackendError("scripted backend has no responses")
-        index = min(len(self.calls), len(self.responses)) - 1
         return self.responses[index]
 
 

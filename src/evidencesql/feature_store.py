@@ -87,9 +87,6 @@ class FeatureTable:
     columns: dict[str, tuple[Value, ...]]
     row_count: int
 
-    def row(self, index: int) -> dict[str, Value]:
-        return {name: values[index] for name, values in self.columns.items()}
-
 
 @dataclass(frozen=True)
 class CaseBundle:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from evidencesql.errors import OptionMismatch
+from evidencesql.feature_store import CNN_PROB_SUM_TOLERANCE
 from evidencesql.knowledge import Hypothesis
-
-CNN_SUM_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class CnnOutput:
             if not math.isfinite(p) or not 0.0 <= p <= 1.0:
                 raise OptionMismatch(f"probability for {label!r} is {p}, outside [0, 1]")
         total = sum(self.probs.values())
-        if abs(total - 1.0) > CNN_SUM_TOLERANCE:
+        if abs(total - 1.0) > CNN_PROB_SUM_TOLERANCE:
             raise OptionMismatch(f"classifier probabilities sum to {total}")
         return self
 

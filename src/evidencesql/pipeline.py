@@ -52,7 +52,7 @@ from evidencesql.knowledge import (
 )
 from evidencesql.report import TraceEntry, build_report, render_report_markdown
 from evidencesql.serialize import canonical_json, write_json_atomic, write_text_atomic
-from evidencesql.sql.executor import ExecError, execute
+from evidencesql.sql.executor import ExecError, ResultTable, execute
 from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.values import render_value
 
@@ -104,16 +104,14 @@ def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
     return ranges_from_json_list(doc)
 
 
-def _format_results_text(executed: list[tuple[int, ValidatedQuery, object]]) -> str:
+def _format_results_text(executed: list[tuple[int, ValidatedQuery, ResultTable]]) -> str:
     """Compact, deterministic rendering of executed queries for the local
     agent's prompt."""
     blocks = []
     for query_id, query, result in executed:
-        lines = [f"q{query_id}: {query.canonical_text}"]
-        if hasattr(result, "column_names"):
-            lines.append(" | ".join(result.column_names))
-            for row in result.rows:
-                lines.append(" | ".join(render_value(v) for v in row))
+        lines = [f"q{query_id}: {query.canonical_text}", " | ".join(result.column_names)]
+        for row in result.rows:
+            lines.append(" | ".join(render_value(v) for v in row))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 
@@ -146,26 +144,22 @@ def run_case(
             question, manifest, backend, config.backend,
         )
         transcripts.append(global_tx)
-        executed: list[tuple[int, ValidatedQuery, object]] = []
-        query_id = 0
-        for query in global_queries:
-            trace_entry, ok = _execute_into_trace(query_id, "global", query, bundle)
-            trace.append(trace_entry)
-            if ok:
-                executed.append((query_id, query, trace_entry.result))
-            query_id += 1
+        executed: list[tuple[int, ValidatedQuery, ResultTable]] = []
 
+        def run_stage(agent: str, queries: list[ValidatedQuery]) -> None:
+            for query in queries:
+                entry, ok = _execute_into_trace(len(trace), agent, query, bundle)
+                trace.append(entry)
+                if ok:
+                    executed.append((entry.query_id, query, entry.result))
+
+        run_stage("global", global_queries)
         local_queries, local_tx = plan_local(
             question, plan, manifest, backend, config.backend,
             global_results_text=_format_results_text(executed),
         )
         transcripts.append(local_tx)
-        for query in local_queries:
-            trace_entry, ok = _execute_into_trace(query_id, "local", query, bundle)
-            trace.append(trace_entry)
-            if ok:
-                executed.append((query_id, query, trace_entry.result))
-            query_id += 1
+        run_stage("local", local_queries)
 
         observations = extract_observations(executed)
         ranges = list(file_ranges or [])

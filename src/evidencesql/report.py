@@ -40,8 +40,7 @@ class TraceEntry:
             "repair_log": [a.to_json_dict() for a in self.query.repair_log],
         }
         if self.result is not None:
-            doc["columns"] = list(self.result.column_names)
-            doc["rows"] = [list(row) for row in self.result.rows]
+            doc.update(self.result.to_json_dict())
         if self.error is not None:
             doc["error"] = self.error.to_json_dict()
         return doc

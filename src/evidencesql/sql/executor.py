@@ -1,8 +1,19 @@
 """In-memory execution of validated queries against one case's tables.
 
+Each query is compiled once: ``_compile`` turns every expression into a
+closure over the column tuples ``FeatureTable`` stores. A closure takes one
+evaluation context, a row index or a ``(row indices, GROUP BY values)``
+group, and only the leaf resolver differs between the two. Per row, a column
+reads its tuple. Per group, an expression equal to a GROUP BY key reads its
+key slot and an aggregate runs its row-compiled argument over the group.
+
 Semantics are pinned so the audit trail is reproducible bit for bit:
 
-- WHERE and HAVING use three-valued logic; rows pass only on true.
+- WHERE and HAVING use three-valued logic; rows pass only on true. Both
+  operands of AND and OR are always evaluated.
+- Evaluation is one context at a time: per row the projections, then the
+  sort keys; per group, in first-appearance order, HAVING, then the
+  projections, then the sort keys. That order fixes which error surfaces.
 - GROUP BY partitions by value tuple in first-appearance order; nulls group
   together. Aggregates ignore nulls except COUNT(*). SUM/AVG/STDDEV over
   empty or all-null input yield null, COUNT yields 0. STDDEV is the sample
@@ -12,18 +23,21 @@ Semantics are pinned so the audit trail is reproducible bit for bit:
 - A query is grouped when it has GROUP BY or an aggregate in its
   projections (``ast.is_grouped``); an aggregate in ORDER BY needs an
   aggregating or grouped query, which the guard enforces.
-- ORDER BY is a stable sort with nulls last in both directions; ties keep
-  input order.
+- ORDER BY is one stable sort pass per key, from the last key to the first,
+  keyed on (is null, value) so nulls come last in both directions; ties
+  keep input order.
 - Division by zero and non-finite float results yield null. Square root of
-  a negative value is a hard error carrying the offending row index: a
-  domain violation means the query is wrong and must surface.
+  a negative value is a hard error carrying the offending row index (None
+  in a group context): a domain violation means the query is wrong and must
+  surface.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cmp_to_key
+from typing import Callable, Optional
 
 from evidencesql.errors import ArithmeticDomain, TableNotInBundle
 from evidencesql.feature_store import CaseBundle, FeatureTable
@@ -35,7 +49,7 @@ from evidencesql.sql.ast import (
     Expr,
     InList,
     Literal,
-    QueryAst,
+    Projection,
     ScalarFn,
     Star,
     Unary,
@@ -45,6 +59,11 @@ from evidencesql.sql.ast import (
 from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.sql.render import render_expr
 from evidencesql.values import Value
+
+# A compiled expression, called with a row index or a group context; a leaf
+# resolver compiles the context-dependent nodes and returns None for the rest.
+Compiled = Callable[[object], Value]
+Leaf = Callable[[Expr], Optional[Compiled]]
 
 
 @dataclass(frozen=True)
@@ -83,26 +102,14 @@ def _finite_or_null(x: float) -> Value:
     return x if math.isfinite(x) else None
 
 
-def _arith(result: Value) -> Value:
-    if isinstance(result, float):
-        return _finite_or_null(result)
-    return result
-
-
-def _compare(op: str, left: Value, right: Value) -> bool | None:
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+def _strict(op: Callable[[Value, Value], Value]) -> Callable[[Value, Value], Value]:
+    """Null if either operand is null; a non-finite float result is null too."""
+    def apply(left: Value, right: Value) -> Value:
+        if left is None or right is None:
+            return None
+        result = op(left, right)
+        return _finite_or_null(result) if isinstance(result, float) else result
+    return apply
 
 
 def _kleene_and(a: bool | None, b: bool | None) -> bool | None:
@@ -121,111 +128,101 @@ def _kleene_or(a: bool | None, b: bool | None) -> bool | None:
     return False
 
 
-class _Evaluator:
-    """Evaluates one expression either per row or per group.
+_BINARY = {
+    "AND": _kleene_and,
+    "OR": _kleene_or,
+    **{op: _strict(fn) for op, fn in (
+        ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt),
+        ("<=", operator.le), (">", operator.gt), (">=", operator.ge),
+        ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+    )},
+    "/": _strict(lambda a, b: None if b == 0 else a / b),
+}
 
-    Per-row mode carries (row, row_index). Grouped mode carries the group's
-    rows plus the resolved GROUP BY key values; aggregate nodes run over the
-    group and any expression structurally equal to a GROUP BY key resolves
-    to that key's value.
-    """
 
-    def __init__(
-        self,
-        row: dict[str, Value] | None = None,
-        row_index: int | None = None,
-        group_rows: list[tuple[int, dict[str, Value]]] | None = None,
-        group_values: dict[Expr, Value] | None = None,
-    ):
-        self.row = row
-        self.row_index = row_index
-        self.group_rows = group_rows
-        self.group_values = group_values
+def _in_list(operand: Value, items: tuple[Value, ...]) -> bool | None:
+    saw_null = operand is None
+    for item in items:
+        matched = _BINARY["="](operand, item)
+        if matched is True:
+            return True
+        if matched is None:
+            saw_null = True
+    return None if saw_null else False
 
-    def eval(self, expr: Expr) -> Value | bool:
-        if self.group_values is not None and expr in self.group_values:
-            return self.group_values[expr]
-        if isinstance(expr, ColumnRef):
-            if self.row is None:
-                raise TypeError(f"column {expr.name!r} outside row context")
-            return self.row[expr.name]
-        if isinstance(expr, Literal):
-            return expr.value
+
+def _scalar_fn(name: str, args: list[Value], ctx: object) -> Value:
+    if any(a is None for a in args):
+        return None
+    x = args[0]
+    if name == "SQRT":
+        if x < 0:
+            # a row context is its row index; a group context is a tuple
+            row_index = ctx if isinstance(ctx, int) else None
+            raise ArithmeticDomain(f"SQRT of negative value {x}", row_index)
+        return math.sqrt(x)
+    if name == "ABS":
+        return abs(x)
+    digits = args[1] if len(args) == 2 else 0
+    return _finite_or_null(float(round(x, digits)))
+
+
+def _compile(expr: Expr, leaf: Leaf) -> Compiled:
+    """Compile ``expr`` into a closure over one evaluation context."""
+    claimed = leaf(expr)
+    if claimed is not None:
+        return claimed
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda ctx: value
+    if isinstance(expr, Unary):
+        operand = _compile(expr.operand, leaf)
+        if expr.op == "NOT":
+            return lambda ctx: None if (v := operand(ctx)) is None else not v
+        return lambda ctx: None if (v := operand(ctx)) is None else -v
+    if isinstance(expr, Binary):
+        op = _BINARY[expr.op]
+        left, right = _compile(expr.left, leaf), _compile(expr.right, leaf)
+        return lambda ctx: op(left(ctx), right(ctx))  # both sides, even AND/OR
+    if isinstance(expr, InList):
+        operand = _compile(expr.expr, leaf)
+        items = tuple(item.value for item in expr.items)
+        return lambda ctx: _in_list(operand(ctx), items)
+    if isinstance(expr, Between):
+        operand = _compile(expr.expr, leaf)
+        low, high, le = expr.low.value, expr.high.value, _BINARY["<="]
+        return lambda ctx: _kleene_and(le(low, v := operand(ctx)), le(v, high))
+    if isinstance(expr, ScalarFn):
+        name, args = expr.name, [_compile(a, leaf) for a in expr.args]
+        return lambda ctx: _scalar_fn(name, [a(ctx) for a in args], ctx)
+    raise TypeError(f"cannot evaluate {expr!r}")
+
+
+def _row_leaf(table: FeatureTable) -> Leaf:
+    return lambda e: table.columns[e.name].__getitem__ if isinstance(e, ColumnRef) else None
+
+
+def _group_leaf(group_by: tuple[Expr, ...], row_leaf: Leaf) -> Leaf:
+    slots = {e: slot for slot, e in enumerate(group_by)}
+
+    def leaf(expr: Expr) -> Compiled | None:
+        if expr in slots:
+            slot = slots[expr]
+            return lambda ctx: ctx[1][slot]
         if isinstance(expr, AggFn):
-            if self.group_rows is None:
-                raise TypeError("aggregate outside grouped context")
-            return _aggregate(expr, self.group_rows)
-        if isinstance(expr, Unary):
-            operand = self.eval(expr.operand)
-            if expr.op == "NOT":
-                return None if operand is None else not operand
-            return None if operand is None else -operand
-        if isinstance(expr, Binary):
-            return self._binary(expr)
-        if isinstance(expr, InList):
-            return self._in_list(expr)
-        if isinstance(expr, Between):
-            operand = self.eval(expr.expr)
-            low = _compare("<=", expr.low.value, operand)
-            high = _compare("<=", operand, expr.high.value)
-            return _kleene_and(low, high)
-        if isinstance(expr, ScalarFn):
-            return self._scalar_fn(expr)
-        raise TypeError(f"cannot evaluate {expr!r}")
-
-    def _binary(self, expr: Binary) -> Value | bool:
-        if expr.op == "AND":
-            return _kleene_and(self.eval(expr.left), self.eval(expr.right))
-        if expr.op == "OR":
-            return _kleene_or(self.eval(expr.left), self.eval(expr.right))
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        if expr.op in ("=", "!=", "<", "<=", ">", ">="):
-            return _compare(expr.op, left, right)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return _arith(left + right)
-        if expr.op == "-":
-            return _arith(left - right)
-        if expr.op == "*":
-            return _arith(left * right)
-        if right == 0:
-            return None
-        return _finite_or_null(left / right)
-
-    def _in_list(self, expr: InList) -> bool | None:
-        operand = self.eval(expr.expr)
-        saw_null = operand is None
-        for item in expr.items:
-            matched = _compare("=", operand, item.value)
-            if matched is True:
-                return True
-            if matched is None:
-                saw_null = True
-        return None if saw_null else False
-
-    def _scalar_fn(self, expr: ScalarFn) -> Value:
-        args = [self.eval(a) for a in expr.args]
-        if any(a is None for a in args):
-            return None
-        x = args[0]
-        if expr.name == "SQRT":
-            if x < 0:
-                raise ArithmeticDomain(f"SQRT of negative value {x}", self.row_index)
-            return math.sqrt(x)
-        if expr.name == "ABS":
-            return abs(x)
-        digits = args[1] if len(args) == 2 else 0
-        return _finite_or_null(float(round(x, digits)))
+            arg = None if isinstance(expr.arg, Star) else _compile(expr.arg, row_leaf)
+            return lambda ctx: _aggregate(expr, arg, ctx[0])
+        return None
+    return leaf
 
 
-def _aggregate(fn: AggFn, rows: list[tuple[int, dict[str, Value]]]) -> Value:
-    if isinstance(fn.arg, Star):
+def _aggregate(fn: AggFn, arg: Compiled | None, rows: list[int]) -> Value:
+    """``arg`` is the compiled per-row argument; None for COUNT(*)."""
+    if arg is None:
         return len(rows)
     values = []
-    for row_index, row in rows:
-        v = _Evaluator(row=row, row_index=row_index).eval(fn.arg)
+    for row_index in rows:
+        v = arg(row_index)
         if v is not None:
             values.append(v)
     if fn.distinct:
@@ -258,40 +255,6 @@ def _aggregate(fn: AggFn, rows: list[tuple[int, dict[str, Value]]]) -> Value:
         return None
 
 
-def _projection_names(ast: QueryAst, table: FeatureTable) -> tuple[str, ...]:
-    if any(isinstance(p.expr, Star) for p in ast.projections):
-        return table.schema.column_names
-    names = []
-    for p in ast.projections:
-        names.append(p.alias if p.alias is not None else render_expr(p.expr))
-    return tuple(names)
-
-
-def _order_rows(
-    entries: list[tuple[tuple[Value, ...], tuple[Value, ...]]],
-    directions: tuple[bool, ...],
-) -> list[tuple[Value, ...]]:
-    """Stable sort of (sort_key, output_row) pairs, nulls last per key."""
-
-    def compare(a, b) -> int:
-        for (x, y), descending in zip(zip(a[0], b[0]), directions):
-            if x is None and y is None:
-                continue
-            if x is None:
-                return 1
-            if y is None:
-                return -1
-            if x == y:
-                continue
-            if x < y:
-                return 1 if descending else -1
-            return -1 if descending else 1
-        return 0
-
-    entries.sort(key=cmp_to_key(compare))
-    return [row for _, row in entries]
-
-
 def execute(query: ValidatedQuery, bundle: CaseBundle) -> ResultTable:
     """Run ``query`` against the bundle's tables.
 
@@ -303,57 +266,44 @@ def execute(query: ValidatedQuery, bundle: CaseBundle) -> ResultTable:
     table = bundle.tables.get(ast.from_table)
     if table is None:
         raise TableNotInBundle(ast.from_table, bundle.case_id)
-    provenance = Provenance(query.canonical_text, bundle.case_id)
+    projections = ast.projections
+    if any(isinstance(p.expr, Star) for p in projections):
+        projections = tuple(Projection(ColumnRef(n), n) for n in table.schema.column_names)
 
-    rows = [(i, table.row(i)) for i in range(table.row_count)]
+    row_leaf = _row_leaf(table)
+    rows: list[int] | range = range(table.row_count)
     if ast.where is not None:
-        rows = [
-            (i, row) for i, row in rows
-            if _Evaluator(row=row, row_index=i).eval(ast.where) is True
-        ]
+        where = _compile(ast.where, row_leaf)
+        rows = [i for i in rows if where(i) is True]
+
+    # A context is a row index, or a (row indices, GROUP BY values) group.
+    leaf, having, contexts = row_leaf, None, rows
+    if is_grouped(ast):
+        keys = [_compile(e, row_leaf) for e in ast.group_by]
+        # without GROUP BY there is exactly one group, even over no rows
+        groups: dict[tuple, list[int]] = {} if keys else {(): []}
+        for i in rows:
+            groups.setdefault(tuple(k(i) for k in keys), []).append(i)
+        leaf = _group_leaf(ast.group_by, row_leaf)
+        having = None if ast.having is None else _compile(ast.having, leaf)
+        contexts = [(members, key) for key, members in groups.items()]
+    outputs = [_compile(p.expr, leaf) for p in projections]
+    sort_keys = [_compile(item.expr, leaf) for item in ast.order_by]
 
     entries: list[tuple[tuple[Value, ...], tuple[Value, ...]]] = []
-    if is_grouped(ast):
-        groups: dict[tuple, list[tuple[int, dict[str, Value]]]] = {}
-        if ast.group_by:
-            for i, row in rows:
-                key = tuple(
-                    _Evaluator(row=row, row_index=i).eval(e) for e in ast.group_by
-                )
-                groups.setdefault(key, []).append((i, row))
-        else:
-            groups[()] = rows
-        for key, group_rows in groups.items():
-            evaluator = _Evaluator(
-                group_rows=group_rows,
-                group_values=dict(zip(ast.group_by, key)),
-            )
-            if ast.having is not None and evaluator.eval(ast.having) is not True:
-                continue
-            out = tuple(evaluator.eval(p.expr) for p in ast.projections)
-            order_key = tuple(evaluator.eval(item.expr) for item in ast.order_by)
-            entries.append((order_key, out))
-    else:
-        star = any(isinstance(p.expr, Star) for p in ast.projections)
-        for i, row in rows:
-            evaluator = _Evaluator(row=row, row_index=i)
-            if star:
-                out = tuple(row[name] for name in table.schema.column_names)
-            else:
-                out = tuple(evaluator.eval(p.expr) for p in ast.projections)
-            order_key = tuple(evaluator.eval(item.expr) for item in ast.order_by)
-            entries.append((order_key, out))
+    for ctx in contexts:
+        if having is not None and having(ctx) is not True:
+            continue
+        entries.append((tuple(f(ctx) for f in outputs), tuple(k(ctx) for k in sort_keys)))
 
-    if ast.order_by:
-        ordered = _order_rows(entries, tuple(item.descending for item in ast.order_by))
-    else:
-        ordered = [row for _, row in entries]
-    if ast.limit is not None:
-        ordered = ordered[:ast.limit]
-
+    # Stable passes from the last sort key to the first; nulls last either way.
+    for pos in reversed(range(len(ast.order_by))):
+        desc = ast.order_by[pos].descending
+        entries.sort(key=lambda e: ((e[1][pos] is None) != desc, e[1][pos]), reverse=desc)
     return ResultTable(
-        column_names=_projection_names(ast, table),
-        rows=tuple(ordered),
-        provenance=provenance,
+        column_names=tuple(
+            p.alias if p.alias is not None else render_expr(p.expr) for p in projections
+        ),
+        rows=tuple(out for out, _ in entries[:ast.limit]),
+        provenance=Provenance(query.canonical_text, bundle.case_id),
     )
-

@@ -25,11 +25,11 @@ from evidencesql.sql.ast import (
     Expr,
     InList,
     Literal,
-    Projection,
     QueryAst,
     ScalarFn,
     Star,
     Unary,
+    children,
     contains_aggregate,
     is_grouped,
     resolve_order_aliases,
@@ -37,7 +37,6 @@ from evidencesql.sql.ast import (
 from evidencesql.sql.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
-from evidencesql.values import Dtype
 
 MAX_REPAIR_PASSES = 3
 MAX_EDIT_DISTANCE = 2
@@ -299,27 +298,14 @@ class _TypeChecker:
 
 
 def _group_valid(expr: Expr, group_exprs: tuple[Expr, ...]) -> bool:
-    """Whether ``expr`` is evaluable per group: every column reference is
-    inside an aggregate or inside a subexpression matching a GROUP BY key."""
-    if expr in group_exprs:
-        return True
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, AggFn):
+    """Whether ``expr`` is evaluable per group: a GROUP BY key or an aggregate
+    is a group leaf, a bare column is not, and anything else needs all of its
+    children to be evaluable (the executor's group leaf rule)."""
+    if expr in group_exprs or isinstance(expr, AggFn):
         return True
     if isinstance(expr, ColumnRef):
         return False
-    if isinstance(expr, Unary):
-        return _group_valid(expr.operand, group_exprs)
-    if isinstance(expr, Binary):
-        return _group_valid(expr.left, group_exprs) and _group_valid(expr.right, group_exprs)
-    if isinstance(expr, InList):
-        return _group_valid(expr.expr, group_exprs)
-    if isinstance(expr, Between):
-        return _group_valid(expr.expr, group_exprs)
-    if isinstance(expr, ScalarFn):
-        return all(_group_valid(a, group_exprs) for a in expr.args)
-    return False
+    return all(_group_valid(c, group_exprs) for c in children(expr))
 
 
 def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolation]:

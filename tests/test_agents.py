@@ -1,3 +1,7 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from evidencesql.agents import (
@@ -147,3 +151,22 @@ def test_config_controls_retry_budget(question, manifest):
     with pytest.raises(EmptyGeneration):
         plan_local(question, plan, manifest, backend, config)
     assert len(backend.calls) == 1
+
+
+def test_scripted_backend_call_index_is_thread_safe():
+    class SlowList(list):
+        def append(self, item):
+            super().append(item)
+            time.sleep(0.05)  # widens the window between append and index read
+
+    backend = ScriptedBackend(["r0", "r1"], calls=SlowList())
+    barrier = threading.Barrier(2)
+
+    def call(_):
+        barrier.wait(timeout=10)
+        return backend.complete("system", "user", 0.0, 1.0)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        replies = sorted(pool.map(call, range(2)))
+    assert replies == ["r0", "r1"]
+    assert len(backend.calls) == 2

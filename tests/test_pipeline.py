@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,13 @@ from evidencesql.agents import Question
 from evidencesql.backends import BackendConfig, ScriptedBackend, TemplateBackend
 from evidencesql.errors import ConfigError
 from evidencesql.knowledge import ranges_from_json_list
-from evidencesql.pipeline import RunConfig, run_case, write_case_outputs
+from evidencesql.pipeline import (
+    RunConfig,
+    batch_eval,
+    load_questions,
+    run_case,
+    write_case_outputs,
+)
 from evidencesql.sql.guard import GuardRejection
 
 from datasets import OPTIONS, QUESTION_TEXT, RANGE_FIXTURE
@@ -220,3 +227,29 @@ def test_grouping_rejection_is_recorded_not_raised(manifest, demo_bundle, questi
     assert [e["canonical_text"] for e in result.report["sql_trace"]][-1] == (
         "SELECT COUNT(*) AS n FROM cells"
     )
+
+
+# sha256 over the sorted (relpath, sha256) pairs of a full-mode batch over the
+# 20-case eval dataset. Refactors must keep every report byte; a deliberate
+# output change updates this constant and says why.
+EVAL_FULL_OUTPUT_DIGEST = "f0aadf9351e02f060b74037f0f1a2d5140e9f5ce605d1cb463d4a760c784051c"
+
+
+def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_path):
+    out = tmp_path / "out"
+    config = RunConfig(
+        manifest_path=str(manifest_path), out_dir=str(out), mode="full",
+        alpha=0.7, ranges_path=str(eval_dataset["ranges"]),
+    )
+    batch_eval(config, eval_dataset["dataset"], load_questions(eval_dataset["questions"]),
+               backend=TemplateBackend())
+    files = [out / "summary.json"]
+    for pattern in ("reports/*.json", "reports/*.md", "transcripts/*.json"):
+        files += out.glob(pattern)
+    assert len(files) == 61  # summary + 20 x (report json, report md, transcript)
+    pairs = sorted(
+        (p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
+        for p in files
+    )
+    digest = hashlib.sha256("".join(f"{rel} {h}\n" for rel, h in pairs).encode()).hexdigest()
+    assert digest == EVAL_FULL_OUTPUT_DIGEST

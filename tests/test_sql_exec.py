@@ -228,7 +228,10 @@ def run_differential(seed: int, n_pairs: int) -> int:
 
         assert check_schema(ast, manifest) == [], render(ast)
         vq = ValidatedQuery(ast, render(ast))
-        dict_rows = [table.row(i) for i in range(table.row_count)]
+        dict_rows = [
+            {name: values[i] for name, values in table.columns.items()}
+            for i in range(table.row_count)
+        ]
 
         engine_rows = engine_error = None
         try:
