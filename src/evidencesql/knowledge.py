@@ -222,6 +222,7 @@ def fetch_llm_ranges(
     options: list[str],
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
+    replies: dict[tuple[str, str], str] | None = None,
 ) -> tuple[list[ReferenceRange], list[str]]:
     """Ask the backend for one [low, high] interval per (feature, option).
 
@@ -229,6 +230,12 @@ def fetch_llm_ranges(
     generation (the template backend never does); the stage then returns
     empty-handed without noise. Unparseable or inverted intervals are
     dropped with a note.
+
+    ``replies``, when given, memoizes raw replies by prompt pair across
+    calls (``batch_eval`` keeps one per run): a hit skips the backend and is
+    read exactly like a fresh reply. Only replies are stored, so a
+    ``BackendError`` is never cached. Of two racing misses the first stored
+    reply wins, so every caller sharing the memo reads the same one.
     """
     config = config or BackendConfig()
     ranges: list[ReferenceRange] = []
@@ -236,9 +243,13 @@ def fetch_llm_ranges(
     for feature_key in feature_keys:
         for option in options:
             system, user = _range_prompt(feature_key, option)
-            reply = backend.complete(
-                system, user, config.temperature, config.timeout_seconds,
-            )
+            reply = None if replies is None else replies.get((system, user))
+            if reply is None:
+                reply = backend.complete(
+                    system, user, config.temperature, config.timeout_seconds,
+                )
+                if replies is not None:
+                    reply = replies.setdefault((system, user), reply)
             if reply.strip() == DECLINE_RESPONSE:
                 return [], []
             parsed = _parse_range_reply(reply)

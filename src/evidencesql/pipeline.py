@@ -131,8 +131,13 @@ def run_case(
     config: RunConfig,
     backend: LlmBackendPort,
     file_ranges: list[ReferenceRange] | None = None,
+    range_replies: dict[tuple[str, str], str] | None = None,
 ) -> CaseResult:
-    """Process one ingested case under the configured mode."""
+    """Process one ingested case under the configured mode.
+
+    ``range_replies`` is the run's memo of backend range replies, passed on
+    to ``fetch_llm_ranges``; ``None`` asks the backend afresh.
+    """
     options = question.options
     transcripts: list[AgentTranscript] = []
     trace: list[TraceEntry] = []
@@ -148,9 +153,9 @@ def run_case(
 
         def run_stage(agent: str, queries: list[ValidatedQuery]) -> None:
             for query in queries:
-                entry, ok = _execute_into_trace(len(trace), agent, query, bundle)
+                entry = _execute_into_trace(len(trace), agent, query, bundle)
                 trace.append(entry)
-                if ok:
+                if entry.result is not None:
                     executed.append((entry.query_id, query, entry.result))
 
         run_stage("global", global_queries)
@@ -173,6 +178,7 @@ def run_case(
             try:
                 fetched, fetch_notes = fetch_llm_ranges(
                     missing_keys, list(options), backend, config.backend,
+                    range_replies,
                 )
                 extra_notes += fetch_notes
             except BackendError as exc:
@@ -248,15 +254,14 @@ def _maybe_narrative(report: dict, backend: LlmBackendPort,
 
 def _execute_into_trace(
     query_id: int, agent: str, query: ValidatedQuery, bundle: CaseBundle,
-) -> tuple[TraceEntry, bool]:
+) -> TraceEntry:
     try:
-        result = execute(query, bundle)
-        return TraceEntry(query_id, agent, query, result=result), True
+        return TraceEntry(query_id, agent, query, result=execute(query, bundle))
     except TableNotInBundle as exc:
         error = ExecError("table_not_in_bundle", str(exc))
     except ArithmeticDomain as exc:
         error = ExecError("arithmetic_domain", str(exc), exc.row_index)
-    return TraceEntry(query_id, agent, query, error=error), False
+    return TraceEntry(query_id, agent, query, error=error)
 
 
 def write_case_outputs(out_dir: str | Path, result: CaseResult) -> None:
@@ -336,15 +341,20 @@ def batch_eval(
 ) -> EvalSummary:
     """Evaluate every case directory under ``dataset_dir``.
 
-    Per-case failures are recorded in the summary and never abort the batch.
-    The summary reduction is sorted by case id, so worker count does not
-    affect any output byte.
+    Per-case failures, of any exception type, are recorded in the summary
+    and never abort the batch. The summary reduction is sorted by case id,
+    so worker count does not affect any output byte.
+
+    Backend range replies are memoized for the run, keyed on the range
+    prompt pair: each (feature, option) range is requested once and every
+    later case reads the same reply. A ``BackendError`` is not memoized.
     """
     manifest = load_manifest(config.manifest_path)
     backend = backend or make_backend(config.backend)
     file_ranges = load_ranges_file(config.ranges_path) if config.ranges_path else []
     case_dirs = sorted(p for p in Path(dataset_dir).iterdir() if p.is_dir())
     write_run_metadata(config)
+    range_replies: dict[tuple[str, str], str] = {}
 
     def process(case_dir: Path) -> tuple[str, CaseResult | None, str | None]:
         case_id = case_dir.name
@@ -353,11 +363,14 @@ def batch_eval(
             if bundle.ground_truth is None:
                 raise ConfigError(f"case {case_id!r} has no ground_truth label")
             question = select_question(questions, case_id)
-            result = run_case(manifest, bundle, question, config, backend, file_ranges)
+            result = run_case(manifest, bundle, question, config, backend,
+                              file_ranges, range_replies)
             write_case_outputs(config.out_dir, result)
             return case_id, result, None
         except EvidenceSqlError as exc:
             return case_id, None, str(exc)
+        except Exception as exc:  # one broken case must not end the batch
+            return case_id, None, f"{type(exc).__name__}: {exc}"
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -1,12 +1,17 @@
+import itertools
 import json
 import math
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from evidencesql.agents import Question
-from evidencesql.backends import ScriptedBackend, TemplateBackend
+from evidencesql.backends import LlmBackendPort, ScriptedBackend, TemplateBackend
 from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
 from evidencesql.feature_store import load_training_split
 from evidencesql.knowledge import (
@@ -191,6 +196,41 @@ def test_fetch_llm_ranges_unparseable_noted():
     ranges, notes = fetch_llm_ranges(["f"], ["A", "B"], backend)
     assert ranges == []
     assert len(notes) == 2
+
+
+def test_fetch_llm_ranges_racing_misses_share_one_reply():
+    """Concurrent misses on one memo may each ask the backend, but every
+    caller reads the reply stored first."""
+
+    class NumberedBackend(LlmBackendPort):
+        def __init__(self):
+            self.numbers = itertools.count(1)
+
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            number = next(self.numbers)
+            time.sleep(0.02)  # every caller misses before a reply is stored
+            return json.dumps({"low": 0.0, "high": float(number)})
+
+    backend = NumberedBackend()
+    replies: dict = {}
+    barrier = threading.Barrier(4)
+
+    def fetch(_):
+        barrier.wait(timeout=10)
+        return fetch_llm_ranges(["f"], ["A", "B"], backend, replies=replies)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(fetch, range(4), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert next(backend.numbers) > 3  # the misses really raced
+    assert all(result == results[0] for result in results)
+    assert [r.high for r in results[0][0]] == [
+        json.loads(reply)["high"] for reply in replies.values()
+    ]
 
 
 def test_merge_prefers_empirical():

@@ -1,24 +1,36 @@
 import hashlib
 import json
+import shutil
+import threading
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from evidencesql import pipeline
 from evidencesql.agents import Question
-from evidencesql.backends import BackendConfig, ScriptedBackend, TemplateBackend
-from evidencesql.errors import ConfigError
+from evidencesql.backends import (
+    TASK_RANGES,
+    BackendConfig,
+    LlmBackendPort,
+    ScriptedBackend,
+    TemplateBackend,
+)
+from evidencesql.errors import BackendError, ConfigError
+from evidencesql.feature_store import ingest_case_dir
 from evidencesql.knowledge import ranges_from_json_list
 from evidencesql.pipeline import (
     RunConfig,
     batch_eval,
     load_questions,
     run_case,
+    select_question,
     write_case_outputs,
 )
 from evidencesql.sql.guard import GuardRejection
 
-from datasets import OPTIONS, QUESTION_TEXT, RANGE_FIXTURE
+from datasets import OPTIONS, PAPILLARY, QUESTION_TEXT, RANGE_FIXTURE
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +265,136 @@ def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_p
     )
     digest = hashlib.sha256("".join(f"{rel} {h}\n" for rel, h in pairs).encode()).hexdigest()
     assert digest == EVAL_FULL_OUTPUT_DIGEST
+
+
+# -- per-run range memo and per-case fault isolation --------------------------------
+
+
+class CountingBackend(LlmBackendPort):
+    """Template replies for the agents and a fixed interval per option for
+    range prompts; counts calls by task. ``fail_range_calls`` holds the
+    1-based range call numbers that raise ``BackendError`` instead."""
+
+    name = "counting"
+
+    def __init__(self, fail_range_calls=()):
+        self.calls: Counter[str] = Counter()
+        self.fail_range_calls = set(fail_range_calls)
+        self._template = TemplateBackend()
+        self._lock = threading.Lock()
+
+    def complete(self, system_prompt, user_prompt, temperature, timeout):
+        task = system_prompt.split("\n", 1)[0].removeprefix("Task:").strip()
+        with self._lock:
+            self.calls[task] += 1
+            number = self.calls[task]
+        if task != TASK_RANGES:
+            return self._template.complete(system_prompt, user_prompt, temperature, timeout)
+        if number in self.fail_range_calls:
+            raise BackendError("range service unavailable")
+        if user_prompt.endswith(PAPILLARY):
+            return '{"low": 0.5, "high": 1000.0}'
+        return '{"low": 0.0, "high": 0.5}'
+
+
+@pytest.fixture
+def three_cases(eval_dataset, tmp_path):
+    """The first three eval cases, copied into their own dataset directory."""
+    dataset = tmp_path / "three"
+    for case_dir in sorted(eval_dataset["dataset"].iterdir())[:3]:
+        shutil.copytree(case_dir, dataset / case_dir.name)
+    return dataset
+
+
+def _output_bytes(out: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for pattern in ("reports/*", "transcripts/*")
+        for p in sorted(out.glob(pattern))
+    }
+
+
+def test_batch_eval_requests_each_range_once(manifest, manifest_path, eval_dataset,
+                                             three_cases, tmp_path):
+    questions = load_questions(eval_dataset["questions"])
+    memo_backend = CountingBackend()
+    config = RunConfig(str(manifest_path), str(tmp_path / "memo"))
+    summary = batch_eval(config, three_cases, questions, backend=memo_backend)
+    assert summary.n_cases == 3 and summary.failures == []
+
+    plain_backend = CountingBackend()
+    plain_out = tmp_path / "plain"
+    per_case_calls = []
+    for case_dir in sorted(three_cases.iterdir()):
+        bundle = ingest_case_dir(manifest, case_dir)
+        before = plain_backend.calls[TASK_RANGES]
+        result = run_case(manifest, bundle, select_question(questions, bundle.case_id),
+                          config, plain_backend)
+        per_case_calls.append(plain_backend.calls[TASK_RANGES] - before)
+        write_case_outputs(plain_out, result)
+
+    # every case observes the same F features, so each asks for F x O ranges
+    assert per_case_calls[0] > 0 and per_case_calls[0] % len(OPTIONS) == 0
+    assert per_case_calls == [per_case_calls[0]] * 3
+    assert memo_backend.calls[TASK_RANGES] == per_case_calls[0]
+    memo_files = _output_bytes(Path(config.out_dir))
+    assert len(memo_files) == 9
+    assert memo_files == _output_bytes(plain_out)
+    # the last case read every range from the memo and was scored against it
+    last_case = sorted(three_cases.iterdir())[-1].name
+    report = json.loads(memo_files[f"reports/{last_case}.json"])
+    assert any(f["fits"] for f in report["hypothesis"]["findings"])
+
+
+def test_range_backend_error_is_not_memoized(manifest_path, eval_dataset, three_cases,
+                                             tmp_path):
+    backend = CountingBackend(fail_range_calls={1})
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+               backend=backend)
+    first, second, _ = (
+        json.loads((Path(config.out_dir) / "reports" / f"{d.name}.json").read_text())
+        for d in sorted(three_cases.iterdir())
+    )
+    assert any(n.startswith("range generation unavailable")
+               for n in first["data_quality_notes"])
+    assert not any(f["fits"] for f in first["hypothesis"]["findings"])
+    assert not any(n.startswith("range generation unavailable")
+                   for n in second["data_quality_notes"])
+    assert any(f["fits"] for f in second["hypothesis"]["findings"])
+
+
+def test_batch_eval_memo_output_does_not_depend_on_workers(manifest_path, eval_dataset,
+                                                           three_cases, tmp_path):
+    questions = load_questions(eval_dataset["questions"])
+    outputs = []
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        config = RunConfig(str(manifest_path), str(out), workers=workers)
+        batch_eval(config, three_cases, questions, backend=CountingBackend())
+        outputs.append((_output_bytes(out), (out / "summary.json").read_bytes()))
+    assert len(outputs[0][0]) == 9
+    assert outputs[0] == outputs[1]
+
+
+def test_batch_eval_records_any_exception_per_case(manifest_path, eval_dataset,
+                                                   three_cases, tmp_path, monkeypatch):
+    broken = sorted(three_cases.iterdir())[1].name
+    real_run_case = pipeline.run_case
+
+    def run_case_or_raise(manifest, bundle, *args):
+        if bundle.case_id == broken:
+            raise RuntimeError("unexpected fault")
+        return real_run_case(manifest, bundle, *args)
+
+    monkeypatch.setattr(pipeline, "run_case", run_case_or_raise)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=TemplateBackend())
+    written = json.loads((Path(config.out_dir) / "summary.json").read_text())
+    assert written == summary.to_json_dict()
+    assert summary.failures == [{"case_id": broken, "error": "RuntimeError: unexpected fault"}]
+    assert summary.n_cases == 2
+    assert sorted(p.name for p in (Path(config.out_dir) / "reports").glob("*.json")) == sorted(
+        f"{d.name}.json" for d in three_cases.iterdir() if d.name != broken
+    )

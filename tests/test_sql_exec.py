@@ -144,14 +144,14 @@ def test_execute_batch_isolation(manifest, demo_bundle):
                              "SELECT COUNT(*) FROM absent")
     out = [_execute_into_trace(qid, "local", query, demo_bundle)
            for qid, query in enumerate([good, missing, good])]
-    assert [entry.query_id for entry, _ in out] == [0, 1, 2]
-    assert [ok for _, ok in out] == [True, False, True]
-    assert isinstance(out[0][0].result, ResultTable)
-    assert isinstance(out[1][0].error, ExecError)
-    assert out[1][0].result is None
-    assert out[1][0].error.kind == "table_not_in_bundle"
-    assert isinstance(out[2][0].result, ResultTable)
-    assert rows_of(out[2][0].result) == rows_of(out[0][0].result)
+    assert [entry.query_id for entry in out] == [0, 1, 2]
+    assert [entry.result is not None for entry in out] == [True, False, True]
+    assert isinstance(out[0].result, ResultTable)
+    assert isinstance(out[1].error, ExecError)
+    assert out[1].result is None
+    assert out[1].error.kind == "table_not_in_bundle"
+    assert isinstance(out[2].result, ResultTable)
+    assert rows_of(out[2].result) == rows_of(out[0].result)
 
 
 def test_execution_is_deterministic_and_pure(manifest, demo_bundle, demo_case_dir):
