@@ -174,7 +174,11 @@ class TemplateBackend(LlmBackendPort):
 
 @dataclass
 class ScriptedBackend(LlmBackendPort):
-    """Replays a fixed list of responses; repeats the last one when drained."""
+    """Replays a fixed list of responses; repeats the last one when drained.
+
+    Responses go out in call order, so concurrent callers (batch workers,
+    a range fetch's fanned-out prompts) get them in arrival order.
+    """
 
     responses: list[str]
     name: str = "scripted"

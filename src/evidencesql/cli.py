@@ -2,7 +2,8 @@
 
 Exit codes are stable contracts: 0 success, 1 pipeline error, 2
 configuration or usage error. Errors print a structured JSON object on
-stderr so wrappers never have to scrape prose.
+stderr so wrappers never have to scrape prose; an exception no command
+maps is reported the same way, with stage ``internal`` and exit code 1.
 """
 
 from __future__ import annotations
@@ -63,7 +64,19 @@ def _load_backend_config(config_path: str | None) -> BackendConfig:
         _fail(EXIT_CONFIG, "config", exc)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Maps any exception a command leaves unmapped to the JSON contract."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click's own usage errors and exits keep their codes
+        except Exception as exc:  # last resort: no raw traceback on stderr
+            _fail(EXIT_PIPELINE, "internal", exc)
+
+
+@click.group(cls=_Cli)
 def main():
     """Auditable SQL-grounded diagnostic reasoning over feature tables."""
 

@@ -15,6 +15,7 @@ import enum
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from evidencesql.agents import Question
@@ -215,6 +216,10 @@ def _range_prompt(feature_key: str, option: str) -> tuple[str, str]:
 
 
 _JSON_OBJECT_RE = re.compile(r"\{.*?\}", re.DOTALL)
+# Most threads one fetch starts for its memo misses. Eleven features by two
+# options leave 21 prompts after the probe, which one wave covers; the cap
+# keeps a wide question from starting one thread per pair.
+_RANGE_FANOUT_CAP = 32
 
 
 def fetch_llm_ranges(
@@ -226,49 +231,78 @@ def fetch_llm_ranges(
 ) -> tuple[list[ReferenceRange], list[str]]:
     """Ask the backend for one [low, high] interval per (feature, option).
 
-    A DECLINE reply on the first call means the backend does not do range
-    generation (the template backend never does); the stage then returns
-    empty-handed without noise. Unparseable or inverted intervals are
-    dropped with a note.
+    The first (feature, option) prompt is a probe, resolved on the calling
+    thread: a DECLINE there means the backend does not do range generation
+    (the template backend never does), and the stage returns empty-handed
+    without noise and without asking anything else. The remaining prompts
+    the memo cannot answer are then sent together, one thread each up to
+    ``_RANGE_FANOUT_CAP``, and the replies are read back in (feature,
+    option) order, so ranges and notes keep that order. A later DECLINE
+    skips only its own pair, with a note; unparseable or inverted intervals
+    are dropped with a note.
 
     ``replies``, when given, memoizes raw replies by prompt pair across
     calls (``batch_eval`` keeps one per run): a hit skips the backend and is
-    read exactly like a fresh reply. Only replies are stored, so a
-    ``BackendError`` is never cached. Of two racing misses the first stored
-    reply wins, so every caller sharing the memo reads the same one.
+    read exactly like a fresh reply, and a fully memoized fetch starts no
+    thread. Only replies are stored, so a ``BackendError`` is never cached;
+    when several fanned-out prompts fail, the first in (feature, option)
+    order is raised once every prompt has finished. Of two racing misses the
+    first stored reply wins, so every caller sharing the memo reads the same
+    one.
     """
     config = config or BackendConfig()
+    pairs = [(feature_key, option) for feature_key in feature_keys for option in options]
+    if not pairs:
+        return [], []
+    memo = {} if replies is None else replies
+
+    def ask(prompt: tuple[str, str]) -> str:
+        system, user = prompt
+        return backend.complete(system, user, config.temperature, config.timeout_seconds)
+
+    probe = _range_prompt(*pairs[0])
+    if probe not in memo:
+        memo.setdefault(probe, ask(probe))
+    if memo[probe].strip() == DECLINE_RESPONSE:
+        return [], []
+    prompts = [_range_prompt(*pair) for pair in pairs]
+    misses = list(dict.fromkeys(p for p in prompts[1:] if p not in memo))
+    if misses:
+        with ThreadPoolExecutor(max_workers=min(len(misses), _RANGE_FANOUT_CAP)) as pool:
+            futures = [pool.submit(ask, prompt) for prompt in misses]
+        error = None
+        for prompt, future in zip(misses, futures):
+            if future.exception() is None:
+                memo.setdefault(prompt, future.result())
+            elif error is None:
+                error = future.exception()
+        if error is not None:
+            raise error
+
     ranges: list[ReferenceRange] = []
     notes: list[str] = []
-    for feature_key in feature_keys:
-        for option in options:
-            system, user = _range_prompt(feature_key, option)
-            reply = None if replies is None else replies.get((system, user))
-            if reply is None:
-                reply = backend.complete(
-                    system, user, config.temperature, config.timeout_seconds,
-                )
-                if replies is not None:
-                    reply = replies.setdefault((system, user), reply)
-            if reply.strip() == DECLINE_RESPONSE:
-                return [], []
-            parsed = _parse_range_reply(reply)
-            if parsed is None:
-                notes.append(f"unusable range reply for {feature_key!r}/{option!r}")
-                continue
-            low, high = parsed
-            if low > high:
-                notes.append(
-                    f"range for {feature_key!r}/{option!r} has low {low} > high {high}; dropped"
-                )
-                continue
-            ranges.append(ReferenceRange(
-                feature_key=feature_key,
-                option_label=option,
-                low=low,
-                high=high,
-                source="llm_knowledge",
-            ))
+    for (feature_key, option), prompt in zip(pairs, prompts):
+        reply = memo[prompt]
+        if reply.strip() == DECLINE_RESPONSE:
+            notes.append(f"backend declined range for {feature_key!r}/{option!r}")
+            continue
+        parsed = _parse_range_reply(reply)
+        if parsed is None:
+            notes.append(f"unusable range reply for {feature_key!r}/{option!r}")
+            continue
+        low, high = parsed
+        if low > high:
+            notes.append(
+                f"range for {feature_key!r}/{option!r} has low {low} > high {high}; dropped"
+            )
+            continue
+        ranges.append(ReferenceRange(
+            feature_key=feature_key,
+            option_label=option,
+            low=low,
+            high=high,
+            source="llm_knowledge",
+        ))
     return ranges, notes
 
 

@@ -138,6 +138,23 @@ def test_ask_full_without_sidecar_is_config_error(runner, manifest_path,
     assert "cnn" in result.output.lower() or "classifier" in result.output.lower()
 
 
+def test_unmapped_exception_is_structured_json(runner, manifest_path, demo_case_dir,
+                                              eval_dataset, tmp_path):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("", encoding="utf-8")
+    result = runner.invoke(main, [
+        "ask", "--manifest", str(manifest_path), "--case", str(demo_case_dir),
+        "--question", str(eval_dataset["questions"]),
+        "--ranges", str(eval_dataset["ranges"]),
+        "--out", str(blocker / "run"),
+    ])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)["error"]
+    assert error["stage"] == "internal"
+    assert error["type"] == "NotADirectoryError"
+
+
 def test_ask_sql_only_omits_fusion(runner, manifest_path, demo_case_dir,
                                    eval_dataset, tmp_path):
     out = tmp_path / "run_sql"

@@ -10,9 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from evidencesql import knowledge
 from evidencesql.agents import Question
 from evidencesql.backends import LlmBackendPort, ScriptedBackend, TemplateBackend
-from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
+from evidencesql.errors import BackendError, MissingLabel, NoEvidence, NonFiniteObservation
 from evidencesql.feature_store import load_training_split
 from evidencesql.knowledge import (
     FIT_WEIGHTS,
@@ -187,8 +188,18 @@ def test_fetch_llm_ranges_drops_inverted():
 
 
 def test_fetch_llm_ranges_template_declines():
-    ranges, notes = fetch_llm_ranges(["f"], ["A", "B"], TemplateBackend())
+    class CountingTemplate(TemplateBackend):
+        def __init__(self):
+            self.range_calls = 0
+
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            self.range_calls += 1
+            return super().complete(system_prompt, user_prompt, temperature, timeout)
+
+    backend = CountingTemplate()
+    ranges, notes = fetch_llm_ranges(["f", "g", "h"], ["A", "B"], backend)
     assert ranges == [] and notes == []
+    assert backend.range_calls == 1  # the probe's DECLINE stops the fetch
 
 
 def test_fetch_llm_ranges_unparseable_noted():
@@ -231,6 +242,98 @@ def test_fetch_llm_ranges_racing_misses_share_one_reply():
     assert [r.high for r in results[0][0]] == [
         json.loads(reply)["high"] for reply in replies.values()
     ]
+
+
+def test_fetch_llm_ranges_later_decline_skips_only_that_pair():
+    backend = ScriptedBackend(['{"low": 0, "high": 1}', "DECLINE"])
+    ranges, notes = fetch_llm_ranges(["f", "g"], ["A"], backend)
+    assert [(r.feature_key, r.low, r.high) for r in ranges] == [("f", 0.0, 1.0)]
+    assert notes == ["backend declined range for 'g'/'A'"]
+
+
+def _pair(user_prompt):
+    feature, option = (line.split(": ", 1)[1] for line in user_prompt.split("\n"))
+    return feature, option
+
+
+class SlowRangeBackend(LlmBackendPort):
+    """Answers each range prompt after 50 ms from a per-pair table, recording
+    the prompts it saw and the most calls it had in flight at once."""
+
+    REPLIES = {
+        ("f", "A"): '{"low": 0, "high": 1}',
+        ("f", "B"): "DECLINE",
+        ("f", "C"): '{"low": 2, "high": 3}',
+        ("g", "A"): "cannot say",
+        ("g", "B"): '{"low": 4, "high": 5}',
+        ("g", "C"): '{"low": 7, "high": 6}',
+    }
+
+    def __init__(self, fail=()):
+        self.fail = set(fail)
+        self.seen: list[tuple[str, str]] = []
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, system_prompt, user_prompt, temperature, timeout):
+        pair = _pair(user_prompt)
+        with self._lock:
+            self.seen.append(pair)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.05)
+            if pair in self.fail:
+                raise BackendError(f"no reply for {pair}")
+            return self.REPLIES[pair]
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_fetch_llm_ranges_fans_out_and_keeps_pair_order():
+    backend = SlowRangeBackend()
+    started = time.perf_counter()
+    ranges, notes = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend)
+    elapsed = time.perf_counter() - started
+    assert backend.peak > 1
+    assert elapsed < 4 * 0.05  # the probe, then one wave; serial is 6 × 50 ms
+    assert sorted(backend.seen) == sorted(SlowRangeBackend.REPLIES)
+    assert [(r.feature_key, r.option_label, r.low, r.high) for r in ranges] == [
+        ("f", "A", 0.0, 1.0), ("f", "C", 2.0, 3.0), ("g", "B", 4.0, 5.0),
+    ]
+    assert notes == [
+        "backend declined range for 'f'/'B'",
+        "unusable range reply for 'g'/'A'",
+        "range for 'g'/'C' has low 7.0 > high 6.0; dropped",
+    ]
+
+
+def test_fetch_llm_ranges_memo_hits_start_no_thread(monkeypatch):
+    replies: dict = {}
+    expected = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], SlowRangeBackend(), replies=replies)
+    assert len(replies) == 6
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully memoized fetch started a thread pool")
+
+    monkeypatch.setattr(knowledge, "ThreadPoolExecutor", no_pool)
+    backend = SlowRangeBackend()
+    assert fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend, replies=replies) == expected
+    assert backend.seen == []
+
+
+def test_fetch_llm_ranges_fanned_out_error_propagates_uncached():
+    backend = SlowRangeBackend(fail={("g", "B"), ("f", "C")})
+    replies: dict = {}
+    with pytest.raises(BackendError, match=r"\('f', 'C'\)"):  # first in pair order
+        fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend, replies=replies)
+    assert sorted(backend.seen) == sorted(SlowRangeBackend.REPLIES)  # the pool drained
+    assert sorted(_pair(user) for _, user in replies) == [
+        ("f", "A"), ("f", "B"), ("g", "A"), ("g", "C"),
+    ]
+    assert all(isinstance(reply, str) for reply in replies.values())
 
 
 def test_merge_prefers_empirical():
