@@ -23,7 +23,6 @@ from evidencesql.errors import EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
 from evidencesql.sql.guard import GuardRejection, ValidatedQuery, validate_pipeline
 
-_FENCE_SQL_RE = re.compile(r"```(sql)?[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 _FENCE_ANY_RE = re.compile(r"```([a-zA-Z]*)[ \t]*\r?\n?(.*?)```", re.DOTALL)
 _FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 

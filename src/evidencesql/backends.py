@@ -52,17 +52,24 @@ class BackendConfig:
     prompt_version: str = "1"
 
     @staticmethod
-    def from_dict(doc: dict) -> "BackendConfig":
+    def from_dict(doc: dict, source: str = "backend config") -> "BackendConfig":
+        """Raises ConfigError for an unknown backend kind, or, naming
+        ``source``, for a document or field of the wrong shape or type."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{source} must hold a JSON object")
         kind = doc.get("backend", "template")
         if kind not in ("template", "remote"):
             raise ConfigError(f"unknown backend kind {kind!r}")
-        return BackendConfig(
-            kind=kind,
-            temperature=float(doc.get("temperature", 0.0)),
-            timeout_seconds=float(doc.get("timeout_seconds", 30.0)),
-            max_retries=int(doc.get("max_retries", 2)),
-            prompt_version=str(doc.get("prompt_version", "1")),
-        )
+        try:
+            return BackendConfig(
+                kind=kind,
+                temperature=float(doc.get("temperature", 0.0)),
+                timeout_seconds=float(doc.get("timeout_seconds", 30.0)),
+                max_retries=int(doc.get("max_retries", 2)),
+                prompt_version=str(doc.get("prompt_version", "1")),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed {source}: {type(exc).__name__}: {exc}") from exc
 
 
 class LlmBackendPort:

@@ -2,8 +2,13 @@
 
 Exit codes are stable contracts: 0 success, 1 pipeline error, 2
 configuration or usage error. Errors print a structured JSON object on
-stderr so wrappers never have to scrape prose; an exception no command
-maps is reported the same way, with stage ``internal`` and exit code 1.
+stderr so wrappers never have to scrape prose. The command group maps each
+error to its exit code and stage by the error's class, in one table: stage
+``config`` (exit 2) for unusable run inputs, among them a malformed
+manifest, questions, ranges or backend-config file in every command;
+``ingest``, ``execute``, ``calibrate`` or ``pipeline`` (exit 1) for a
+failure in that part of the run; and ``internal`` (exit 1) for any other
+exception. A guard rejection prints its own JSON and exits 1.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from pathlib import Path
 
 import click
 
+from evidencesql import errors
 from evidencesql.backends import BackendConfig, make_backend
-from evidencesql.errors import ConfigError, EvidenceSqlError
 from evidencesql.feature_store import ingest_case_dir, load_manifest, load_training_split
 from evidencesql.knowledge import compute_empirical_ranges, ranges_to_json_list
 from evidencesql.pipeline import (
@@ -27,6 +32,7 @@ from evidencesql.pipeline import (
     batch_eval,
     load_questions,
     load_ranges_file,
+    read_json_input,
     run_case,
     select_question,
     write_case_outputs,
@@ -42,38 +48,44 @@ EXIT_PIPELINE = 1
 EXIT_CONFIG = 2
 
 
-def _fail(code: int, stage: str, error: Exception | str) -> None:
+# Exit code and stage by error class; the nearest class in an error's MRO
+# wins, and an exception outside the package is ``internal``.
+_CONTRACT: dict[type, tuple[int, str]] = {
+    errors.ConfigError: (EXIT_CONFIG, "config"),
+    errors.ManifestParseError: (EXIT_CONFIG, "config"),
+    errors.ManifestError: (EXIT_CONFIG, "config"),
+    errors.TypeMismatch: (EXIT_PIPELINE, "ingest"),
+    errors.DomainViolation: (EXIT_PIPELINE, "ingest"),
+    errors.CardinalityError: (EXIT_PIPELINE, "ingest"),
+    errors.SidecarError: (EXIT_PIPELINE, "ingest"),
+    errors.TableNotInBundle: (EXIT_PIPELINE, "execute"),
+    errors.ArithmeticDomain: (EXIT_PIPELINE, "execute"),
+    errors.CaseLoadError: (EXIT_PIPELINE, "calibrate"),
+    errors.MissingLabel: (EXIT_PIPELINE, "calibrate"),
+    errors.EvidenceSqlError: (EXIT_PIPELINE, "pipeline"),
+    Exception: (EXIT_PIPELINE, "internal"),
+}
+
+
+def _fail(code: int, stage: str, error: Exception) -> None:
     payload = {
-        "error": {
-            "stage": stage,
-            "type": type(error).__name__ if isinstance(error, Exception) else "Error",
-            "message": str(error),
-        }
+        "error": {"stage": stage, "type": type(error).__name__, "message": str(error)}
     }
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(code)
 
 
-def _load_backend_config(config_path: str | None) -> BackendConfig:
-    if config_path is None:
-        return BackendConfig()
-    try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        return BackendConfig.from_dict(doc)
-    except (OSError, ValueError, ConfigError) as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-
-
 class _Cli(click.Group):
-    """Maps any exception a command leaves unmapped to the JSON contract."""
+    """Reports every exception a command raises through ``_CONTRACT``."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise  # click's own usage errors and exits keep their codes
-        except Exception as exc:  # last resort: no raw traceback on stderr
-            _fail(EXIT_PIPELINE, "internal", exc)
+        except Exception as exc:  # no raw traceback on stderr
+            cls = next(c for c in type(exc).__mro__ if c in _CONTRACT)
+            _fail(*_CONTRACT[cls], exc)
 
 
 @click.group(cls=_Cli)
@@ -87,14 +99,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def ingest(manifest_path, case_dir, as_json):
     """Validate one case directory against the manifest."""
-    try:
-        manifest = load_manifest(manifest_path)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        bundle = ingest_case_dir(manifest, case_dir)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "ingest", exc)
+    bundle = ingest_case_dir(load_manifest(manifest_path), case_dir)
     summary = {
         "case_id": bundle.case_id,
         "tables": {name: table.row_count for name, table in sorted(bundle.tables.items())},
@@ -115,10 +120,7 @@ def ingest(manifest_path, case_dir, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def validate(manifest_path, query_file, as_json):
     """Run the guard pipeline on a query file; print the canonical text."""
-    try:
-        manifest = load_manifest(manifest_path)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
+    manifest = load_manifest(manifest_path)
     text = Path(query_file).read_text(encoding="utf-8")
     outcome = validate_pipeline(text, manifest)
     if isinstance(outcome, GuardRejection):
@@ -138,22 +140,13 @@ def validate(manifest_path, query_file, as_json):
 @click.option("--csv", "as_csv", is_flag=True)
 def query(manifest_path, case_dir, sql, as_json, as_csv):
     """Validate and execute one query against a case."""
-    try:
-        manifest = load_manifest(manifest_path)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        bundle = ingest_case_dir(manifest, case_dir)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "ingest", exc)
+    manifest = load_manifest(manifest_path)
+    bundle = ingest_case_dir(manifest, case_dir)
     outcome = validate_pipeline(sql, manifest)
     if isinstance(outcome, GuardRejection):
         click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)
         sys.exit(EXIT_PIPELINE)
-    try:
-        result = execute(outcome, bundle)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "execute", exc)
+    result = execute(outcome, bundle)
     if as_json:
         click.echo(json.dumps(result.to_json_dict(), sort_keys=True))
     elif as_csv:
@@ -178,25 +171,18 @@ def query(manifest_path, case_dir, sql, as_json, as_csv):
 @click.option("--out-file", required=True, type=click.Path())
 def calibrate_ranges(manifest_path, training_dir, features, q, out_file):
     """Compute empirical reference ranges from a labeled training split."""
+    manifest = load_manifest(manifest_path)
+    training = load_training_split(manifest, training_dir)
+    labels = sorted({b.ground_truth for b in training if b.ground_truth is not None})
+    feature_keys = list(features) or [
+        f"{t.name}.{c.name}"
+        for t in manifest.tables if t.level.value == "global"
+        for c in t.columns if c.dtype.value in ("integer", "real")
+    ]
     try:
-        manifest = load_manifest(manifest_path)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        training = load_training_split(manifest, training_dir)
-        labels = sorted({b.ground_truth for b in training if b.ground_truth is not None})
-        feature_keys = list(features)
-        if not feature_keys:
-            feature_keys = [
-                f"{t.name}.{c.name}"
-                for t in manifest.tables if t.level.value == "global"
-                for c in t.columns if c.dtype.value in ("integer", "real")
-            ]
         ranges, notes = compute_empirical_ranges(training, feature_keys, labels, q)
-    except ValueError as exc:
+    except ValueError as exc:  # --quantile outside (0, 0.5)
         _fail(EXIT_CONFIG, "config", exc)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "calibrate", exc)
     write_json_atomic(out_file, ranges_to_json_list(ranges))
     click.echo(json.dumps({
         "ranges_written": len(ranges),
@@ -207,19 +193,21 @@ def calibrate_ranges(manifest_path, training_dir, features, q, out_file):
 
 def _build_run_config(manifest_path, out_dir, mode, alpha, ranges_path,
                       config_path, workers) -> RunConfig:
-    backend_config = _load_backend_config(config_path)
-    try:
-        return RunConfig(
-            manifest_path=str(manifest_path),
-            out_dir=str(out_dir),
-            mode=mode,
-            alpha=alpha,
-            ranges_path=str(ranges_path) if ranges_path else None,
-            backend=backend_config,
-            workers=workers,
+    backend_config = BackendConfig()
+    if config_path is not None:
+        backend_config = BackendConfig.from_dict(
+            read_json_input(config_path, "backend config"),
+            f"backend config {config_path}",
         )
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
+    return RunConfig(
+        manifest_path=str(manifest_path),
+        out_dir=str(out_dir),
+        mode=mode,
+        alpha=alpha,
+        ranges_path=str(ranges_path) if ranges_path else None,
+        backend=backend_config,
+        workers=workers,
+    )
 
 
 @main.command()
@@ -237,29 +225,13 @@ def ask(manifest_path, case_dir, question_file, ranges_path, config_path,
     """Answer one diagnostic question for one case; write report + transcripts."""
     config = _build_run_config(manifest_path, out_dir, mode, alpha, ranges_path,
                                config_path, workers=1)
-    try:
-        manifest = load_manifest(config.manifest_path)
-        questions = load_questions(question_file)
-        file_ranges = load_ranges_file(config.ranges_path) if config.ranges_path else []
-    except (EvidenceSqlError, ValueError, KeyError) as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        bundle = ingest_case_dir(manifest, case_dir)
-        question = select_question(questions, bundle.case_id)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "ingest", exc)
-    try:
-        backend = make_backend(config.backend)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        result = run_case(manifest, bundle, question, config, backend, file_ranges)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "pipeline", exc)
+    manifest = load_manifest(config.manifest_path)
+    questions = load_questions(question_file)
+    file_ranges = load_ranges_file(config.ranges_path) if config.ranges_path else []
+    bundle = ingest_case_dir(manifest, case_dir)
+    question = select_question(questions, bundle.case_id)
+    backend = make_backend(config.backend)
+    result = run_case(manifest, bundle, question, config, backend, file_ranges)
     write_run_metadata(config)
     write_case_outputs(config.out_dir, result)
     if as_json:
@@ -286,16 +258,7 @@ def batch_eval_cmd(manifest_path, dataset_dir, questions_file, ranges_path,
     """Evaluate every case in a dataset directory; print the summary."""
     config = _build_run_config(manifest_path, out_dir, mode, alpha, ranges_path,
                                config_path, workers)
-    try:
-        questions = load_questions(questions_file)
-    except (ConfigError, EvidenceSqlError, ValueError, KeyError) as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    try:
-        summary = batch_eval(config, dataset_dir, questions)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "config", exc)
-    except EvidenceSqlError as exc:
-        _fail(EXIT_PIPELINE, "batch", exc)
+    summary = batch_eval(config, dataset_dir, load_questions(questions_file))
     doc = summary.to_json_dict()
     if as_json:
         click.echo(canonical_json(doc), nl=False)

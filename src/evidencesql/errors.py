@@ -156,4 +156,5 @@ class DanglingQueryId(EvidenceSqlError):
 
 
 class ConfigError(EvidenceSqlError):
-    """Run configuration is unusable (bad mode, missing required inputs)."""
+    """Run configuration is unusable (bad mode, malformed input file,
+    missing required inputs)."""

@@ -491,8 +491,7 @@ def calibrate_confidence(
     total = sum(raw.values())
     if total == 0.0:
         notes.append("all scored fits were no_fit; confidence set to uniform")
-        uniform = 1.0 / len(options)
-        return [(o, uniform) for o in options], notes
+        return uniform_confidences(options), notes
     return [(o, raw[o] / total) for o in options], notes
 
 

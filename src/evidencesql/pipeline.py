@@ -97,11 +97,28 @@ class CaseResult:
     ground_truth: str | None
 
 
+def read_json_input(path: str | Path, what: str) -> object:
+    """The parsed content of a JSON input file (questions, ranges, backend
+    config); a file that cannot be read or parsed is a ``ConfigError`` that
+    names it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _malformed(what: str, path: str | Path, exc: Exception) -> ConfigError:
+    return ConfigError(f"malformed {what} {path}: {type(exc).__name__}: {exc}")
+
+
 def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json_input(path, "ranges file")
     if not isinstance(doc, list):
         raise ConfigError("ranges file must hold a JSON list of range objects")
-    return ranges_from_json_list(doc)
+    try:
+        return ranges_from_json_list(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed("ranges file", path, exc) from exc
 
 
 def _format_results_text(executed: list[tuple[int, ValidatedQuery, ResultTable]]) -> str:
@@ -298,16 +315,20 @@ def select_question(questions: list[Question], case_id: str) -> Question:
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json_input(path, "questions file")
     if isinstance(doc, dict):
         doc = [doc]
-    questions = []
-    for entry in doc:
-        questions.append(Question(
-            case_id=str(entry.get("case_id", "*")),
-            prompt_text=str(entry["prompt_text"]),
-            options=tuple(str(o) for o in entry["options"]),
-        ))
+    try:
+        questions = [
+            Question(
+                case_id=str(entry.get("case_id", "*")),
+                prompt_text=str(entry["prompt_text"]),
+                options=tuple(str(o) for o in entry["options"]),
+            )
+            for entry in doc
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise _malformed("questions file", path, exc) from exc
     if not questions:
         raise ConfigError("questions file is empty")
     return questions

@@ -99,10 +99,6 @@ class QueryAst:
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV")
 SCALAR_FUNCTIONS = ("SQRT", "ABS", "ROUND")
 
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-ARITHMETIC_OPS = ("+", "-", "*", "/")
-LOGICAL_OPS = ("AND", "OR")
-
 
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Direct sub-expressions of a node (aggregate Star args excluded)."""

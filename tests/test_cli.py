@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -322,3 +323,126 @@ def test_question_file_shared_and_per_case(tmp_path):
     q2 = select_question(questions, "case_07")
     assert q2.case_id == "case_07"
     assert q2.prompt_text == QUESTION_TEXT
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory, manifest_path, demo_case_dir, eval_dataset):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "empty_case").mkdir()
+    unlabeled = build_training_split(root)  # no cnn_probs anywhere
+    (unlabeled / "train_00" / "sidecar.json").write_text("{}", encoding="utf-8")
+    (root / "plain_file").write_text("", encoding="utf-8")
+    (root / "nope.json").write_text('{"backend": "nope"}', encoding="utf-8")
+    (root / "bad_manifest.json").write_text("{not json", encoding="utf-8")
+    (root / "other_options.json").write_text(json.dumps(
+        [{"case_id": "*", "prompt_text": "x or y?", "options": ["x", "y"]}]), encoding="utf-8")
+    return SimpleNamespace(
+        manifest=str(manifest_path), bad_manifest=str(root / "bad_manifest.json"),
+        case=str(demo_case_dir), empty_case=str(root / "empty_case"),
+        unlabeled=str(unlabeled), plain_file=str(root / "plain_file"),
+        nope=str(root / "nope.json"), other_options=str(root / "other_options.json"),
+        out=str(root / "run"),
+        questions=str(eval_dataset["questions"]), ranges=str(eval_dataset["ranges"]),
+        dataset=str(eval_dataset["dataset"]),
+    )
+
+
+def _ask(p, manifest=None, case=None, out=None, questions=None):
+    return ["ask", "--manifest", manifest or p.manifest, "--case", case or p.case,
+            "--question", questions or p.questions, "--ranges", p.ranges,
+            "--out", out or p.out]
+
+
+def _batch(p, manifest=None):
+    return ["batch-eval", "--manifest", manifest or p.manifest, "--dataset", p.dataset,
+            "--questions", p.questions, "--ranges", p.ranges, "--out", p.out]
+
+
+def _calibrate(p, manifest=None, training=None):
+    return ["calibrate-ranges", "--manifest", manifest or p.manifest,
+            "--training", training or p.unlabeled,
+            "--feature", "global_features.neoplastic_ratio",
+            "--out-file", p.out + ".json"]
+
+
+def _query(p, sql="SELECT COUNT(*) AS n FROM cells", manifest=None, case=None):
+    return ["query", "--manifest", manifest or p.manifest, "--case", case or p.case,
+            "--sql", sql]
+
+
+# One row per mapped error path: the CLI's exit code and stage cannot drift
+# without one of these failing.
+ERROR_CONTRACT = [
+    ("ingest-missing-table",
+     lambda p: ["ingest", "--manifest", p.manifest, "--case", p.empty_case], 1, "ingest"),
+    ("query-missing-table", lambda p: _query(p, case=p.empty_case), 1, "ingest"),
+    ("query-sqrt-negative",
+     lambda p: _query(p, "SELECT SQRT(0 - area) AS s FROM cells"), 1, "execute"),
+    ("calibrate-unlabeled", lambda p: _calibrate(p), 1, "calibrate"),
+    ("calibrate-quantile", lambda p: _calibrate(p) + ["--quantile", "0.7"], 2, "config"),
+    ("ask-full-without-cnn",
+     lambda p: _ask(p, case=p.unlabeled + "/train_00") + ["--mode", "full"], 2, "config"),
+    ("ask-unknown-backend", lambda p: _ask(p) + ["--config", p.nope], 2, "config"),
+    ("batch-unknown-backend", lambda p: _batch(p) + ["--config", p.nope], 2, "config"),
+    ("batch-workers-0", lambda p: _batch(p) + ["--workers", "0"], 2, "config"),
+    ("ask-classifier-options-differ",
+     lambda p: _ask(p, questions=p.other_options) + ["--mode", "cnn_only"], 1, "pipeline"),
+    ("ask-out-under-file", lambda p: _ask(p, out=p.plain_file + "/run"), 1, "internal"),
+    ("ingest-bad-manifest",
+     lambda p: ["ingest", "--manifest", p.bad_manifest, "--case", p.case], 2, "config"),
+    ("validate-bad-manifest",
+     lambda p: ["validate", "--manifest", p.bad_manifest, "--query-file", p.plain_file],
+     2, "config"),
+    ("query-bad-manifest", lambda p: _query(p, manifest=p.bad_manifest), 2, "config"),
+    ("calibrate-bad-manifest",
+     lambda p: _calibrate(p, manifest=p.bad_manifest), 2, "config"),
+    ("ask-bad-manifest", lambda p: _ask(p, manifest=p.bad_manifest), 2, "config"),
+    ("batch-bad-manifest", lambda p: _batch(p, manifest=p.bad_manifest), 2, "config"),
+]
+
+
+@pytest.mark.parametrize("args, code, stage", [row[1:] for row in ERROR_CONTRACT],
+                         ids=[row[0] for row in ERROR_CONTRACT])
+def test_error_contract(runner, contract_inputs, args, code, stage):
+    result = runner.invoke(main, args(contract_inputs))
+    assert result.exit_code == code
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stderr)["error"]["stage"] == stage
+
+
+_INVERTED_RANGE = json.dumps([{"feature_key": "global_features.neoplastic_ratio",
+                               "option_label": OPTIONS[0], "low": 2.0, "high": 1.0}])
+
+
+@pytest.mark.parametrize("command", ["ask", "batch-eval"])
+@pytest.mark.parametrize("option, content", [
+    ("--questions", "[1]"),
+    ("--questions", "[{"),
+    ("--questions", json.dumps([{"prompt_text": "q?", "options": ["only"]}])),
+    ("--ranges", _INVERTED_RANGE),
+    ("--ranges", "["),
+    ("--ranges", json.dumps([{"feature_key": "a.b"}])),
+    ("--config", "[]"),
+    ("--config", '{"max_retries": null}'),
+], ids=["questions-shape", "questions-json", "questions-one-option",
+        "ranges-inverted", "ranges-json", "ranges-missing-key", "config-list",
+        "config-null-field"])
+def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
+                                              command, option, content):
+    bad = tmp_path / "input.json"
+    bad.write_text(content, encoding="utf-8")
+    p = contract_inputs
+    files = {"--questions": p.questions, "--ranges": p.ranges, option: str(bad)}
+    args = [command, "--manifest", p.manifest, "--ranges", files["--ranges"],
+            "--out", str(tmp_path / "run")]
+    if command == "ask":
+        args += ["--case", p.case, "--question", files["--questions"]]
+    else:
+        args += ["--dataset", p.dataset, "--questions", files["--questions"]]
+    if option == "--config":
+        args += ["--config", str(bad)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert error["stage"] == "config"
+    assert str(bad) in error["message"]
