@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
 
 import click
 
@@ -33,6 +32,7 @@ from evidencesql.pipeline import (
     load_questions,
     load_ranges_file,
     read_json_input,
+    read_text_input,
     run_case,
     select_question,
     write_case_outputs,
@@ -121,7 +121,7 @@ def ingest(manifest_path, case_dir, as_json):
 def validate(manifest_path, query_file, as_json):
     """Run the guard pipeline on a query file; print the canonical text."""
     manifest = load_manifest(manifest_path)
-    text = Path(query_file).read_text(encoding="utf-8")
+    text = read_text_input(query_file, "query file")
     outcome = validate_pipeline(text, manifest)
     if isinstance(outcome, GuardRejection):
         click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)

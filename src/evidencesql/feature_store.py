@@ -4,6 +4,11 @@ A case directory holds one CSV per manifest table plus an optional
 ``sidecar.json`` carrying externally computed classifier probabilities and/or
 a ground-truth label. Everything loaded here is frozen; there is no write
 path once a bundle exists.
+
+A table is converted a column at a time, with ``values.coerce``'s builtins
+and empty-is-null rule, and each dtype's checks run over whole columns. A
+table that fails one is converted again cell by cell in row-major order, so
+a bad file still reports its first bad cell.
 """
 
 from __future__ import annotations
@@ -191,24 +196,39 @@ def canonical_manifest() -> SchemaManifest:
     return manifest_from_dict(json.loads(text))
 
 
-def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple] | None:
+    """The table's columns, converted one column at a time; None when any
+    row or cell breaks a rule, so that ``_convert_rows`` names the first."""
+    width = len(schema.columns)
+    if set(map(len, raw_rows)) - {width}:
+        return None
+    columns = {}
+    for col, texts in zip(schema.columns, list(zip(*raw_rows)) or [()] * width):
+        has_null = "" in texts
+        if col.dtype is Dtype.TEXT:
+            values = tuple([t or None for t in texts]) if has_null else texts
+        else:
+            convert = int if col.dtype is Dtype.INTEGER else float
             try:
-                header = next(reader)
-            except StopIteration:
-                raise TypeMismatch(f"{path} is empty; header row required", table=schema.name) from None
-            if tuple(header) != schema.column_names:
-                raise TypeMismatch(
-                    f"header {header!r} does not match schema columns "
-                    f"{list(schema.column_names)!r}",
-                    table=schema.name,
-                )
-            raw_rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
+                values = (tuple([convert(t) if t else None for t in texts]) if has_null
+                          else tuple(map(convert, texts)))
+            except ValueError:
+                return None
+            # filter(None, ...) skips nulls and zeros, which are finite
+            if col.dtype is Dtype.REAL and not all(map(math.isfinite, filter(None, values))):
+                return None
+        if (has_null and col.is_key) or (
+            col.categorical_domain is not None
+            and not set(values) <= {None, *col.categorical_domain}
+        ):
+            return None
+        columns[col.name] = values
+    return columns
 
+
+def _convert_rows(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple]:
+    """Convert cell by cell in row-major order: the path for a bad table,
+    raising for its first bad row or cell."""
     columns: dict[str, list[Value]] = {c.name: [] for c in schema.columns}
     for row_idx, raw in enumerate(raw_rows):
         if len(raw) != len(schema.columns):
@@ -247,12 +267,31 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
                     row=row_idx,
                 )
             columns[col.name].append(value)
+    return {name: tuple(vals) for name, vals in columns.items()}
 
-    table = FeatureTable(
-        schema=schema,
-        columns={name: tuple(vals) for name, vals in columns.items()},
-        row_count=len(raw_rows),
-    )
+
+def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise TypeMismatch(f"{path} is empty; header row required", table=schema.name) from None
+            if tuple(header) != schema.column_names:
+                raise TypeMismatch(
+                    f"header {header!r} does not match schema columns "
+                    f"{list(schema.column_names)!r}",
+                    table=schema.name,
+                )
+            raw_rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
+
+    columns = _convert_columns(schema, raw_rows)
+    if columns is None:
+        columns = _convert_rows(schema, raw_rows)
+    table = FeatureTable(schema=schema, columns=columns, row_count=len(raw_rows))
     if schema.level is Level.GLOBAL and table.row_count != 1:
         raise CardinalityError(
             f"global table {schema.name!r} has {table.row_count} rows, expected exactly 1"

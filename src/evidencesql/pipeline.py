@@ -97,13 +97,22 @@ class CaseResult:
     ground_truth: str | None
 
 
-def read_json_input(path: str | Path, what: str) -> object:
-    """The parsed content of a JSON input file (questions, ranges, backend
-    config); a file that cannot be read or parsed is a ``ConfigError`` that
-    names it."""
+def read_text_input(path: str | Path, what: str) -> str:
+    """The UTF-8 text of an input file (query, questions, ranges, backend
+    config); a file that cannot be read is a ``ConfigError`` that names it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json_input(path: str | Path, what: str) -> object:
+    """The parsed content of a JSON input file; a file that cannot be read
+    or parsed is a ``ConfigError`` that names it."""
+    text = read_text_input(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -314,6 +323,12 @@ def select_question(questions: list[Question], case_id: str) -> Question:
     raise ConfigError(f"no question found for case {case_id!r}")
 
 
+def _json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def load_questions(path: str | Path) -> list[Question]:
     doc = read_json_input(path, "questions file")
     if isinstance(doc, dict):
@@ -323,7 +338,7 @@ def load_questions(path: str | Path) -> list[Question]:
             Question(
                 case_id=str(entry.get("case_id", "*")),
                 prompt_text=str(entry["prompt_text"]),
-                options=tuple(str(o) for o in entry["options"]),
+                options=tuple(str(o) for o in _json_list(entry["options"], "options")),
             )
             for entry in doc
         ]

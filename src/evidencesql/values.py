@@ -23,6 +23,7 @@ class Dtype(enum.Enum):
 
 def coerce(text: str, dtype: Dtype) -> Value:
     """Convert a raw CSV field to a typed value. Empty string means null.
+    ``feature_store`` applies the same builtins a column at a time.
 
     Raises:
         TypeMismatch: the field cannot be represented under ``dtype``

@@ -334,6 +334,7 @@ def contract_inputs(tmp_path_factory, manifest_path, demo_case_dir, eval_dataset
     (root / "plain_file").write_text("", encoding="utf-8")
     (root / "nope.json").write_text('{"backend": "nope"}', encoding="utf-8")
     (root / "bad_manifest.json").write_text("{not json", encoding="utf-8")
+    (root / "utf16.sql").write_bytes(b"\xff\xfeS\x00E\x00L\x00")
     (root / "other_options.json").write_text(json.dumps(
         [{"case_id": "*", "prompt_text": "x or y?", "options": ["x", "y"]}]), encoding="utf-8")
     return SimpleNamespace(
@@ -341,7 +342,7 @@ def contract_inputs(tmp_path_factory, manifest_path, demo_case_dir, eval_dataset
         case=str(demo_case_dir), empty_case=str(root / "empty_case"),
         unlabeled=str(unlabeled), plain_file=str(root / "plain_file"),
         nope=str(root / "nope.json"), other_options=str(root / "other_options.json"),
-        out=str(root / "run"),
+        out=str(root / "run"), utf16=str(root / "utf16.sql"), root=str(root),
         questions=str(eval_dataset["questions"]), ranges=str(eval_dataset["ranges"]),
         dataset=str(eval_dataset["dataset"]),
     )
@@ -398,6 +399,10 @@ ERROR_CONTRACT = [
      lambda p: _calibrate(p, manifest=p.bad_manifest), 2, "config"),
     ("ask-bad-manifest", lambda p: _ask(p, manifest=p.bad_manifest), 2, "config"),
     ("batch-bad-manifest", lambda p: _batch(p, manifest=p.bad_manifest), 2, "config"),
+    ("validate-undecodable-query-file",
+     lambda p: ["validate", "--manifest", p.manifest, "--query-file", p.utf16], 2, "config"),
+    ("validate-query-file-is-directory",
+     lambda p: ["validate", "--manifest", p.manifest, "--query-file", p.root], 2, "config"),
 ]
 
 
@@ -419,12 +424,13 @@ _INVERTED_RANGE = json.dumps([{"feature_key": "global_features.neoplastic_ratio"
     ("--questions", "[1]"),
     ("--questions", "[{"),
     ("--questions", json.dumps([{"prompt_text": "q?", "options": ["only"]}])),
+    ("--questions", json.dumps([{"case_id": "*", "prompt_text": "q?", "options": "ab"}])),
     ("--ranges", _INVERTED_RANGE),
     ("--ranges", "["),
     ("--ranges", json.dumps([{"feature_key": "a.b"}])),
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
-], ids=["questions-shape", "questions-json", "questions-one-option",
+], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
         "ranges-inverted", "ranges-json", "ranges-missing-key", "config-list",
         "config-null-field"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
