@@ -14,12 +14,11 @@ offline.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
 from dataclasses import dataclass, field
-
-import requests
 
 from evidencesql.errors import BackendError, ConfigError
 
@@ -50,6 +49,13 @@ class BackendConfig:
     timeout_seconds: float = 30.0
     max_retries: int = 2
     prompt_version: str = "1"
+
+    def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ValueError(
+                f"timeout_seconds must be finite and positive, got {self.timeout_seconds}")
 
     @staticmethod
     def from_dict(doc: dict, source: str = "backend config") -> "BackendConfig":
@@ -222,6 +228,10 @@ class RemoteBackend(LlmBackendPort):
 
     def complete(self, system_prompt: str, user_prompt: str,
                  temperature: float, timeout: float) -> str:
+        # imported here: only this backend needs requests, and importing it
+        # would slow down every import of the package
+        import requests
+
         payload = {
             "model": self.model,
             "temperature": temperature,

@@ -7,8 +7,9 @@ path once a bundle exists.
 
 A table is converted a column at a time, with ``values.coerce``'s builtins
 and empty-is-null rule, and each dtype's checks run over whole columns. A
-table that fails one is converted again cell by cell in row-major order, so
-a bad file still reports its first bad cell.
+column that fails one is scanned again through ``coerce`` up to its first
+bad cell, so a bad file reports the cell that comes first in row-major
+order, with its table, column and row.
 """
 
 from __future__ import annotations
@@ -196,78 +197,68 @@ def canonical_manifest() -> SchemaManifest:
     return manifest_from_dict(json.loads(text))
 
 
-def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple] | None:
-    """The table's columns, converted one column at a time; None when any
-    row or cell breaks a rule, so that ``_convert_rows`` names the first."""
+def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple]:
+    """The table's columns, converted one column at a time.
+
+    Raises for the table's first bad row or cell in row-major order: the
+    earliest row, then the leftmost column, and a row of the wrong width
+    before any cell at or after it.
+    """
     width = len(schema.columns)
+    fault = None  # (row, error) of the earliest fault found so far
     if set(map(len, raw_rows)) - {width}:
-        return None
+        row = next(i for i, raw in enumerate(raw_rows) if len(raw) != width)
+        fault = (row, TypeMismatch(f"row {row} has {len(raw_rows[row])} fields, expected {width}",
+                                   table=schema.name, row=row))
+        raw_rows = raw_rows[:row]
     columns = {}
     for col, texts in zip(schema.columns, list(zip(*raw_rows)) or [()] * width):
         has_null = "" in texts
-        if col.dtype is Dtype.TEXT:
-            values = tuple([t or None for t in texts]) if has_null else texts
-        else:
-            convert = int if col.dtype is Dtype.INTEGER else float
-            try:
+        try:
+            if col.dtype is Dtype.TEXT:
+                values = tuple([t or None for t in texts]) if has_null else texts
+            else:
+                convert = int if col.dtype is Dtype.INTEGER else float
                 values = (tuple([convert(t) if t else None for t in texts]) if has_null
                           else tuple(map(convert, texts)))
-            except ValueError:
-                return None
+        except ValueError:
+            ok = False
+        else:
             # filter(None, ...) skips nulls and zeros, which are finite
-            if col.dtype is Dtype.REAL and not all(map(math.isfinite, filter(None, values))):
-                return None
-        if (has_null and col.is_key) or (
-            col.categorical_domain is not None
-            and not set(values) <= {None, *col.categorical_domain}
-        ):
-            return None
-        columns[col.name] = values
+            ok = (not (has_null and col.is_key)
+                  and (col.dtype is not Dtype.REAL or all(map(math.isfinite, filter(None, values))))
+                  and (col.categorical_domain is None
+                       or set(values) <= {None, *col.categorical_domain}))
+        if ok:
+            columns[col.name] = values
+        else:
+            # only rows before the earliest fault so far can win; a tie keeps
+            # the column to the left
+            fault = _first_bad_cell(schema, col, texts[:fault[0] if fault else None]) or fault
+    if fault:
+        raise fault[1]
     return columns
 
 
-def _convert_rows(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple]:
-    """Convert cell by cell in row-major order: the path for a bad table,
-    raising for its first bad row or cell."""
-    columns: dict[str, list[Value]] = {c.name: [] for c in schema.columns}
-    for row_idx, raw in enumerate(raw_rows):
-        if len(raw) != len(schema.columns):
-            raise TypeMismatch(
-                f"row {row_idx} has {len(raw)} fields, expected {len(schema.columns)}",
-                table=schema.name,
-                row=row_idx,
-            )
-        for col, text in zip(schema.columns, raw):
-            try:
-                value = coerce(text, col.dtype)
-            except TypeMismatch as exc:
-                raise TypeMismatch(
-                    f"{schema.name}.{col.name} row {row_idx}: {exc}",
-                    table=schema.name,
-                    column=col.name,
-                    row=row_idx,
-                ) from None
-            if value is None and col.is_key:
-                raise TypeMismatch(
-                    f"{schema.name}.{col.name} row {row_idx}: key column may not be null",
-                    table=schema.name,
-                    column=col.name,
-                    row=row_idx,
-                )
-            if (
-                value is not None
-                and col.categorical_domain is not None
-                and value not in col.categorical_domain
-            ):
-                raise DomainViolation(
-                    f"{schema.name}.{col.name} row {row_idx}: {value!r} outside domain "
-                    f"{list(col.categorical_domain)}",
-                    table=schema.name,
-                    column=col.name,
-                    row=row_idx,
-                )
-            columns[col.name].append(value)
-    return {name: tuple(vals) for name, vals in columns.items()}
+def _first_bad_cell(schema: TableSchema, col: ColumnSchema,
+                    texts: tuple[str, ...]) -> tuple[int, TypeMismatch | DomainViolation] | None:
+    """The row of the first cell in ``texts`` that breaks a rule, and the
+    error naming it, converting each cell through ``coerce``."""
+    for row, text in enumerate(texts):
+        where = dict(table=schema.name, column=col.name, row=row)
+        try:
+            value = coerce(text, col.dtype)
+        except TypeMismatch as exc:
+            return row, TypeMismatch(f"{schema.name}.{col.name} row {row}: {exc}", **where)
+        if value is None and col.is_key:
+            return row, TypeMismatch(
+                f"{schema.name}.{col.name} row {row}: key column may not be null", **where)
+        if (value is not None and col.categorical_domain is not None
+                and value not in col.categorical_domain):
+            return row, DomainViolation(
+                f"{schema.name}.{col.name} row {row}: {value!r} outside domain "
+                f"{list(col.categorical_domain)}", **where)
+    return None
 
 
 def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
@@ -289,8 +280,6 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
         raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
 
     columns = _convert_columns(schema, raw_rows)
-    if columns is None:
-        columns = _convert_rows(schema, raw_rows)
     table = FeatureTable(schema=schema, columns=columns, row_count=len(raw_rows))
     if schema.level is Level.GLOBAL and table.row_count != 1:
         raise CardinalityError(

@@ -69,6 +69,8 @@ class ReferenceRange:
     unit: str | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"range for {self.feature_key!r} has a non-finite bound")
         if self.low > self.high:
             raise ValueError(f"range for {self.feature_key!r} has low > high")
 

@@ -23,7 +23,9 @@ class Dtype(enum.Enum):
 
 def coerce(text: str, dtype: Dtype) -> Value:
     """Convert a raw CSV field to a typed value. Empty string means null.
-    ``feature_store`` applies the same builtins a column at a time.
+    ``feature_store`` converts whole columns with the same builtins, and
+    calls this on the cells of a column that breaks a rule to name the
+    first bad one.
 
     Raises:
         TypeMismatch: the field cannot be represented under ``dtype``

@@ -415,8 +415,9 @@ def test_error_contract(runner, contract_inputs, args, code, stage):
     assert json.loads(result.stderr)["error"]["stage"] == stage
 
 
-_INVERTED_RANGE = json.dumps([{"feature_key": "global_features.neoplastic_ratio",
-                               "option_label": OPTIONS[0], "low": 2.0, "high": 1.0}])
+def _range_file(low, high):
+    return json.dumps([{"feature_key": "global_features.neoplastic_ratio",
+                        "option_label": OPTIONS[0], "low": low, "high": high}])
 
 
 @pytest.mark.parametrize("command", ["ask", "batch-eval"])
@@ -425,14 +426,17 @@ _INVERTED_RANGE = json.dumps([{"feature_key": "global_features.neoplastic_ratio"
     ("--questions", "[{"),
     ("--questions", json.dumps([{"prompt_text": "q?", "options": ["only"]}])),
     ("--questions", json.dumps([{"case_id": "*", "prompt_text": "q?", "options": "ab"}])),
-    ("--ranges", _INVERTED_RANGE),
+    ("--ranges", _range_file(2.0, 1.0)),
+    ("--ranges", _range_file(float("nan"), 1.0)),
+    ("--ranges", _range_file(float("-inf"), float("inf"))),
     ("--ranges", "["),
     ("--ranges", json.dumps([{"feature_key": "a.b"}])),
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
+    ("--config", '{"timeout_seconds": -1}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
-        "ranges-inverted", "ranges-json", "ranges-missing-key", "config-list",
-        "config-null-field"])
+        "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
+        "config-list", "config-null-field", "config-timeout-negative"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):
     bad = tmp_path / "input.json"

@@ -285,6 +285,9 @@ PRECEDENCE = [
      (TypeMismatch, "row 0 has 11 fields, expected 10", "cells", None, 0)),
     ("null-key", "cells", _cells(4, r2={"cell_id": ""}),
      (TypeMismatch, "cells.cell_id row 2: key column may not be null", "cells", "cell_id", 2)),
+    ("null-key-before-later-column-same-row", "cells",
+     _cells(3, r1={"cell_id": "", "area": "x"}),
+     (TypeMismatch, "cells.cell_id row 1: key column may not be null", "cells", "cell_id", 1)),
     ("domain-before-later-null-key", "cells",
      _cells(3, r0={"cell_type": "bogus"}, r1={"cell_id": ""}),
      (DomainViolation, f"cells.cell_type row 0: 'bogus' outside domain {_DOMAIN}",
