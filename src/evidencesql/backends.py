@@ -253,9 +253,14 @@ class RemoteBackend(LlmBackendPort):
         if response.status_code != 200:
             raise BackendError(f"backend returned HTTP {response.status_code}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError(
+                f"malformed backend response: message content is {type(content).__name__}, not text"
+            )
+        return content
 
 
 def make_backend(config: BackendConfig) -> LlmBackendPort:

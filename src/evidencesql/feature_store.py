@@ -18,6 +18,7 @@ import csv
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -348,7 +349,8 @@ def ingest_case(
 def ingest_case_dir(manifest: SchemaManifest, case_dir: str | Path) -> CaseBundle:
     """Ingest a case laid out as ``<dir>/<table>.csv`` plus optional sidecar.
 
-    The case id is the directory name.
+    The case id is the directory's name, taken after making the path absolute
+    so that ``.`` names the current directory; a symlink keeps its own name.
     """
     case_dir = Path(case_dir)
     table_files = {t.name: case_dir / f"{t.name}.csv" for t in manifest.tables}
@@ -357,7 +359,7 @@ def ingest_case_dir(manifest: SchemaManifest, case_dir: str | Path) -> CaseBundl
         manifest,
         table_files,
         sidecar=sidecar if sidecar.exists() else None,
-        case_id=case_dir.name,
+        case_id=os.path.basename(os.path.abspath(case_dir)),
     )
 
 

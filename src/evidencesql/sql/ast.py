@@ -96,6 +96,21 @@ class QueryAst:
     limit: int | None = None
 
 
+# Operator precedence, loosest first; "NEG" is unary minus. The parser and the
+# renderer both read this table, which is what makes parse(render(ast)) == ast.
+PRECEDENCE = {
+    "OR": 1,
+    "AND": 2,
+    "NOT": 3,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4, "IN": 4, "BETWEEN": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+    "NEG": 7,
+}
+# Binary operators whose left operand may be the same operator; the other
+# infix operators (comparisons, IN, BETWEEN) never chain.
+LEFT_ASSOCIATIVE = frozenset({"OR", "AND", "+", "-", "*", "/"})
+
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV")
 SCALAR_FUNCTIONS = ("SQRT", "ABS", "ROUND")
 

@@ -34,7 +34,15 @@ from evidencesql.sql.ast import (
     is_grouped,
     resolve_order_aliases,
 )
-from evidencesql.sql.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS
+from evidencesql.sql.lexer import (
+    DQUOTED_RE,
+    KEYWORDS,
+    STRING_RE,
+    UNSUPPORTED_KEYWORDS,
+    WORD_RE,
+    TokenKind,
+    tokenize,
+)
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
 
@@ -48,9 +56,6 @@ FORBIDDEN_STATEMENT_KEYWORDS = (
 )
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
-_STRING_RE = re.compile(r"'(?:[^']|'')*'")
-_DQ_RE = re.compile(r'"[^"]*"')
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _REPAIR_KEYWORD_SET = tuple(sorted(KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)))
 _KNOWN_WORDS = KEYWORDS | UNSUPPORTED_KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)
@@ -144,9 +149,8 @@ def sanitize(text: str) -> str | GuardRejection:
     if fence:
         candidate = fence.group(1).strip()
 
-    head = _WORD_RE.match(candidate)
-    head_word = head.group(0).upper() if head and head.start() == 0 else None
-    if head_word is not None and head_word not in _KNOWN_WORDS and head_word != "SELECT":
+    head = WORD_RE.match(candidate)
+    if head and head.group(0).upper() not in _KNOWN_WORDS:
         # Leading prose: cut forward to the first SELECT if one exists.
         m = re.search(r"\bSELECT\b", candidate, re.IGNORECASE)
         if m:
@@ -155,9 +159,9 @@ def sanitize(text: str) -> str | GuardRejection:
     if candidate.endswith(";"):
         candidate = candidate[:-1].rstrip()
 
-    masked = _STRING_RE.sub(lambda m: "'" + "_" * (len(m.group(0)) - 2) + "'", candidate)
-    head = _WORD_RE.match(masked)
-    if head and head.start() == 0 and head.group(0).upper() in FORBIDDEN_STATEMENT_KEYWORDS:
+    masked = STRING_RE.sub(lambda m: "'" + "_" * (len(m.group(0)) - 2) + "'", candidate)
+    head = WORD_RE.match(masked)
+    if head and head.group(0).upper() in FORBIDDEN_STATEMENT_KEYWORDS:
         return GuardRejection("sanitize", f"forbidden keyword {head.group(0).upper()}", 0)
     semi = masked.find(";")
     if semi != -1:
@@ -385,7 +389,7 @@ def _unique_candidate(word: str, candidates: tuple[str, ...] | list[str]) -> tup
 
 def _try_keyword_fix(text: str, error: SqlSyntaxError) -> tuple[str, RepairAction] | None:
     token = error.token
-    if not token or not _WORD_RE.fullmatch(token):
+    if not token or not WORD_RE.fullmatch(token):
         return None
     if token.upper() in _KNOWN_WORDS:
         return None
@@ -416,7 +420,7 @@ def _try_function_fix(text: str, error: UnsupportedFeature) -> tuple[str, Repair
 
 
 def _try_quote_fix(text: str) -> tuple[str, RepairAction] | None:
-    match = _DQ_RE.search(text)
+    match = DQUOTED_RE.search(text)
     if match is None:
         return None
     inner = match.group(0)[1:-1]
@@ -466,29 +470,17 @@ def _try_identifier_fix(
         if found is None:
             continue
         replacement, distance = found
-        fixed, n = _replace_outside_strings(text, wrong, replacement)
-        if n == 0:
-            continue
+        fixed = _replace_identifier(text, wrong, replacement)
         return fixed, RepairAction("identifier_fix", wrong, replacement, distance)
     return None
 
 
-def _replace_outside_strings(text: str, word: str, replacement: str) -> tuple[str, int]:
-    """Word-boundary replacement that leaves string literal content alone."""
-    pattern = re.compile(rf"\b{re.escape(word)}\b")
-    pieces: list[str] = []
-    total = 0
-    last = 0
-    for match in _STRING_RE.finditer(text):
-        segment, n = pattern.subn(replacement, text[last:match.start()])
-        pieces.append(segment)
-        pieces.append(match.group(0))
-        total += n
-        last = match.end()
-    segment, n = pattern.subn(replacement, text[last:])
-    pieces.append(segment)
-    total += n
-    return "".join(pieces), total
+def _replace_identifier(text: str, word: str, replacement: str) -> str:
+    """Respell every identifier token ``word``; literals are left alone."""
+    for tok in reversed(tokenize(text)):
+        if tok.kind is TokenKind.IDENT and tok.text == word:
+            text = text[:tok.offset] + replacement + text[tok.offset + len(word):]
+    return text
 
 
 def repair(

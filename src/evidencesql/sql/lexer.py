@@ -8,6 +8,8 @@ survive past this layer.
 from __future__ import annotations
 
 import enum
+import math
+import re
 from dataclasses import dataclass
 
 from evidencesql.errors import SqlSyntaxError
@@ -50,109 +52,67 @@ UNSUPPORTED_KEYWORDS = frozenset({
     "GRANT", "REVOKE", "VACUUM", "EXPLAIN", "SET", "INTO", "VALUES", "TABLE",
 })
 
-_TWO_CHAR_OPS = {"!=": "!=", "<>": "!=", "<=": "<=", ">=": ">="}
-_ONE_CHAR_OPS = set("+-*/=<>(),;")
+# The token syntax, defined once: the tokenizer scans with these patterns and
+# the guard screens raw text with the string, double-quote and word ones.
+# `(?!')` makes the closing quote of a string the first quote that is not the
+# start of a doubled `''`, so an unterminated `'a''b` matches nothing.
+STRING_RE = re.compile(r"'(?:[^']|'')*'(?!')")
+DQUOTED_RE = re.compile(r'"[^"]*"')
+NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+WORD_RE = re.compile(r"[^\W\d]\w*")
+OP_RE = re.compile(r"!=|<>|<=|>=|[-+*/=<>(),;]")
+
+_SCAN_RE = re.compile(r"\s*(?:(?P<comment>--|/\*|\*/)|" + "|".join(
+    f"(?P<{kind.name}>{pattern.pattern})" for kind, pattern in (
+        (TokenKind.STRING, STRING_RE),
+        (TokenKind.DQSTRING, DQUOTED_RE),
+        (TokenKind.NUMBER, NUMBER_RE),
+        (TokenKind.IDENT, WORD_RE),
+        (TokenKind.OP, OP_RE),
+    )
+) + ")?")
+_UNTERMINATED = {"'": "unterminated string literal", '"': "unterminated double-quoted token"}
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; the returned list always ends with an EOF token.
 
     Raises:
-        SqlSyntaxError: on comment tokens, unterminated strings, malformed
-            numbers, or characters outside the grammar.
+        SqlSyntaxError: on comment tokens, unterminated strings, numbers
+            beyond float range, or characters outside the grammar.
     """
     tokens: list[Token] = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i) or text.startswith("/*", i) or text.startswith("*/", i):
-            raise SqlSyntaxError("comment syntax is not allowed", i, token=text[i:i + 2])
-        if ch == "'":
-            token, i = _read_string(text, i)
-            tokens.append(token)
-            continue
-        if ch == '"':
-            token, i = _read_double_quoted(text, i)
-            tokens.append(token)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            token, i = _read_number(text, i)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            tokens.append(Token(TokenKind.IDENT, word, word, start))
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, two, _TWO_CHAR_OPS[two], i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, ch, ch, i))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", i, token=ch)
-    tokens.append(Token(TokenKind.EOF, "", None, n))
+    while True:
+        match = _SCAN_RE.match(text, i)
+        kind, i = match.lastgroup, match.end()
+        if kind is None:
+            if i == len(text):
+                break
+            ch = text[i]
+            if ch in _UNTERMINATED:
+                raise SqlSyntaxError(_UNTERMINATED[ch], i, token=text[i:])
+            raise SqlSyntaxError(f"unexpected character {ch!r}", i, token=ch)
+        lexeme = match.group(kind)
+        start = match.start(kind)
+        if kind == "comment":
+            raise SqlSyntaxError("comment syntax is not allowed", start, token=lexeme)
+        tokens.append(Token(TokenKind[kind], lexeme, _value(kind, lexeme, start), start))
+    tokens.append(Token(TokenKind.EOF, "", None, len(text)))
     return tokens
 
 
-def _read_string(text: str, start: int) -> tuple[Token, int]:
-    i = start + 1
-    parts: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenKind.STRING, text[start:i + 1], "".join(parts), start), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", start, token=text[start:])
-
-
-def _read_double_quoted(text: str, start: int) -> tuple[Token, int]:
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == '"':
-            return Token(TokenKind.DQSTRING, text[start:i + 1], text[start + 1:i], start), i + 1
-        i += 1
-    raise SqlSyntaxError("unterminated double-quoted token", start, token=text[start:])
-
-
-def _read_number(text: str, start: int) -> tuple[Token, int]:
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    is_real = False
-    if i < n and text[i] == ".":
-        is_real = True
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    if i < n and text[i] in "eE":
-        mark = i
-        i += 1
-        if i < n and text[i] in "+-":
-            i += 1
-        if i < n and text[i].isdigit():
-            is_real = True
-            while i < n and text[i].isdigit():
-                i += 1
-        else:
-            i = mark  # 'e' belongs to a following identifier, not the number
-    lexeme = text[start:i]
-    value: object = float(lexeme) if is_real else int(lexeme)
-    return Token(TokenKind.NUMBER, lexeme, value, start), i
+def _value(kind: str, lexeme: str, start: int) -> object:
+    if kind == "STRING":
+        return lexeme[1:-1].replace("''", "'")
+    if kind == "DQSTRING":
+        return lexeme[1:-1]
+    if kind == "OP":
+        return "!=" if lexeme == "<>" else lexeme
+    if kind == "NUMBER":
+        if math.isinf(float(lexeme)):
+            raise SqlSyntaxError("numeric literal out of range", start, token=lexeme)
+        # Leading zeros are stripped so int()'s digit-count limit cannot trip
+        # on a literal whose value is small.
+        return int(lexeme.lstrip("0") or "0") if lexeme.isdigit() else float(lexeme)
+    return lexeme

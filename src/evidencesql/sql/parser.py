@@ -12,6 +12,8 @@ from __future__ import annotations
 from evidencesql.errors import SqlSyntaxError, UnsupportedFeature
 from evidencesql.sql.ast import (
     AGGREGATE_FUNCTIONS,
+    LEFT_ASSOCIATIVE,
+    PRECEDENCE,
     SCALAR_FUNCTIONS,
     AggFn,
     Between,
@@ -30,8 +32,14 @@ from evidencesql.sql.ast import (
 )
 from evidencesql.sql.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS, Token, TokenKind, tokenize
 
-_COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _SCALAR_ARITY = {"SQRT": (1, 1), "ABS": (1, 1), "ROUND": (1, 2)}
+_OPERATOR_WORDS = KEYWORDS & PRECEDENCE.keys()
+_NOT = PRECEDENCE["NOT"]
+_NEG = PRECEDENCE["NEG"]
+# Deepest expression the guard accepts: parentheses, prefixes and chained
+# operators each count one level, so every later tree walk stays far from
+# the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 64
 
 
 def parse(text: str) -> QueryAst:
@@ -51,6 +59,7 @@ class _Parser:
         self.pos = 0
         self.in_aggregate = False
         self.no_aggregates_reason: str | None = None
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -241,57 +250,73 @@ class _Parser:
                 return items
 
     # -- expressions ---------------------------------------------------------
-    # Precedence, loosest first: OR, AND, NOT, comparison/IN/BETWEEN,
-    # additive, multiplicative, unary minus, primary.
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
+    def nest(self) -> None:
+        """Count one more level of expression nesting at the current token."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            tok = self.current()
+            raise SqlSyntaxError("expression nested too deeply", tok.offset, frozenset(), tok.text)
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_keyword("OR"):
-            self.advance()
-            left = Binary("OR", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at_keyword("AND"):
-            self.advance()
-            left = Binary("AND", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at_keyword("NOT"):
-            self.advance()
-            return Unary("NOT", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
+    def infix_operator(self) -> str | None:
+        """The ``PRECEDENCE`` key of the current token if it is an operator
+        or one of the operator words; no identifier can match a key."""
         tok = self.current()
-        if tok.kind is TokenKind.OP and tok.value in _COMPARISON_OPS:
-            self.advance()
-            return Binary(str(tok.value), left, self.parse_additive())
-        if self.at_keyword("BETWEEN"):
-            self.advance()
-            return self.parse_between_tail(left)
-        if self.at_keyword("IN"):
-            self.advance()
-            return self.parse_in_tail(left)
-        if self.at_keyword("NOT"):
+        if tok.kind is TokenKind.OP:
+            return tok.value
+        if tok.kind is TokenKind.IDENT and tok.upper() in _OPERATOR_WORDS:
+            return tok.upper()
+        return None
+
+    def parse_expr(self, floor: int = 0) -> Expr:
+        """Parse an expression whose operators all bind tighter than
+        ``floor``, a ``PRECEDENCE`` level (0 admits every operator).
+
+        NOT and unary minus are prefixes whose operand may repeat them. After
+        an operator only a looser one may follow, or the same left-associative
+        one, so comparisons, IN and BETWEEN never chain.
+        """
+        outer = self.depth
+        self.nest()
+        if floor < _NOT and self.accept_keyword("NOT"):
+            left: Expr = Unary("NOT", self.parse_expr(_NOT - 1))
+            ceiling = _NOT - 1
+        elif self.accept_op("-"):
+            operand = self.parse_expr(_NEG - 1)
+            # Fold minus into numeric literals so '-3' round-trips as one node.
+            if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
+                left = Literal(-operand.value)
+            else:
+                left = Unary("-", operand)
+            ceiling = _NEG - 1
+        else:
+            left = self.parse_primary()
+            ceiling = _NEG  # a primary binds tighter than any infix operator
+        while True:
+            op = self.infix_operator()
             # 'x NOT IN (...)' / 'x NOT BETWEEN a AND b' sugar.
-            mark = self.pos
+            negated = op == "NOT"
+            prec = PRECEDENCE["IN"] if negated else PRECEDENCE.get(op, 0)
+            if not floor < prec <= ceiling:
+                self.depth = outer
+                return left
+            self.nest()
+            if negated:
+                # a token follows NOT: the token list always ends with EOF
+                op = self.tokens[self.pos + 1].upper()
+                if op not in ("IN", "BETWEEN"):
+                    self.fail("expected IN or BETWEEN after NOT", {"IN", "BETWEEN"})
+                self.advance()
             self.advance()
-            if self.at_keyword("BETWEEN"):
-                self.advance()
-                return Unary("NOT", self.parse_between_tail(left))
-            if self.at_keyword("IN"):
-                self.advance()
-                return Unary("NOT", self.parse_in_tail(left))
-            self.pos = mark
-            self.fail("expected IN or BETWEEN after NOT", {"IN", "BETWEEN"})
-        return left
+            if op == "IN":
+                left = self.parse_in_tail(left)
+            elif op == "BETWEEN":
+                left = self.parse_between_tail(left)
+            else:
+                left = Binary(op, left, self.parse_expr(prec))
+            if negated:
+                left = Unary("NOT", left)
+            ceiling = prec if op in LEFT_ASSOCIATIVE else prec - 1
 
     def parse_between_tail(self, operand: Expr) -> Between:
         low = self.parse_literal("lower bound")
@@ -307,67 +332,32 @@ class _Parser:
         self.expect_op(")")
         return InList(operand, tuple(items))
 
-    def parse_literal(self, what: str) -> Literal:
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
+    def accept_literal(self) -> Literal | None:
         tok = self.current()
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            value = tok.value
-            return Literal(-value if negative else value)
-        if negative:
-            self.fail(f"expected number for {what}", {"number"})
-        if tok.kind is TokenKind.STRING:
+        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
             self.advance()
             return Literal(tok.value)
-        if self.at_keyword("NULL"):
-            self.advance()
+        if self.accept_keyword("NULL"):
             return Literal(None)
-        self.fail(f"expected literal for {what}", {"number", "string", "NULL"})
+        return None
 
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while True:
+    def parse_literal(self, what: str) -> Literal:
+        if self.accept_op("-"):
             tok = self.current()
-            if tok.kind is TokenKind.OP and tok.value in ("+", "-"):
-                self.advance()
-                left = Binary(str(tok.value), left, self.parse_multiplicative())
-            else:
-                return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while True:
-            tok = self.current()
-            if tok.kind is TokenKind.OP and tok.value in ("*", "/"):
-                self.advance()
-                left = Binary(str(tok.value), left, self.parse_unary())
-            else:
-                return left
-
-    def parse_unary(self) -> Expr:
-        if self.at_op("-"):
+            if tok.kind is not TokenKind.NUMBER:
+                self.fail(f"expected number for {what}", {"number"})
             self.advance()
-            operand = self.parse_unary()
-            # Fold minus into numeric literals so '-3' round-trips as one node.
-            if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
-            return Unary("-", operand)
-        return self.parse_primary()
+            return Literal(-tok.value)
+        literal = self.accept_literal()
+        if literal is None:
+            self.fail(f"expected literal for {what}", {"number", "string", "NULL"})
+        return literal
 
     def parse_primary(self) -> Expr:
+        literal = self.accept_literal()
+        if literal is not None:
+            return literal
         tok = self.current()
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
-            return Literal(tok.value)
-        if tok.kind is TokenKind.STRING:
-            self.advance()
-            return Literal(tok.value)
-        if self.at_keyword("NULL"):
-            self.advance()
-            return Literal(None)
         if self.at_op("("):
             self.advance()
             if self.at_keyword("SELECT"):
@@ -417,9 +407,7 @@ class _Parser:
             self.expect_op(")")
             return AggFn(name, arg, distinct)
         if name in SCALAR_FUNCTIONS:
-            args = [self.parse_expr()]
-            while self.accept_op(","):
-                args.append(self.parse_expr())
+            args = self.parse_expr_list()
             self.expect_op(")")
             lo, hi = _SCALAR_ARITY[name]
             if not lo <= len(args) <= hi:

@@ -8,6 +8,8 @@ tree, and rendering an already-canonical query is a fixed point.
 from __future__ import annotations
 
 from evidencesql.sql.ast import (
+    LEFT_ASSOCIATIVE,
+    PRECEDENCE,
     AggFn,
     Between,
     Binary,
@@ -24,15 +26,6 @@ from evidencesql.sql.ast import (
 from evidencesql.values import Value
 
 _ATOM = 100
-_PREC = {
-    "OR": 1,
-    "AND": 2,
-    "NOT": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-    "NEG": 7,
-}
 
 
 def render_literal(value: Value) -> str:
@@ -52,35 +45,30 @@ def _render(expr: Expr) -> tuple[str, int]:
     if isinstance(expr, Literal):
         return render_literal(expr.value), _ATOM
     if isinstance(expr, Unary):
-        if expr.op == "NOT":
-            prec = _PREC["NOT"]
-            text, child_prec = _render(expr.operand)
-            if child_prec < prec:
-                text = f"({text})"
-            return f"NOT {text}", prec
-        prec = _PREC["NEG"]
+        prec = PRECEDENCE["NOT" if expr.op == "NOT" else "NEG"]
         text, child_prec = _render(expr.operand)
-        if child_prec < prec or text.startswith("-"):
+        # '-(-3)', since '--3' would lex as a comment
+        if child_prec < prec or (expr.op == "-" and text.startswith("-")):
             text = f"({text})"
-        return f"-{text}", prec
+        return ("NOT " if expr.op == "NOT" else "-") + text, prec
     if isinstance(expr, Binary):
-        prec = _PREC[expr.op]
+        prec = PRECEDENCE[expr.op]
         left, left_prec = _render(expr.left)
         right, right_prec = _render(expr.right)
-        if left_prec < prec or (left_prec == prec and prec == 4):
+        if left_prec < prec or (left_prec == prec and expr.op not in LEFT_ASSOCIATIVE):
             left = f"({left})"
         if right_prec <= prec:
             right = f"({right})"
         return f"{left} {expr.op} {right}", prec
     if isinstance(expr, InList):
-        prec = 4
+        prec = PRECEDENCE["IN"]
         operand, operand_prec = _render(expr.expr)
         if operand_prec <= prec:
             operand = f"({operand})"
         items = ", ".join(render_literal(item.value) for item in expr.items)
         return f"{operand} IN ({items})", prec
     if isinstance(expr, Between):
-        prec = 4
+        prec = PRECEDENCE["BETWEEN"]
         operand, operand_prec = _render(expr.expr)
         if operand_prec <= prec:
             operand = f"({operand})"

@@ -91,7 +91,10 @@ def test_remote_non_200_names_status(remote_env, post):
 
 
 @pytest.mark.parametrize("body", [None, {}, {"choices": []}, {"choices": [{"message": {}}]},
-                                  {"choices": [{"message": None}]}])
+                                  {"choices": [{"message": None}]},
+                                  {"choices": [{"message": {"content": None}}]},
+                                  {"choices": [{"message": {"content": [
+                                      {"type": "text", "text": "hello"}]}}]}])
 def test_remote_malformed_body_is_backend_error(remote_env, post, body):
     post.reply = _Reply(body=body)
     with pytest.raises(BackendError, match="malformed backend response"):

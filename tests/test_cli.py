@@ -127,6 +127,31 @@ def test_ask_full_mode_writes_artifacts(runner, manifest_path, demo_case_dir,
     assert json.loads((out / "run.json").read_text(encoding="utf-8"))["config_hash"]
 
 
+def test_ask_names_the_case_after_its_directory(runner, manifest_path, demo_case_dir,
+                                               eval_dataset, tmp_path, monkeypatch):
+    """``--case .`` from inside the case directory names the case after that
+    directory, and a symlinked case keeps the link's name."""
+    link = tmp_path / "linked_case"
+    link.symlink_to(demo_case_dir, target_is_directory=True)
+    for cwd, case, case_id in ((demo_case_dir, ".", "demo_case"),
+                               (tmp_path, "linked_case", "linked_case")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"run_{case_id}"
+        result = invoke(runner, [
+            "ask", "--manifest", str(manifest_path), "--case", case,
+            "--question", str(eval_dataset["questions"]),
+            "--ranges", str(eval_dataset["ranges"]),
+            "--out", str(out), "--mode", "sql_only",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (out / "reports").iterdir()) == [
+            f"{case_id}.json", f"{case_id}.md",
+        ]
+        assert (out / "transcripts" / f"{case_id}.json").exists()
+        report = json.loads((out / "reports" / f"{case_id}.json").read_text(encoding="utf-8"))
+        assert report["case_id"] == case_id
+
+
 def test_ask_full_without_sidecar_is_config_error(runner, manifest_path,
                                                   tmp_path, eval_dataset):
     split = build_training_split(tmp_path)  # sidecars carry no cnn_probs

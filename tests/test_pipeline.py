@@ -241,6 +241,28 @@ def test_grouping_rejection_is_recorded_not_raised(manifest, demo_bundle, questi
     )
 
 
+def test_out_of_range_literal_is_a_local_rejection(manifest, demo_bundle, question,
+                                                   file_ranges, tmp_path):
+    """A literal beyond float range is refused by the guard, so no ``inf``
+    reaches a result row and the case's outputs still serialize."""
+    global_resp = TemplateBackend().complete(
+        "Task: global-feature-analysis\n" + _schema_text(manifest), "", 0, 0,
+    )
+    local_resp = (
+        "```sql\nSELECT 1e999 AS x FROM cells\n```\n"
+        "```sql\nSELECT COUNT(*) AS n FROM cells\n```\n"
+    )
+    backend = ScriptedBackend([global_resp, local_resp])
+    config = make_config(tmp_path, mode="sql_only")
+    result = run_case(manifest, demo_bundle, question, config, backend, file_ranges)
+    local = next(t for t in result.transcripts if t.agent == "local")
+    outcome = local.guard_outcomes[0]
+    assert isinstance(outcome, GuardRejection)
+    assert outcome.reason == "numeric literal out of range"
+    write_case_outputs(tmp_path / "out", result)
+    assert (tmp_path / "out" / "reports" / "demo_case.json").exists()
+
+
 # sha256 over the sorted (relpath, sha256) pairs of a full-mode batch over the
 # 20-case eval dataset. Refactors must keep every report byte; a deliberate
 # output change updates this constant and says why.

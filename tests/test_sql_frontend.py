@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,10 +17,12 @@ from evidencesql.sql.ast import (
     Star,
     Unary,
 )
+from evidencesql.sql.lexer import TokenKind, tokenize
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render, render_expr
 
 from generators import AstGenerator
+from reference_lexer import tokenize as reference_tokenize
 
 
 def test_count_star_where():
@@ -206,3 +209,138 @@ def test_roundtrip_property_quick():
         rendered = render(ast)
         reparsed = parse(rendered)
         assert reparsed == ast, rendered
+
+
+# -- token syntax ------------------------------------------------------------
+
+_LEX_FRAGMENTS = (
+    "SELECT", "from", "a", "_b1", "x_2", "e", "E", "e5", "AS",
+    "0", "7", "12", "3.", ".5", "1.25", "1e3", "2E-4", "6e+", "9e", "1.e2", ".", "e-",
+    "'", "''", "'x'", "'it''s'", "'a''", '"', '"q"', '""', "\"a'b\"",
+    "--", "-", "/*", "*/", "/", "*", "+", "=", "!=", "<>", "<", "<=", ">", ">=", "!",
+    "(", ")", ",", ";", "?", "@", "`", ":",
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c",
+)
+
+
+def _lex_outcome(tokenize_fn, text):
+    try:
+        return [(t.kind, t.text, t.value, t.offset) for t in tokenize_fn(text)]
+    except SqlSyntaxError as exc:
+        return (exc.message, exc.position, exc.token)
+
+
+def test_tokens_match_the_hand_written_reference():
+    """The pattern tokenizer reads ASCII text exactly as the hand-written one
+    it replaced: same tokens (kind, text, value, offset) or the same error
+    (message, position, token). The one deliberate difference is a number
+    beyond float range, which is now an error."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(_LEX_FRAGMENTS), max_size=14).map("".join))
+    def check(text):
+        got = _lex_outcome(tokenize, text)
+        if isinstance(got, tuple) and got[0] == "numeric literal out of range":
+            position, lexeme = got[1], got[2]
+            *_, last, _eof = reference_tokenize(text[:position + len(lexeme)])
+            assert (last.kind, last.text, last.offset) == (TokenKind.NUMBER, lexeme, position)
+            assert abs(last.value) > sys.float_info.max
+            return
+        assert got == _lex_outcome(reference_tokenize, text)
+
+    check()
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("Übersicht x²", [("IDENT", "Übersicht"), ("IDENT", "x²")]),
+    ("a\xa0= b", [("IDENT", "a"), ("OP", "="), ("IDENT", "b")]),
+    ("² ①", [("IDENT", "²"), ("IDENT", "①")]),
+    ("x١ 0007", [("IDENT", "x١"), ("NUMBER", "0007")]),
+])
+def test_unicode_words_and_whitespace(text, tokens):
+    """Identifiers are runs of Unicode word characters that do not start with
+    a decimal digit; numerals are ASCII digits only."""
+    assert [(t.kind.name, t.text) for t in tokenize(text)[:-1]] == tokens
+
+
+@pytest.mark.parametrize("text", ["١", "7١", "SELECT ١ FROM t"])
+def test_non_ascii_decimal_digit_is_not_a_numeral(text):
+    with pytest.raises(SqlSyntaxError, match="unexpected character '١'"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, lexeme", [
+    ("SELECT 1e999 AS x FROM cells", "1e999"),
+    ("SELECT -1e999 AS x FROM cells", "1e999"),
+    ("SELECT a FROM t WHERE a IN (1e400)", "1e400"),
+    ("SELECT " + "9" * 400 + " FROM t", "9" * 400),
+], ids=["real", "negative", "in-list", "integer"])
+def test_numeric_literal_beyond_float_range_is_a_syntax_error(text, lexeme):
+    with pytest.raises(SqlSyntaxError, match="numeric literal out of range") as exc_info:
+        parse(text)
+    assert exc_info.value.token == lexeme
+    assert exc_info.value.position == text.index(lexeme)
+
+
+def test_long_zero_padded_literal_is_its_value():
+    """int()'s digit-count limit must not turn a zero-padded literal into a
+    ValueError."""
+    ast = parse("SELECT " + "0" * 5000 + "7 FROM t")
+    assert ast.projections[0].expr == Literal(7)
+
+
+# -- expression depth ----------------------------------------------------------
+
+
+def test_expression_depth_is_bounded():
+    from evidencesql.sql.parser import MAX_EXPR_DEPTH
+
+    def nested(k):
+        return "SELECT " + "(" * k + "a" + ")" * k + " FROM t"
+
+    assert parse(nested(MAX_EXPR_DEPTH - 1)).projections[0].expr == ColumnRef("a")
+    text = nested(MAX_EXPR_DEPTH)
+    with pytest.raises(SqlSyntaxError, match="nested too deeply") as exc_info:
+        parse(text)
+    assert exc_info.value.position == text.index("a")
+
+
+@pytest.mark.parametrize("tail, message, token", [
+    ("a = b = c", "unexpected trailing input", "="),
+    ("a IN (1) IN (2)", "unexpected trailing input", "IN"),
+    ("a BETWEEN 1 AND 2 BETWEEN 3 AND 4", "unexpected trailing input", "BETWEEN"),
+    ("a = b NOT IN (1)", "unexpected trailing input", "NOT"),
+    ("a IN (1) + 2", "unexpected trailing input", "+"),
+    ("NOT a = b = c", "unexpected trailing input", "="),
+    ("a = NOT b", "expected expression", "NOT"),
+    ("a + NOT b", "expected expression", "NOT"),
+    ("-NOT a", "expected expression", "NOT"),
+    ("a NOT b", "expected IN or BETWEEN after NOT", "NOT"),
+])
+def test_comparisons_never_chain_and_not_is_a_prefix_only_where_boolean(tail, message,
+                                                                         token):
+    """The offending token is the last one spelled ``token`` in ``tail``."""
+    head = "SELECT x FROM t WHERE "
+    with pytest.raises(SqlSyntaxError) as exc_info:
+        parse(head + tail)
+    assert exc_info.value.message == message
+    assert exc_info.value.token == token
+    assert exc_info.value.position == len(head) + tail.rindex(token)
+
+
+@pytest.mark.parametrize("tail, where", [
+    ("NOT NOT a", Unary("NOT", Unary("NOT", ColumnRef("a")))),
+    ("NOT a NOT IN (1)", Unary("NOT", Unary("NOT", InList(ColumnRef("a"), (Literal(1),))))),
+    ("-a * b NOT BETWEEN 1 AND 2 OR c",
+     Binary("OR", Unary("NOT", Between(Binary("*", Unary("-", ColumnRef("a")), ColumnRef("b")),
+                                       Literal(1), Literal(2))), ColumnRef("c"))),
+    ("a AND NOT b OR c",
+     Binary("OR", Binary("AND", ColumnRef("a"), Unary("NOT", ColumnRef("b"))), ColumnRef("c"))),
+    ("- -3 < a - b - c",
+     Binary("<", Literal(3), Binary("-", Binary("-", ColumnRef("a"), ColumnRef("b")),
+                                    ColumnRef("c")))),
+])
+def test_precedence_and_prefixes(tail, where):
+    assert parse(f"SELECT x FROM t WHERE {tail}").where == where

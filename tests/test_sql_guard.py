@@ -199,3 +199,86 @@ def test_validated_queries_execute_without_further_validation(manifest, demo_bun
 def test_repair_is_value_not_exception(manifest):
     out = repair("totally not sql", manifest)
     assert isinstance(out, GuardRejection)
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT " + "(" * 10_000 + "area" + ")" * 10_000 + " FROM cells",
+    "SELECT " + " + ".join(["area"] * 5_000) + " FROM cells",
+    "SELECT area FROM cells WHERE " + "NOT " * 5_000 + "area > 1",
+    "SELECT " + "- " * 5_000 + "area FROM cells",
+], ids=["parentheses", "chain", "not", "minus"])
+def test_deep_expression_is_a_rejection(text, manifest):
+    out = validate_pipeline(text, manifest)
+    assert isinstance(out, GuardRejection)
+    assert out.stage == "parse"
+    assert out.reason == "expression nested too deeply"
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT 1e999 AS x FROM cells",
+    "SELECT -1e999 AS x FROM cells",
+    "SELECT COUNT(*) AS n FROM cells WHERE area IN (1e400)",
+    "SELECT cell_type FROM cells WHERE area < 1e999",
+])
+def test_out_of_range_literal_is_a_rejection(text, manifest):
+    out = validate_pipeline(text, manifest)
+    assert isinstance(out, GuardRejection)
+    assert out.reason == "numeric literal out of range"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("Übersicht: SELECT COUNT(*) AS n FROM cells", "SELECT COUNT(*) AS n FROM cells"),
+    ("INSERTé INTO cells", "parse"),
+    ("SELECT ² FROM cells", "repair_exhausted"),
+])
+def test_guard_reads_words_as_the_lexer_does(text, outcome, manifest):
+    """The guard's prose cut and forbidden-head check see a whole Unicode word,
+    as the tokenizer does, not its ASCII prefix."""
+    out = validate_pipeline(text, manifest)
+    if isinstance(out, ValidatedQuery):
+        assert out.canonical_text == outcome
+    else:
+        assert out.stage == outcome
+
+
+_GUARD_FRAGMENTS = (
+    "SELECT", "select", "FROM", "cells", "structures", "WHERE", "GROUP BY", "HAVING",
+    "ORDER BY", "LIMIT", "AS", "DESC", "NOT", "IN", "BETWEEN", "AND", "OR", "NULL",
+    "COUNT(*)", "AVG(", "SQRT(", "ROUND(", "area", "cell_type", "are", "SELCT", "FORM",
+    "(", ")", ",", ";", "*", "+", "-", "/", "=", "<>", "<", ">=",
+    "1", "2.5", "1e3", "1e999", "'neoplastic'", "'it''s'", "'", "''", '"x"', '"',
+    "--", "/*", "```sql\n", "```", "Here is the query: ",
+    " ", "\n", "\xa0", "²", "①", "١", "Ü", "Übersicht:", "é", "ß", "ſ", "Ⅷ",
+)
+
+
+def test_guard_is_fail_closed_and_canonical_text_is_a_fixed_point(manifest):
+    """Whatever the text, the guard returns a query or a rejection and never
+    raises; every query it returns validates again, unrepaired, to the same
+    tree and text."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from generators import QueryGenerator
+
+    text = st.lists(st.one_of(st.sampled_from(_GUARD_FRAGMENTS), st.characters()),
+                    max_size=16).map("".join)
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=text, seed=st.integers(0, 2**32))
+    def check(text, seed):
+        rng = random.Random(seed)
+        generated = render(QueryGenerator(rng, rng.choice(manifest.tables)).query())
+        outcomes = [validate_pipeline(text, manifest), validate_pipeline(generated, manifest)]
+        assert isinstance(outcomes[0], (ValidatedQuery, GuardRejection))
+        assert isinstance(outcomes[1], ValidatedQuery), (generated, outcomes[1])
+        for validated in outcomes:
+            if isinstance(validated, GuardRejection):
+                continue
+            again = validate_pipeline(validated.canonical_text, manifest)
+            assert isinstance(again, ValidatedQuery), (validated.canonical_text, again)
+            assert (again.ast, again.canonical_text) == (validated.ast, validated.canonical_text)
+            assert again.repair_log == ()
+
+    check()
