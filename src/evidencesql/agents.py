@@ -26,6 +26,9 @@ from evidencesql.sql.guard import GuardRejection, ValidatedQuery, validate_pipel
 _FENCE_ANY_RE = re.compile(r"```([a-zA-Z]*)[ \t]*\r?\n?(.*?)```", re.DOTALL)
 _FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 
+# Guard outcomes by (agent, raw SQL text), for one manifest.
+GuardMemo = dict[tuple[str, str], ValidatedQuery | GuardRejection]
+
 
 @dataclass(frozen=True)
 class Question:
@@ -218,8 +221,18 @@ def _run_agent(
     config: BackendConfig,
     allowed_levels: tuple[Level, ...],
     want_plan: bool,
+    verdicts: GuardMemo | None = None,
 ) -> tuple[list[PlanTarget] | None, list[ValidatedQuery], AgentTranscript]:
+    """One agent stage: prompt, retry while no query is kept, guard each query.
+
+    Guard outcomes are memoized by (agent, raw SQL text), within this stage
+    or, when ``verdicts`` is given, across calls (``batch_eval`` keeps one
+    per run, over one manifest). A hit is recorded in the transcript
+    exactly like a fresh outcome. Rejections are stored too: the guard is
+    deterministic.
+    """
     transcript = AgentTranscript(agent=agent, backend=backend.name)
+    memo = {} if verdicts is None else verdicts
     plan_targets: list[PlanTarget] | None = None
     kept: list[ValidatedQuery] = []
     attempts = 1 + max(0, config.max_retries)
@@ -235,7 +248,9 @@ def _run_agent(
         if want_plan and plan_targets is None:
             plan_targets = _parse_plan(response)
         for raw in extract_sql(response):
-            outcome = validate_pipeline(raw, manifest, source_agent=agent)
+            outcome = memo.get((agent, raw))
+            if outcome is None:
+                outcome = memo[agent, raw] = validate_pipeline(raw, manifest, source_agent=agent)
             transcript.extracted_queries.append(raw)
             transcript.guard_outcomes.append(outcome)
             if isinstance(outcome, GuardRejection):
@@ -261,12 +276,14 @@ def plan_global(
     manifest: SchemaManifest,
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
+    verdicts: GuardMemo | None = None,
 ) -> tuple[ReasoningPlan, list[ValidatedQuery], AgentTranscript]:
     """Run the whole-image reasoning stage.
 
     Validated queries against non-global tables are dropped and logged in
     the transcript; the plan keeps only targets that resolve to global-level
-    columns in the manifest.
+    columns in the manifest. ``verdicts`` is the run's guard memo (see
+    ``_run_agent``).
     """
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
@@ -274,7 +291,7 @@ def plan_global(
     system, user = build_global_prompts(question, manifest, config.prompt_version)
     targets, kept, transcript = _run_agent(
         "global", system, user, manifest, backend, config,
-        allowed_levels=(Level.GLOBAL,), want_plan=True,
+        allowed_levels=(Level.GLOBAL,), want_plan=True, verdicts=verdicts,
     )
     valid_targets = []
     for target in targets or []:
@@ -296,8 +313,10 @@ def plan_local(
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
     global_results_text: str = "",
+    verdicts: GuardMemo | None = None,
 ) -> tuple[list[ValidatedQuery], AgentTranscript]:
-    """Run the cellular/architectural reasoning stage over the global plan."""
+    """Run the cellular/architectural reasoning stage over the global plan;
+    ``verdicts`` is the run's guard memo, as for ``plan_global``."""
     config = config or BackendConfig()
     if plan.focus != "global":
         raise ValueError("local agent consumes the global plan")
@@ -307,6 +326,6 @@ def plan_local(
     _, kept, transcript = _run_agent(
         "local", system, user, manifest, backend, config,
         allowed_levels=(Level.LOCAL_CELLULAR, Level.LOCAL_ARCHITECTURE),
-        want_plan=False,
+        want_plan=False, verdicts=verdicts,
     )
     return kept, transcript

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from evidencesql import __version__
-from evidencesql.agents import AgentTranscript, Question, plan_global, plan_local
+from evidencesql.agents import AgentTranscript, GuardMemo, Question, plan_global, plan_local
 from evidencesql.backends import (
     DECLINE_RESPONSE,
     TASK_NARRATIVE,
@@ -158,11 +158,14 @@ def run_case(
     backend: LlmBackendPort,
     file_ranges: list[ReferenceRange] | None = None,
     range_replies: dict[tuple[str, str], str] | None = None,
+    guard_verdicts: GuardMemo | None = None,
 ) -> CaseResult:
     """Process one ingested case under the configured mode.
 
     ``range_replies`` is the run's memo of backend range replies, passed on
     to ``fetch_llm_ranges``; ``None`` asks the backend afresh.
+    ``guard_verdicts`` is the run's memo of guard outcomes, passed on to
+    the agents; ``None`` shares none across cases.
     """
     options = question.options
     transcripts: list[AgentTranscript] = []
@@ -172,7 +175,7 @@ def run_case(
 
     if config.mode != "cnn_only":
         plan, global_queries, global_tx = plan_global(
-            question, manifest, backend, config.backend,
+            question, manifest, backend, config.backend, verdicts=guard_verdicts,
         )
         transcripts.append(global_tx)
         executed: list[tuple[int, ValidatedQuery, ResultTable]] = []
@@ -187,7 +190,7 @@ def run_case(
         run_stage("global", global_queries)
         local_queries, local_tx = plan_local(
             question, plan, manifest, backend, config.backend,
-            global_results_text=_format_results_text(executed),
+            global_results_text=_format_results_text(executed), verdicts=guard_verdicts,
         )
         transcripts.append(local_tx)
         run_stage("local", local_queries)
@@ -384,6 +387,9 @@ def batch_eval(
     Backend range replies are memoized for the run, keyed on the range
     prompt pair: each (feature, option) range is requested once and every
     later case reads the same reply. A ``BackendError`` is not memoized.
+    Guard outcomes are memoized for the run too, keyed on (agent, raw SQL
+    text): the manifest is fixed for the run, so a text is validated once
+    and every later case records the same outcome in its transcript.
     """
     manifest = load_manifest(config.manifest_path)
     backend = backend or make_backend(config.backend)
@@ -391,6 +397,7 @@ def batch_eval(
     case_dirs = sorted(p for p in Path(dataset_dir).iterdir() if p.is_dir())
     write_run_metadata(config)
     range_replies: dict[tuple[str, str], str] = {}
+    guard_verdicts: GuardMemo = {}
 
     def process(case_dir: Path) -> tuple[str, CaseResult | None, str | None]:
         case_id = case_dir.name
@@ -400,7 +407,7 @@ def batch_eval(
                 raise ConfigError(f"case {case_id!r} has no ground_truth label")
             question = select_question(questions, case_id)
             result = run_case(manifest, bundle, question, config, backend,
-                              file_ranges, range_replies)
+                              file_ranges, range_replies, guard_verdicts)
             write_case_outputs(config.out_dir, result)
             return case_id, result, None
         except EvidenceSqlError as exc:

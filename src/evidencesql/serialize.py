@@ -1,9 +1,10 @@
 """Canonical JSON: sorted keys, floats fixed at 6 decimal places.
 
 Every serialized artifact (hypotheses, reports, transcripts, summaries) goes
-through here so identical inputs always produce identical bytes. Floats are
-quantized with round-half-even at 6 decimals before dumping; quantized
-values survive a JSON round-trip exactly.
+through here so identical inputs always produce identical bytes. The text is
+that of ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``,
+written in one walk that quantizes each float value with round-half-even at
+6 decimals as it goes; quantized values survive a JSON round-trip exactly.
 """
 
 from __future__ import annotations
@@ -22,19 +23,107 @@ def quantize_float(x: float) -> float:
     return 0.0 if q == 0 else q  # normalize -0.0
 
 
-def quantize_tree(obj):
-    """Copy ``obj`` with every float quantized; containers recursed."""
+# json's own choices: the base types' repr, so a subclass (an IntEnum) is
+# written as its number, not its own repr
+_encode_str = json.encoder.encode_basestring
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` names it: floats unquantized, non-finite
+    floats as ``NaN``/``Infinity``, bools and ``None`` as their literals."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        if key != key:
+            return "NaN"
+        if key == math.inf:
+            return "Infinity"
+        if key == -math.inf:
+            return "-Infinity"
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _int_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(_int_text(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(quantize_float(obj)))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            out.append(separator)
+            _encode(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(separator + _encode_str(_key_text(key)) + ": ")
+            _encode(value, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _check_finite(obj) -> None:
+    """Raise ``quantize_float``'s ValueError for the first non-finite float
+    value anywhere in ``obj``."""
     if isinstance(obj, float):
-        return quantize_float(obj)
-    if isinstance(obj, dict):
-        return {k: quantize_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [quantize_tree(v) for v in obj]
-    return obj
+        quantize_float(obj)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            _check_finite(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _check_finite(item)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(quantize_tree(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
+    plus a final newline, with every float value quantized, in one walk.
+
+    A tree with a non-finite float value is a ValueError even where it also
+    holds a value or key that json refuses with a TypeError, as when every
+    float was quantized before dumping.
+    """
+    out: list[str] = []
+    try:
+        _encode(obj, out, "\n")
+    except TypeError:
+        _check_finite(obj)
+        raise
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

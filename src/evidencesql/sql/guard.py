@@ -116,9 +116,19 @@ class SchemaViolation:
         return self.message
 
 
+def _casefold_chars(text: str) -> str:
+    """``text`` case-folded one character at a time; a character whose fold
+    is longer (``ß`` -> ``ss``) stays as it is."""
+    folded = text.casefold()
+    if len(folded) == len(text):
+        return folded
+    return "".join(f if len(f := c.casefold()) == 1 else c for c in text)
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance over case-folded identifiers."""
-    a, b = a.casefold(), b.casefold()
+    """Classic edit distance over case-folded identifiers, counting the
+    characters each one really has."""
+    a, b = _casefold_chars(a), _casefold_chars(b)
     if a == b:
         return 0
     previous = list(range(len(b) + 1))
@@ -396,7 +406,7 @@ def _try_keyword_fix(text: str, error: SqlSyntaxError) -> tuple[str, RepairActio
     # Prefer the keywords the parser actually expected at the failure point;
     # fall back to the whole keyword set when the error is not keyword-shaped.
     expected = tuple(w for w in error.expected if w in _REPAIR_KEYWORD_SET)
-    found = _unique_candidate(token.upper(), expected or _REPAIR_KEYWORD_SET)
+    found = _unique_candidate(token, expected or _REPAIR_KEYWORD_SET)
     if found is None:
         return None
     keyword, distance = found
@@ -409,13 +419,13 @@ def _try_function_fix(text: str, error: UnsupportedFeature) -> tuple[str, Repair
     back onto the supported function set when a unique near match exists."""
     if not error.feature.startswith("function "):
         return None
-    name = error.feature[len("function "):]
-    found = _unique_candidate(name, AGGREGATE_FUNCTIONS + SCALAR_FUNCTIONS)
+    # the feature names the upper-cased word, which can be longer (ß -> SS)
+    original = WORD_RE.match(text, error.position).group(0)
+    found = _unique_candidate(original, AGGREGATE_FUNCTIONS + SCALAR_FUNCTIONS)
     if found is None:
         return None
     fn, distance = found
-    original = text[error.position:error.position + len(name)]
-    fixed = text[:error.position] + fn + text[error.position + len(name):]
+    fixed = text[:error.position] + fn + text[error.position + len(original):]
     return fixed, RepairAction("keyword_fix", original, fn, distance)
 
 

@@ -38,13 +38,13 @@ from evidencesql.knowledge import (
     score_fit,
 )
 from evidencesql.pipeline import RunConfig, batch_eval, load_questions
-from evidencesql.serialize import quantize_tree
 from evidencesql.sql.guard import GuardRejection, ValidatedQuery, validate_pipeline
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
 from evidencesql.values import Dtype
 
 from generators import AstGenerator
+from reference_serialize import quantize_tree
 from test_sql_exec import run_differential
 
 CORPUS = json.loads(

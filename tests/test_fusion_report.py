@@ -158,7 +158,7 @@ def test_report_dangling_query_id(manifest, demo_bundle):
 
 
 def test_report_trace_reparses_and_replays(manifest, demo_bundle):
-    from evidencesql.serialize import quantize_tree
+    from reference_serialize import quantize_tree
     from evidencesql.sql.parser import parse
 
     question, decision, h, trace = _make_report_inputs(manifest, demo_bundle)

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from evidencesql import pipeline
+from evidencesql import agents, pipeline
 from evidencesql.agents import Question
 from evidencesql.backends import (
     TASK_RANGES,
@@ -420,3 +420,97 @@ def test_batch_eval_records_any_exception_per_case(manifest_path, eval_dataset,
     assert sorted(p.name for p in (Path(config.out_dir) / "reports").glob("*.json")) == sorted(
         f"{d.name}.json" for d in three_cases.iterdir() if d.name != broken
     )
+
+
+# -- per-run guard memo ---------------------------------------------------------------
+
+
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """Counts guard calls by (source agent, raw SQL text)."""
+    calls: Counter[tuple[str, str]] = Counter()
+    real_validate = agents.validate_pipeline
+    lock = threading.Lock()
+
+    def counting_validate(text, manifest, source_agent="manual"):
+        with lock:
+            calls[source_agent, text] += 1
+        return real_validate(text, manifest, source_agent=source_agent)
+
+    monkeypatch.setattr(agents, "validate_pipeline", counting_validate)
+    return calls
+
+
+def _transcript_docs(out: Path) -> list[dict]:
+    return [json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted((out / "transcripts").glob("*.json"))]
+
+
+def test_batch_eval_guards_each_agent_text_once(manifest_path, eval_dataset, three_cases,
+                                                 tmp_path, guard_calls):
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=TemplateBackend())
+    assert summary.n_cases == 3 and summary.failures == []
+    recorded = Counter(
+        (t["agent"], raw)
+        for doc in _transcript_docs(Path(config.out_dir))
+        for t in doc["transcripts"]
+        for raw in t["extracted_queries"]
+    )
+    assert set(guard_calls) == set(recorded)
+    assert set(guard_calls.values()) == {1}
+    assert sum(recorded.values()) == 3 * len(recorded)
+
+
+_REJECTED_SQL = "SELECT 1 AS one FROM cells ORDER BY COUNT(*)"
+_SCRIPTED_REPLY = (
+    '```json\n{"target_features": [{"table": "global_features", "column": "total_cells",'
+    ' "rationale": "size"}]}\n```\n'
+    "```sql\nSELECT total_cells AS n FROM global_features\n```\n"
+    f"```sql\n{_REJECTED_SQL}\n```\n"
+    "```sql\nSELECT COUNT(*) AS n FROM cells\n```\n"
+)
+
+
+def test_memoized_rejection_is_recorded_in_every_case(manifest_path, eval_dataset,
+                                                      three_cases, tmp_path, guard_calls):
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), mode="sql_only")
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=ScriptedBackend([_SCRIPTED_REPLY]))
+    assert summary.n_cases == 3 and summary.failures == []
+    assert guard_calls[("global", _REJECTED_SQL)] == 1
+    assert guard_calls[("local", _REJECTED_SQL)] == 1
+    docs = _transcript_docs(Path(config.out_dir))
+    assert len(docs) == 3
+    for doc in docs:
+        for transcript in doc["transcripts"]:
+            index = transcript["extracted_queries"].index(_REJECTED_SQL)
+            assert transcript["guard_outcomes"][index]["stage"] == "schema"
+
+
+def test_guard_memo_is_not_shared_across_runs(manifest_path, eval_dataset, three_cases,
+                                              tmp_path, guard_calls):
+    questions = load_questions(eval_dataset["questions"])
+    batch_eval(RunConfig(str(manifest_path), str(tmp_path / "first")), three_cases,
+               questions, backend=TemplateBackend())
+    first = Counter(guard_calls)
+    batch_eval(RunConfig(str(manifest_path), str(tmp_path / "second")), three_cases,
+               questions, backend=TemplateBackend())
+    assert first and guard_calls == first + first
+
+
+def test_batch_eval_output_with_workers_matches_one_worker(manifest_path, eval_dataset,
+                                                           tmp_path):
+    """With the range and guard memos shared by four workers, every output
+    byte of the 20-case eval run matches the one-worker run."""
+    questions = load_questions(eval_dataset["questions"])
+    outputs = []
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        config = RunConfig(str(manifest_path), str(out), ranges_path=str(eval_dataset["ranges"]),
+                           workers=workers)
+        batch_eval(config, eval_dataset["dataset"], questions, backend=CountingBackend())
+        outputs.append((_output_bytes(out), (out / "summary.json").read_bytes()))
+    assert len(outputs[0][0]) == 60
+    assert outputs[0] == outputs[1]

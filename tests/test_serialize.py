@@ -1,0 +1,90 @@
+import math
+
+import pytest
+
+from evidencesql.serialize import canonical_json
+
+from reference_serialize import canonical_json as reference_canonical_json
+
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.5e-7, 2.5e-6,
+    0.1234565, 1e16, math.nan, math.inf, -math.inf,
+]
+_SPECIAL_TEXTS = [
+    "", "\x00\x1f\x7f", 'say "hi" \\ /', "ß é \U0001f600", "\ud800", "x\udfff\ud83d",
+    "\u2028\u2029",
+]
+
+
+def _outcome(encode, obj):
+    try:
+        return encode(obj)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+def test_one_walk_encoder_matches_the_two_pass_reference():
+    """Every tree gives the reference's text, or an exception of the same
+    type: non-finite float values, unsupported values, unsortable keys,
+    key types json refuses and ints too long to print."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SPECIAL_FLOATS))
+    texts = st.one_of(st.text(st.characters(exclude_categories=()), max_size=8),
+                      st.sampled_from(_SPECIAL_TEXTS))
+    ints = st.one_of(st.integers(), st.integers(min_value=-10**40, max_value=10**40),
+                     st.just(4300).map(lambda digits: 10**digits))
+    leaves = st.one_of(
+        texts, floats, ints, st.booleans(), st.none(),
+        st.sampled_from([b"bytes", 1j, frozenset({1})]),
+    )
+    other_keys = st.one_of(ints, floats, st.booleans(), st.none())
+
+    def dicts(keys, children):
+        return st.lists(st.tuples(keys, children), max_size=4).map(dict)
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            dicts(texts, children),
+            dicts(st.one_of(texts, other_keys), children),
+            dicts(other_keys, children),
+        )
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.recursive(leaves, containers, max_leaves=10))
+    def check(obj):
+        assert _outcome(canonical_json, obj) == _outcome(reference_canonical_json, obj)
+
+    check()
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": [1, {}], "b": []},
+    {1.5: "x", math.nan: 1, -math.inf: 2, True: None, 10**20: [0.1234565, -0.0]},
+    {None: 1.0000005},
+    ("tuple", 2.5e-7, {"ß": " \ud800"}),
+    3.0,
+])
+def test_canonical_json_matches_reference(obj):
+    assert canonical_json(obj) == reference_canonical_json(obj)
+
+
+@pytest.mark.parametrize("obj, error", [
+    ({"a": object(), "b": math.nan}, ValueError),
+    ({"a": {1, 2}}, TypeError),
+    ({"a": 1, 2: "b"}, TypeError),
+    ({(1, 2): 1}, TypeError),
+    ([10**4300], ValueError),
+    ([math.inf], ValueError),
+])
+def test_canonical_json_rejects_what_the_reference_rejects(obj, error):
+    """A non-finite float wins over a TypeError found earlier in the walk."""
+    with pytest.raises(error):
+        reference_canonical_json(obj)
+    with pytest.raises(error):
+        canonical_json(obj)

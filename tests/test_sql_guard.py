@@ -13,13 +13,17 @@ from evidencesql.feature_store import (
 )
 from evidencesql.sql.guard import (
     GuardRejection,
+    RepairAction,
     ValidatedQuery,
+    _try_function_fix,
+    _try_keyword_fix,
     check_schema,
     levenshtein,
     repair,
     sanitize,
     validate_pipeline,
 )
+from evidencesql.sql.lexer import WORD_RE
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
 from evidencesql.values import Dtype
@@ -241,6 +245,24 @@ def test_guard_reads_words_as_the_lexer_does(text, outcome, manifest):
         assert out.stage == outcome
 
 
+def test_function_fix_replaces_the_whole_misspelled_word(manifest):
+    """``ß`` upper-cases to two letters; the fix still cuts the word as
+    written, not its upper-cased length."""
+    out = validate_pipeline("SELECT COUNß(*) AS n FROM cells", manifest)
+    assert isinstance(out, ValidatedQuery), out
+    assert out.canonical_text == "SELECT COUNT(*) AS n FROM cells"
+    assert out.repair_log == (RepairAction("keyword_fix", "COUNß", "COUNT", 1),)
+
+
+def test_keyword_fix_measures_the_characters_written(manifest):
+    """A stray ``ß`` is one character, two edits from every two-letter
+    keyword, not one edit from ``AS`` as its upper-case ``SS`` would be."""
+    assert levenshtein("ß", "AS") == 2
+    out = validate_pipeline("SELECT COUNT(*) AS n FROM cells ß", manifest)
+    assert isinstance(out, ValidatedQuery), out
+    assert [a.kind for a in out.repair_log] == ["clause_drop"]
+
+
 _GUARD_FRAGMENTS = (
     "SELECT", "select", "FROM", "cells", "structures", "WHERE", "GROUP BY", "HAVING",
     "ORDER BY", "LIMIT", "AS", "DESC", "NOT", "IN", "BETWEEN", "AND", "OR", "NULL",
@@ -280,5 +302,52 @@ def test_guard_is_fail_closed_and_canonical_text_is_a_fixed_point(manifest):
             assert isinstance(again, ValidatedQuery), (validated.canonical_text, again)
             assert (again.ast, again.canonical_text) == (validated.ast, validated.canonical_text)
             assert again.repair_log == ()
+
+    check()
+
+
+_MISSPELLED_WORDS = (
+    "COUNß", "ſUM", "AVß", "WHERß", "ORDEß", "GROUß", "ﬁELD", "İN", "ŉOT", "MAẞ",
+    "SELCT", "FORM", "WHER", "CONT", "AVGG", "ß", "ﬁ",
+)
+_MISSPELLING_SITES = (
+    "SELECT {}(*) AS n FROM cells", "SELECT {}(area) AS a FROM cells",
+    "SELECT area FROM cells {} area > 1", "SELECT area {} a FROM cells",
+    "SELECT cell_type, COUNT(*) AS n FROM cells {} BY cell_type", "{} area FROM cells",
+    "SELECT area FROM cells ORDER BY area {}", "SELECT area FROM cells {}",
+)
+
+
+def test_keyword_and_function_fixes_change_only_the_replaced_word():
+    """A keyword or function fix rewrites the whole misspelled word where the
+    parser stopped and leaves every other character of the text as it was."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    text = st.builds(
+        lambda site, word, tail: site.format(word) + " " + tail,
+        st.sampled_from(_MISSPELLING_SITES),
+        st.sampled_from(_MISSPELLED_WORDS),
+        st.lists(st.sampled_from(_MISSPELLED_WORDS + _GUARD_FRAGMENTS), max_size=4)
+        .map(" ".join),
+    )
+
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(text)
+    def check(text):
+        try:
+            parse(text)
+            return
+        except SqlSyntaxError as exc:
+            error, fix = exc, _try_keyword_fix(text, exc)
+        except UnsupportedFeature as exc:
+            error, fix = exc, _try_function_fix(text, exc)
+        if fix is None:
+            return
+        fixed, action = fix
+        start, end = error.position, error.position + len(action.before)
+        assert action.kind == "keyword_fix"
+        assert action.before == WORD_RE.match(text, start).group(0)
+        assert fixed == text[:start] + action.after + text[end:]
 
     check()
