@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from evidencesql.backends import (
     BackendConfig,
@@ -21,9 +21,8 @@ from evidencesql.backends import (
 )
 from evidencesql.errors import EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
-from evidencesql.sql.guard import GuardRejection, ValidatedQuery, validate_pipeline
+from evidencesql.sql.guard import FENCE_RE, GuardRejection, ValidatedQuery, validate_pipeline
 
-_FENCE_ANY_RE = re.compile(r"```([a-zA-Z]*)[ \t]*\r?\n?(.*?)```", re.DOTALL)
 _FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 
 # Guard outcomes by (agent, raw SQL text), for one manifest.
@@ -83,14 +82,7 @@ class AgentTranscript:
         return {
             "agent": self.agent,
             "backend": self.backend,
-            "attempts": [
-                {
-                    "system_prompt": a.system_prompt,
-                    "user_prompt": a.user_prompt,
-                    "response": a.response,
-                }
-                for a in self.attempts
-            ],
+            "attempts": [asdict(a) for a in self.attempts],
             "extracted_queries": list(self.extracted_queries),
             "guard_outcomes": [o.to_json_dict() for o in self.guard_outcomes],
             "dropped": [{"sql": sql, "reason": reason} for sql, reason in self.dropped],
@@ -104,7 +96,7 @@ def extract_sql(response: str) -> list[str]:
     is SELECT (any casing).
     """
     found = []
-    for match in _FENCE_ANY_RE.finditer(response):
+    for match in FENCE_RE.finditer(response):
         tag = match.group(1).lower()
         body = match.group(2).strip()
         if not body:

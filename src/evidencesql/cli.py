@@ -31,19 +31,16 @@ from evidencesql.pipeline import (
     batch_eval,
     load_questions,
     load_ranges_file,
-    read_json_input,
-    read_text_input,
     run_case,
     select_question,
     write_case_outputs,
     write_run_metadata,
 )
-from evidencesql.serialize import canonical_json, write_json_atomic
+from evidencesql.serialize import canonical_json, read_json_file, read_text_file, write_json_atomic
 from evidencesql.sql.guard import GuardRejection, validate_pipeline
 from evidencesql.sql.executor import execute
 from evidencesql.values import render_value
 
-EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_CONFIG = 2
 
@@ -121,7 +118,7 @@ def ingest(manifest_path, case_dir, as_json):
 def validate(manifest_path, query_file, as_json):
     """Run the guard pipeline on a query file; print the canonical text."""
     manifest = load_manifest(manifest_path)
-    text = read_text_input(query_file, "query file")
+    text = read_text_file(query_file, "query file", errors.ConfigError)
     outcome = validate_pipeline(text, manifest)
     if isinstance(outcome, GuardRejection):
         click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)
@@ -157,9 +154,7 @@ def query(manifest_path, case_dir, sql, as_json, as_csv):
             writer.writerow([render_value(v) for v in row])
         click.echo(buffer.getvalue().rstrip("\n"))
     else:
-        click.echo(" | ".join(result.column_names))
-        for row in result.rows:
-            click.echo(" | ".join(render_value(v) for v in row))
+        click.echo("\n".join(result.text_lines()))
 
 
 @main.command("calibrate-ranges")
@@ -196,7 +191,7 @@ def _build_run_config(manifest_path, out_dir, mode, alpha, ranges_path,
     backend_config = BackendConfig()
     if config_path is not None:
         backend_config = BackendConfig.from_dict(
-            read_json_input(config_path, "backend config"),
+            read_json_file(config_path, "backend config", errors.ConfigError),
             f"backend config {config_path}",
         )
     return RunConfig(

@@ -23,26 +23,23 @@ class ManifestError(EvidenceSqlError):
     """Manifest violates a structural invariant (duplicate names, bad domains)."""
 
 
-class TypeMismatch(EvidenceSqlError):
+class _CellError(EvidenceSqlError):
+    """An ingest error that names where it happened: table, column, row."""
+
+    def __init__(self, message: str, table: str | None = None,
+                 column: str | None = None, row: int | None = None):
+        super().__init__(message)
+        self.table = table
+        self.column = column
+        self.row = row
+
+
+class TypeMismatch(_CellError):
     """A table value does not conform to its declared dtype."""
 
-    def __init__(self, message: str, table: str | None = None,
-                 column: str | None = None, row: int | None = None):
-        super().__init__(message)
-        self.table = table
-        self.column = column
-        self.row = row
 
-
-class DomainViolation(EvidenceSqlError):
+class DomainViolation(_CellError):
     """A categorical value lies outside the declared domain."""
-
-    def __init__(self, message: str, table: str | None = None,
-                 column: str | None = None, row: int | None = None):
-        super().__init__(message)
-        self.table = table
-        self.column = column
-        self.row = row
 
 
 class CardinalityError(EvidenceSqlError):

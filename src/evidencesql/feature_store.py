@@ -32,6 +32,7 @@ from evidencesql.errors import (
     SidecarError,
     TypeMismatch,
 )
+from evidencesql.serialize import read_json_file
 from evidencesql.values import Dtype, Value, coerce
 
 SIDECAR_FILENAME = "sidecar.json"
@@ -124,28 +125,46 @@ def _check_manifest(manifest: SchemaManifest) -> SchemaManifest:
     return manifest
 
 
-def manifest_from_dict(doc: dict) -> SchemaManifest:
-    """Build and validate a manifest from its JSON object form."""
+def _text(value, what: str, nullable: bool = False) -> str | None:
+    """``value`` when it is a string, or null where ``nullable``; else a
+    TypeError naming ``what``."""
+    if isinstance(value, str) or (nullable and value is None):
+        return value
+    wanted = "a string or null" if nullable else "a string"
+    raise TypeError(f"{what} must be {wanted}, not {type(value).__name__}")
+
+
+def _domain(value) -> tuple[str, ...] | None:
+    if value is None:
+        return None
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise TypeError(f"categorical_domain must be a JSON list of strings, got {value!r}")
+
+
+def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
+    """Build and validate a manifest from its JSON object form; a document
+    of the wrong shape or field type is a ``ManifestParseError`` naming
+    ``source``."""
+    if not isinstance(doc, dict):
+        raise ManifestParseError(f"{source} must hold a JSON object")
     try:
         tables = []
         for tdoc in doc["tables"]:
             columns = tuple(
                 ColumnSchema(
-                    name=cdoc["name"],
+                    name=_text(cdoc["name"], "column name"),
                     dtype=Dtype(cdoc["dtype"]),
-                    unit=cdoc.get("unit"),
-                    categorical_domain=(
-                        tuple(cdoc["categorical_domain"])
-                        if cdoc.get("categorical_domain") is not None
-                        else None
-                    ),
+                    unit=_text(cdoc.get("unit"), "unit", nullable=True),
+                    categorical_domain=_domain(cdoc.get("categorical_domain")),
                 )
                 for cdoc in tdoc["columns"]
             )
-            tables.append(TableSchema(name=tdoc["name"], level=Level(tdoc["level"]), columns=columns))
+            tables.append(TableSchema(name=_text(tdoc["name"], "table name"),
+                                      level=Level(tdoc["level"]), columns=columns))
         manifest = SchemaManifest(version=str(doc["version"]), tables=tuple(tables))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestParseError(f"malformed manifest: {exc}") from exc
+        raise ManifestParseError(f"malformed {source}: {type(exc).__name__}: {exc}") from exc
     return _check_manifest(manifest)
 
 
@@ -182,13 +201,8 @@ def load_manifest(path: str | Path) -> SchemaManifest:
         ManifestParseError: the file is not readable JSON of the expected shape.
         ManifestError: the manifest violates a structural invariant.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestParseError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestParseError("manifest root must be a JSON object")
-    return manifest_from_dict(doc)
+    doc = read_json_file(path, "manifest", ManifestParseError)
+    return manifest_from_dict(doc, f"manifest {path}")
 
 
 def canonical_manifest() -> SchemaManifest:
@@ -290,10 +304,7 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
 
 
 def _load_sidecar(path: Path) -> tuple[dict[str, float] | None, str | None]:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SidecarError(f"cannot read sidecar {path}: {exc}") from exc
+    doc = read_json_file(path, "sidecar", SidecarError)
     if not isinstance(doc, dict):
         raise SidecarError("sidecar root must be a JSON object")
 

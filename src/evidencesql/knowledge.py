@@ -16,7 +16,7 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from evidencesql.agents import Question
 from evidencesql.backends import (
@@ -26,7 +26,7 @@ from evidencesql.backends import (
     TASK_RANGES,
 )
 from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
-from evidencesql.feature_store import CaseBundle, Level, SchemaManifest
+from evidencesql.feature_store import CaseBundle, Level
 from evidencesql.serialize import quantize_float
 from evidencesql.sql.ast import ColumnRef, Star
 from evidencesql.sql.executor import ResultTable
@@ -603,19 +603,9 @@ def hypothesis_from_json_dict(doc: dict) -> Hypothesis:
 
 
 def ranges_to_json_list(ranges: list[ReferenceRange]) -> list[dict]:
-    out = []
-    for r in ranges:
-        doc: dict = {
-            "feature_key": r.feature_key,
-            "option_label": r.option_label,
-            "low": r.low,
-            "high": r.high,
-            "source": r.source,
-        }
-        if r.unit is not None:
-            doc["unit"] = r.unit
-        out.append(doc)
-    return out
+    """Each range's fields, leaving out a null unit."""
+    return [{k: v for k, v in asdict(r).items() if k != "unit" or v is not None}
+            for r in ranges]
 
 
 def ranges_from_json_list(docs: list[dict]) -> list[ReferenceRange]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -51,10 +52,9 @@ from evidencesql.knowledge import (
     uniform_confidences,
 )
 from evidencesql.report import TraceEntry, build_report, render_report_markdown
-from evidencesql.serialize import canonical_json, write_json_atomic, write_text_atomic
-from evidencesql.sql.executor import ExecError, ResultTable, execute
+from evidencesql.serialize import canonical_json, read_json_file, write_json_atomic, write_text_atomic
+from evidencesql.sql.executor import ExecError, execute
 from evidencesql.sql.guard import ValidatedQuery
-from evidencesql.values import render_value
 
 MODES = ("full", "sql_only", "cnn_only")
 DEFAULT_ALPHA = 0.7
@@ -97,49 +97,27 @@ class CaseResult:
     ground_truth: str | None
 
 
-def read_text_input(path: str | Path, what: str) -> str:
-    """The UTF-8 text of an input file (query, questions, ranges, backend
-    config); a file that cannot be read is a ``ConfigError`` that names it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def read_json_input(path: str | Path, what: str) -> object:
-    """The parsed content of a JSON input file; a file that cannot be read
-    or parsed is a ``ConfigError`` that names it."""
-    text = read_text_input(path, what)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _malformed(what: str, path: str | Path, exc: Exception) -> ConfigError:
     return ConfigError(f"malformed {what} {path}: {type(exc).__name__}: {exc}")
 
 
 def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
-    doc = read_json_input(path, "ranges file")
+    doc = read_json_file(path, "ranges file", ConfigError)
     if not isinstance(doc, list):
-        raise ConfigError("ranges file must hold a JSON list of range objects")
+        raise ConfigError(f"ranges file {path} must hold a JSON list of range objects")
     try:
         return ranges_from_json_list(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed("ranges file", path, exc) from exc
 
 
-def _format_results_text(executed: list[tuple[int, ValidatedQuery, ResultTable]]) -> str:
-    """Compact, deterministic rendering of executed queries for the local
-    agent's prompt."""
-    blocks = []
-    for query_id, query, result in executed:
-        lines = [f"q{query_id}: {query.canonical_text}", " | ".join(result.column_names)]
-        for row in result.rows:
-            lines.append(" | ".join(render_value(v) for v in row))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+def _format_results_text(trace: list[TraceEntry]) -> str:
+    """Compact, deterministic rendering of the executed queries in a trace
+    for the local agent's prompt."""
+    return "\n\n".join(
+        "\n".join([f"q{entry.query_id}: {entry.query.canonical_text}", *entry.result.text_lines()])
+        for entry in trace if entry.result is not None
+    )
 
 
 def _require_cnn(bundle: CaseBundle, mode: str) -> CnnOutput:
@@ -178,24 +156,19 @@ def run_case(
             question, manifest, backend, config.backend, verdicts=guard_verdicts,
         )
         transcripts.append(global_tx)
-        executed: list[tuple[int, ValidatedQuery, ResultTable]] = []
-
-        def run_stage(agent: str, queries: list[ValidatedQuery]) -> None:
-            for query in queries:
-                entry = _execute_into_trace(len(trace), agent, query, bundle)
-                trace.append(entry)
-                if entry.result is not None:
-                    executed.append((entry.query_id, query, entry.result))
-
-        run_stage("global", global_queries)
+        trace = [_execute_into_trace(i, "global", query, bundle)
+                 for i, query in enumerate(global_queries)]
         local_queries, local_tx = plan_local(
             question, plan, manifest, backend, config.backend,
-            global_results_text=_format_results_text(executed), verdicts=guard_verdicts,
+            global_results_text=_format_results_text(trace), verdicts=guard_verdicts,
         )
         transcripts.append(local_tx)
-        run_stage("local", local_queries)
+        trace += [_execute_into_trace(i, "local", query, bundle)
+                  for i, query in enumerate(local_queries, len(trace))]
 
-        observations = extract_observations(executed)
+        observations = extract_observations(
+            [(e.query_id, e.query, e.result) for e in trace if e.result is not None]
+        )
         ranges = list(file_ranges or [])
         known = {(r.feature_key, r.option_label) for r in ranges}
         missing_keys = sorted({
@@ -297,9 +270,9 @@ def write_case_outputs(out_dir: str | Path, result: CaseResult) -> None:
     out = Path(out_dir)
     write_json_atomic(out / "reports" / f"{result.case_id}.json", result.report)
     write_text_atomic(out / "reports" / f"{result.case_id}.md", result.markdown)
-    if result.transcripts:
+    if result.report["transcripts_ref"]:
         write_json_atomic(
-            out / "transcripts" / f"{result.case_id}.json",
+            out / result.report["transcripts_ref"],
             {
                 "case_id": result.case_id,
                 "transcripts": [t.to_json_dict() for t in result.transcripts],
@@ -333,7 +306,7 @@ def _json_list(value: object, field: str) -> list:
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    doc = read_json_input(path, "questions file")
+    doc = read_json_file(path, "questions file", ConfigError)
     if isinstance(doc, dict):
         doc = [doc]
     try:
@@ -348,7 +321,7 @@ def load_questions(path: str | Path) -> list[Question]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed("questions file", path, exc) from exc
     if not questions:
-        raise ConfigError("questions file is empty")
+        raise ConfigError(f"questions file {path} is empty")
     return questions
 
 
@@ -362,14 +335,7 @@ class EvalSummary:
     failures: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "n_correct": self.n_correct,
-            "accuracy": self.accuracy,
-            "n_flagged": self.n_flagged,
-            "per_class_accuracy": dict(self.per_class_accuracy),
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def batch_eval(
@@ -422,37 +388,22 @@ def batch_eval(
         outcomes = [process(d) for d in case_dirs]
     outcomes.sort(key=lambda item: item[0])
 
-    n_correct = 0
-    n_flagged = 0
-    failures = []
-    per_class_total: dict[str, int] = {}
-    per_class_correct: dict[str, int] = {}
-    n_evaluated = 0
-    for case_id, result, error in outcomes:
-        if error is not None:
-            failures.append({"case_id": case_id, "error": error})
-            continue
-        n_evaluated += 1
-        truth = result.ground_truth
-        per_class_total[truth] = per_class_total.get(truth, 0) + 1
-        correct = result.decision_label == truth
-        if correct:
-            n_correct += 1
-            per_class_correct[truth] = per_class_correct.get(truth, 0) + 1
-        if result.review_flag:
-            n_flagged += 1
-
-    per_class_accuracy = {
-        label: per_class_correct.get(label, 0) / total
-        for label, total in sorted(per_class_total.items())
-    }
+    results = [result for _, result, error in outcomes if error is None]
+    per_class_total = Counter(r.ground_truth for r in results)
+    per_class_correct = Counter(r.ground_truth for r in results
+                                if r.decision_label == r.ground_truth)
+    n_correct = sum(per_class_correct.values())
     summary = EvalSummary(
-        n_cases=n_evaluated,
+        n_cases=len(results),
         n_correct=n_correct,
-        accuracy=(n_correct / n_evaluated) if n_evaluated else 0.0,
-        n_flagged=n_flagged,
-        per_class_accuracy=per_class_accuracy,
-        failures=failures,
+        accuracy=(n_correct / len(results)) if results else 0.0,
+        n_flagged=sum(r.review_flag for r in results),
+        per_class_accuracy={
+            label: per_class_correct[label] / total
+            for label, total in sorted(per_class_total.items())
+        },
+        failures=[{"case_id": case_id, "error": error}
+                  for case_id, _, error in outcomes if error is not None],
     )
     write_json_atomic(Path(config.out_dir) / "summary.json", summary.to_json_dict())
     return summary

@@ -5,6 +5,9 @@ through here so identical inputs always produce identical bytes. The text is
 that of ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``,
 written in one walk that quantizes each float value with round-half-even at
 6 decimals as it goes; quantized values survive a JSON round-trip exactly.
+
+Input files (manifest, sidecar, questions, ranges, backend config, query)
+are read here too, so every unreadable one fails with the same message.
 """
 
 from __future__ import annotations
@@ -124,6 +127,25 @@ def canonical_json(obj) -> str:
         raise
     out.append("\n")
     return "".join(out)
+
+
+def read_text_file(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is an
+    ``error`` naming ``what`` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json_file(path: str | Path, what: str, error: type[Exception]) -> object:
+    """The parsed content of a JSON input file; a file that cannot be read
+    or parsed is an ``error`` naming ``what`` and the path."""
+    text = read_text_file(path, what, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

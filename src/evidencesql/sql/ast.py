@@ -7,7 +7,7 @@ trees out of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
 from evidencesql.values import Value
@@ -173,12 +173,4 @@ def resolve_order_aliases(ast: QueryAst) -> QueryAst:
     )
     if rewritten == ast.order_by:
         return ast
-    return QueryAst(
-        projections=ast.projections,
-        from_table=ast.from_table,
-        where=ast.where,
-        group_by=ast.group_by,
-        having=ast.having,
-        order_by=rewritten,
-        limit=ast.limit,
-    )
+    return replace(ast, order_by=rewritten)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from evidencesql.errors import ArithmeticDomain, TableNotInBundle
@@ -58,7 +58,7 @@ from evidencesql.sql.ast import (
 )
 from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.sql.render import render_expr
-from evidencesql.values import Value
+from evidencesql.values import Value, render_value
 
 # A compiled expression, called with a row index or a group context; a leaf
 # resolver compiles the context-dependent nodes and returns None for the rest.
@@ -84,6 +84,11 @@ class ResultTable:
             "rows": [list(row) for row in self.rows],
         }
 
+    def text_lines(self) -> list[str]:
+        """The header, then one line per row, fields joined by `` | ``."""
+        return [" | ".join(self.column_names),
+                *(" | ".join(map(render_value, row)) for row in self.rows)]
+
 
 @dataclass(frozen=True)
 class ExecError:
@@ -92,10 +97,7 @@ class ExecError:
     row_index: int | None = None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind, "message": self.message}
-        if self.row_index is not None:
-            doc["row_index"] = self.row_index
-        return doc
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _finite_or_null(x: float) -> Value:

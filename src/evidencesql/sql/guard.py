@@ -11,7 +11,7 @@ literals and refuses to guess between equidistant candidates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from evidencesql.errors import SqlSyntaxError, UnsupportedFeature
 from evidencesql.feature_store import SchemaManifest, TableSchema
@@ -55,7 +55,8 @@ FORBIDDEN_STATEMENT_KEYWORDS = (
     "INSERT", "UPDATE", "DELETE", "DROP", "ALTER", "CREATE", "ATTACH", "PRAGMA",
 )
 
-_FENCE_RE = re.compile(r"```[a-zA-Z]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
+# A markdown code fence: its tag (group 1, possibly empty), then its body.
+FENCE_RE = re.compile(r"```([a-zA-Z]*)[ \t]*\r?\n?(.*?)```", re.DOTALL)
 
 _REPAIR_KEYWORD_SET = tuple(sorted(KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)))
 _KNOWN_WORDS = KEYWORDS | UNSUPPORTED_KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)
@@ -69,12 +70,7 @@ class RepairAction:
     edit_distance: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "before": self.before,
-            "after": self.after,
-            "edit_distance": self.edit_distance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,7 @@ class GuardRejection:
     position: int | None = None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"stage": self.stage, "reason": self.reason}
-        if self.position is not None:
-            doc["position"] = self.position
-        return doc
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,9 @@ def sanitize(text: str) -> str | GuardRejection:
     parse is still refused cheaply.
     """
     candidate = text.strip()
-    fence = _FENCE_RE.search(candidate)
+    fence = FENCE_RE.search(candidate)
     if fence:
-        candidate = fence.group(1).strip()
+        candidate = fence.group(2).strip()
 
     head = WORD_RE.match(candidate)
     if head and head.group(0).upper() not in _KNOWN_WORDS:

@@ -72,6 +72,19 @@ def test_query_json_and_csv(runner, manifest_path, demo_case_dir):
     assert result.output.splitlines()[1] == "neoplastic,4"
 
 
+def test_query_plain_text_output(runner, manifest_path, demo_case_dir):
+    result = invoke(runner, [
+        "query", "--manifest", str(manifest_path), "--case", str(demo_case_dir),
+        "--sql", "SELECT cell_id, cell_type, mean_intensity FROM cells WHERE cell_id IN (3, 4)",
+    ])
+    assert result.exit_code == 0
+    assert result.output == (
+        "cell_id | cell_type | mean_intensity\n"
+        "3 | neoplastic | 141.2\n"
+        "4 | neoplastic | \n"  # cell 4's intensity is null
+    )
+
+
 def test_calibrate_ranges_deterministic(runner, manifest_path, training_split, tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -451,17 +464,20 @@ def _range_file(low, high):
     ("--questions", "[{"),
     ("--questions", json.dumps([{"prompt_text": "q?", "options": ["only"]}])),
     ("--questions", json.dumps([{"case_id": "*", "prompt_text": "q?", "options": "ab"}])),
+    ("--questions", "[]"),
     ("--ranges", _range_file(2.0, 1.0)),
     ("--ranges", _range_file(float("nan"), 1.0)),
     ("--ranges", _range_file(float("-inf"), float("inf"))),
     ("--ranges", "["),
     ("--ranges", json.dumps([{"feature_key": "a.b"}])),
+    ("--ranges", "{}"),
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
     ("--config", '{"timeout_seconds": -1}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
+        "questions-empty",
         "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
-        "config-list", "config-null-field", "config-timeout-negative"])
+        "ranges-object", "config-list", "config-null-field", "config-timeout-negative"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):
     bad = tmp_path / "input.json"
@@ -480,4 +496,32 @@ def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
     assert result.exit_code == 2
     error = json.loads(result.stderr)["error"]
     assert error["stage"] == "config"
+    assert str(bad) in error["message"]
+
+
+def _manifest_doc(manifest_path, edit):
+    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _string_domain(doc):
+    column = next(c for c in doc["tables"][0]["columns"] if "categorical_domain" in c)
+    column["categorical_domain"] = "neoplastic"
+
+
+@pytest.mark.parametrize("make_content", [
+    lambda m: "[]",
+    lambda m: json.dumps({"version": "1"}),
+    lambda m: _manifest_doc(m, _string_domain),
+    lambda m: _manifest_doc(m, lambda doc: doc["tables"][0]["columns"][0].update(name=7)),
+], ids=["root-list", "missing-tables", "string-domain", "numeric-column-name"])
+def test_malformed_manifest_names_its_file(runner, manifest_path, demo_case_dir, tmp_path,
+                                           make_content):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(make_content(manifest_path), encoding="utf-8")
+    result = runner.invoke(main, ["ingest", "--manifest", str(bad), "--case", str(demo_case_dir)])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert (error["stage"], error["type"]) == ("config", "ManifestParseError")
     assert str(bad) in error["message"]

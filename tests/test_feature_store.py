@@ -74,6 +74,33 @@ def test_manifest_domain_on_real_column_rejected(manifest):
         manifest_from_dict(doc)
 
 
+def _column(doc, table, name):
+    return next(c for c in doc["tables"][table]["columns"] if c["name"] == name)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["tables"][0].update(name=["cells"]),
+    lambda doc: _column(doc, 0, "area").update(name=3),
+    lambda doc: _column(doc, 0, "cell_type").update(categorical_domain="neoplastic"),
+    lambda doc: _column(doc, 0, "cell_type").update(categorical_domain=["neoplastic", 1]),
+    lambda doc: _column(doc, 0, "cell_type").update(categorical_domain={"neoplastic": 1}),
+    lambda doc: _column(doc, 0, "area").update(unit=5),
+    lambda doc: _column(doc, 0, "area").update(unit=["um^2"]),
+], ids=["table-name-list", "column-name-int", "domain-string", "domain-non-string-item",
+        "domain-object", "unit-int", "unit-list"])
+def test_manifest_field_types_checked(manifest, edit):
+    doc = manifest_to_dict(manifest)
+    edit(doc)
+    with pytest.raises(ManifestParseError, match="malformed manifest: TypeError"):
+        manifest_from_dict(doc)
+
+
+def test_manifest_null_unit_accepted(manifest):
+    doc = manifest_to_dict(manifest)
+    _column(doc, 0, "area")["unit"] = None
+    assert manifest_from_dict(doc).table("cells").column("area").unit is None
+
+
 def test_malformed_manifest_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -289,6 +289,34 @@ def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_p
     assert digest == EVAL_FULL_OUTPUT_DIGEST
 
 
+# sha256 of summary.json from a cnn_only batch over the eval dataset plus two
+# broken cases: the classifier misses three cases, so per-class accuracy is
+# below 1, and both broken cases land in ``failures``.
+EVAL_CNN_ONLY_SUMMARY_DIGEST = "9387d5a79264ab3378284688db84f9f9ba9b5e05bfc8e40a1b18c6dd6f6ec902"
+
+
+def test_eval_dataset_cnn_only_summary_bytes_are_pinned(manifest_path, eval_dataset, tmp_path):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(eval_dataset["dataset"], dataset)
+    shutil.copytree(dataset / "case_00", dataset / "case_98_sidecar_list")
+    (dataset / "case_98_sidecar_list" / "sidecar.json").write_text("[]", encoding="utf-8")
+    shutil.copytree(dataset / "case_01", dataset / "case_99_bad_cell_type")
+    cells = dataset / "case_99_bad_cell_type" / "cells.csv"
+    header, first, *rest = cells.read_text(encoding="utf-8").splitlines()
+    column = header.split(",").index("cell_type")
+    fields = first.split(",")
+    fields[column] = "bogus"
+    cells.write_text("\n".join([header, ",".join(fields), *rest]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    config = RunConfig(manifest_path=str(manifest_path), out_dir=str(out), mode="cnn_only")
+    summary = batch_eval(config, dataset, load_questions(eval_dataset["questions"]),
+                         backend=TemplateBackend())
+    assert summary.accuracy < 1 and len(summary.failures) == 2
+    assert min(summary.per_class_accuracy.values()) < 1
+    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+    assert digest == EVAL_CNN_ONLY_SUMMARY_DIGEST
+
+
 # -- per-run range memo and per-case fault isolation --------------------------------
 
 
