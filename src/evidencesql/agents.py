@@ -19,7 +19,7 @@ from evidencesql.backends import (
     TASK_GLOBAL,
     TASK_LOCAL,
 )
-from evidencesql.errors import EmptyGeneration
+from evidencesql.errors import ConfigError, EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
 from evidencesql.sql.guard import FENCE_RE, GuardRejection, ValidatedQuery, validate_pipeline
 
@@ -279,7 +279,7 @@ def plan_global(
     """
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
-        raise ValueError("manifest declares no global-level table")
+        raise ConfigError("manifest declares no global-level table")
     system, user = build_global_prompts(question, manifest, config.prompt_version)
     targets, kept, transcript = _run_agent(
         "global", system, user, manifest, backend, config,

@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass, field
 
 from evidencesql.errors import BackendError, ConfigError
+from evidencesql.serialize import malformed
 
 ENV_API_KEY = "EVIDENCESQL_LLM_API_KEY"
 ENV_BASE_URL = "EVIDENCESQL_LLM_BASE_URL"
@@ -75,7 +76,7 @@ class BackendConfig:
                 prompt_version=str(doc.get("prompt_version", "1")),
             )
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed {source}: {type(exc).__name__}: {exc}") from exc
+            raise malformed(source, exc, ConfigError) from exc
 
 
 class LlmBackendPort:

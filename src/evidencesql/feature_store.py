@@ -32,7 +32,7 @@ from evidencesql.errors import (
     SidecarError,
     TypeMismatch,
 )
-from evidencesql.serialize import read_json_file
+from evidencesql.serialize import malformed, read_json_file
 from evidencesql.values import Dtype, Value, coerce
 
 SIDECAR_FILENAME = "sidecar.json"
@@ -104,23 +104,25 @@ class CaseBundle:
     ground_truth: str | None = None
 
 
-def _check_manifest(manifest: SchemaManifest) -> SchemaManifest:
+def _check_manifest(manifest: SchemaManifest, source: str) -> SchemaManifest:
+    """``manifest`` if it keeps every structural invariant; else a
+    ``ManifestError`` naming ``source``."""
     names = [t.name for t in manifest.tables]
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
-        raise ManifestError(f"duplicate table name(s): {', '.join(dup)}")
+        raise ManifestError(f"{source}: duplicate table name(s): {', '.join(dup)}")
     for table in manifest.tables:
         col_names = [c.name for c in table.columns]
         if len(set(col_names)) != len(col_names):
-            raise ManifestError(f"duplicate column name(s) in table {table.name!r}")
+            raise ManifestError(f"{source}: duplicate column name(s) in table {table.name!r}")
         for col in table.columns:
             if col.categorical_domain is not None and col.dtype is not Dtype.TEXT:
                 raise ManifestError(
-                    f"categorical_domain on non-text column {table.name}.{col.name}"
+                    f"{source}: categorical_domain on non-text column {table.name}.{col.name}"
                 )
             if col.categorical_domain is not None and not col.categorical_domain:
                 raise ManifestError(
-                    f"empty categorical_domain on {table.name}.{col.name}"
+                    f"{source}: empty categorical_domain on {table.name}.{col.name}"
                 )
     return manifest
 
@@ -144,7 +146,8 @@ def _domain(value) -> tuple[str, ...] | None:
 
 def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
     """Build and validate a manifest from its JSON object form; a document
-    of the wrong shape or field type is a ``ManifestParseError`` naming
+    of the wrong shape or field type is a ``ManifestParseError``, and one
+    that breaks a structural invariant a ``ManifestError``, naming
     ``source``."""
     if not isinstance(doc, dict):
         raise ManifestParseError(f"{source} must hold a JSON object")
@@ -164,8 +167,8 @@ def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
                                       level=Level(tdoc["level"]), columns=columns))
         manifest = SchemaManifest(version=str(doc["version"]), tables=tuple(tables))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestParseError(f"malformed {source}: {type(exc).__name__}: {exc}") from exc
-    return _check_manifest(manifest)
+        raise malformed(source, exc, ManifestParseError) from exc
+    return _check_manifest(manifest, source)
 
 
 def manifest_to_dict(manifest: SchemaManifest) -> dict:
@@ -317,7 +320,10 @@ def _load_sidecar(path: Path) -> tuple[dict[str, float] | None, str | None]:
         for label, prob in raw.items():
             if not isinstance(prob, (int, float)) or isinstance(prob, bool):
                 raise SidecarError(f"cnn_probs[{label!r}] is not a number")
-            prob = float(prob)
+            try:
+                prob = float(prob)
+            except OverflowError as exc:
+                raise SidecarError(f"cnn_probs[{label!r}] outside [0, 1]: {exc}") from exc
             if not math.isfinite(prob) or not 0.0 <= prob <= 1.0:
                 raise SidecarError(f"cnn_probs[{label!r}] = {prob} outside [0, 1]")
             cnn_probs[str(label)] = prob

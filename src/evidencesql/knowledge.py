@@ -316,7 +316,7 @@ def _parse_range_reply(reply: str) -> tuple[float, float] | None:
         doc = json.loads(match.group(0))
         low = float(doc["low"])
         high = float(doc["high"])
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         return None
     if not (math.isfinite(low) and math.isfinite(high)):
         return None

@@ -52,7 +52,13 @@ from evidencesql.knowledge import (
     uniform_confidences,
 )
 from evidencesql.report import TraceEntry, build_report, render_report_markdown
-from evidencesql.serialize import canonical_json, read_json_file, write_json_atomic, write_text_atomic
+from evidencesql.serialize import (
+    canonical_json,
+    malformed,
+    read_json_file,
+    write_json_atomic,
+    write_text_atomic,
+)
 from evidencesql.sql.executor import ExecError, execute
 from evidencesql.sql.guard import ValidatedQuery
 
@@ -97,18 +103,14 @@ class CaseResult:
     ground_truth: str | None
 
 
-def _malformed(what: str, path: str | Path, exc: Exception) -> ConfigError:
-    return ConfigError(f"malformed {what} {path}: {type(exc).__name__}: {exc}")
-
-
 def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
     doc = read_json_file(path, "ranges file", ConfigError)
     if not isinstance(doc, list):
         raise ConfigError(f"ranges file {path} must hold a JSON list of range objects")
     try:
         return ranges_from_json_list(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed("ranges file", path, exc) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise malformed(f"ranges file {path}", exc, ConfigError) from exc
 
 
 def _format_results_text(trace: list[TraceEntry]) -> str:
@@ -319,7 +321,7 @@ def load_questions(path: str | Path) -> list[Question]:
             for entry in doc
         ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise _malformed("questions file", path, exc) from exc
+        raise malformed(f"questions file {path}", exc, ConfigError) from exc
     if not questions:
         raise ConfigError(f"questions file {path} is empty")
     return questions

@@ -148,6 +148,12 @@ def read_json_file(path: str | Path, what: str, error: type[Exception]) -> objec
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+def malformed(source: str, exc: Exception, error: type[Exception]) -> Exception:
+    """An ``error`` for a document from ``source`` whose shape or field
+    types ``exc`` rejected, naming the source and the exception."""
+    return error(f"malformed {source}: {type(exc).__name__}: {exc}")
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` via a temp file + rename so readers never see a
     half-written artifact."""

@@ -11,7 +11,8 @@ literals and refuses to guess between equidistant candidates.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from evidencesql.errors import SqlSyntaxError, UnsupportedFeature
 from evidencesql.feature_store import SchemaManifest, TableSchema
@@ -250,19 +251,16 @@ class _TypeChecker:
                     "type_mismatch", f"cannot compare {left} with {right} using {expr.op!r}"
                 )
             return "bool"
-        if isinstance(expr, InList):
+        if isinstance(expr, (InList, Between)):
             operand = self.check(expr.expr)
-            for item in expr.items:
-                item_type = _literal_type(item.value)
-                if operand != "error" and not self._comparable(operand, item_type):
-                    return self.flag("type_mismatch", f"IN list item type {item_type} does not match {operand}")
-            return "bool"
-        if isinstance(expr, Between):
-            operand = self.check(expr.expr)
-            for bound in (expr.low, expr.high):
-                bound_type = _literal_type(bound.value)
-                if operand != "error" and not self._comparable(operand, bound_type):
-                    return self.flag("type_mismatch", f"BETWEEN bound type {bound_type} does not match {operand}")
+            what, literals = (
+                ("IN list item", expr.items) if isinstance(expr, InList)
+                else ("BETWEEN bound", (expr.low, expr.high))
+            )
+            for literal in literals:
+                literal_type = _literal_type(literal.value)
+                if operand != "error" and not self._comparable(operand, literal_type):
+                    return self.flag("type_mismatch", f"{what} type {literal_type} does not match {operand}")
             return "bool"
         if isinstance(expr, ScalarFn):
             arg_types = [self.check(a) for a in expr.args]
@@ -315,11 +313,18 @@ def _group_valid(expr: Expr, group_exprs: tuple[Expr, ...]) -> bool:
     return all(_group_valid(c, group_exprs) for c in children(expr))
 
 
+# What a boolean value in a clause's expression cannot be, for the clauses
+# that must not hold one.
+_NOT_BOOLEAN = {"projection": "projected", "ORDER BY": "a sort key"}
+
+
 def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolation]:
     """Resolve every table/column reference and type-check every operator.
 
     Violations come back as data; an empty list means the query is
-    executable against any bundle conforming to the manifest.
+    executable against any bundle conforming to the manifest. Every clause
+    but WHERE is evaluated per group in a grouped query, which a parsed query
+    with HAVING always is.
     """
     ast = resolve_order_aliases(ast)
     table = manifest.table(ast.from_table)
@@ -330,43 +335,24 @@ def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolatio
             table=ast.from_table,
         )]
     checker = _TypeChecker(table)
-
     grouped = is_grouped(ast)
-
-    for expr in ast.group_by:
-        checker.check(expr)
-    if ast.where is not None:
-        where_type = checker.check(ast.where)
-        if where_type not in ("bool", "error"):
-            checker.flag("type_mismatch", "WHERE must be a boolean predicate")
-    if ast.having is not None:
-        having_type = checker.check(ast.having)
-        if having_type not in ("bool", "error"):
-            checker.flag("type_mismatch", "HAVING must be a boolean predicate")
-        if not _group_valid(ast.having, ast.group_by):
-            checker.flag("aggregation", "HAVING references a column that is not grouped or aggregated")
-
-    for projection in ast.projections:
-        if isinstance(projection.expr, Star):
-            continue
-        proj_type = checker.check(projection.expr)
-        if proj_type == "bool":
-            checker.flag("type_mismatch", "boolean expression cannot be projected")
-        if grouped and not _group_valid(projection.expr, ast.group_by):
+    # Each checked expression with its clause, in the order violations are reported.
+    clauses = [("GROUP BY", expr) for expr in ast.group_by]
+    clauses += [(c, e) for c, e in (("WHERE", ast.where), ("HAVING", ast.having)) if e is not None]
+    clauses += [("projection", p.expr) for p in ast.projections if not isinstance(p.expr, Star)]
+    clauses += [("ORDER BY", item.expr) for item in ast.order_by]
+    for clause, expr in clauses:
+        dtype = checker.check(expr)
+        if clause in ("WHERE", "HAVING"):
+            if dtype not in ("bool", "error"):
+                checker.flag("type_mismatch", f"{clause} must be a boolean predicate")
+        elif dtype == "bool" and clause in _NOT_BOOLEAN:
+            checker.flag("type_mismatch", f"boolean expression cannot be {_NOT_BOOLEAN[clause]}")
+        if clause != "WHERE" and grouped and not _group_valid(expr, ast.group_by):
             checker.flag(
-                "aggregation",
-                "projection references a column that is not grouped or aggregated",
+                "aggregation", f"{clause} references a column that is not grouped or aggregated",
             )
-    for item in ast.order_by:
-        order_type = checker.check(item.expr)
-        if order_type == "bool":
-            checker.flag("type_mismatch", "boolean expression cannot be a sort key")
-        if grouped and not _group_valid(item.expr, ast.group_by):
-            checker.flag(
-                "aggregation",
-                "ORDER BY references a column that is not grouped or aggregated",
-            )
-        if not grouped and contains_aggregate(item.expr):
+        if clause == "ORDER BY" and not grouped and contains_aggregate(expr):
             checker.flag(
                 "aggregation",
                 "aggregate in ORDER BY requires an aggregating or grouped query",
@@ -491,58 +477,41 @@ def repair(
 ) -> ValidatedQuery | GuardRejection:
     """Parse and schema-check ``text``, applying bounded fixes on failure.
 
-    Per pass, exactly one action is applied, chosen in order: keyword fix,
-    quote fix, clause drop (on parse failures); identifier fix (on schema
-    violations). After ``MAX_REPAIR_PASSES`` actions, or when no applicable
-    action exists, a stage-tagged rejection is returned.
+    Per pass, exactly one action is applied, the first that applies in order:
+    keyword fix, quote fix, clause drop (on syntax errors); function fix,
+    clause drop (on unsupported features); identifier fix (on schema
+    violations). After ``MAX_REPAIR_PASSES`` actions, or when no action
+    applies, the failure's rejection is returned, as ``repair_exhausted``
+    once an action was applied or when a name could not be fixed.
     """
     log: list[RepairAction] = []
     current = text
     while True:
-        failure: Exception | None = None
-        ast = None
         try:
             ast = parse(current)
-        except (SqlSyntaxError, UnsupportedFeature) as exc:
-            failure = exc
-
-        if ast is not None:
+        except SqlSyntaxError as exc:
+            rejection = GuardRejection("parse", exc.message, exc.position)
+            fixes = [partial(_try_keyword_fix, current, exc), partial(_try_quote_fix, current),
+                     partial(_try_clause_drop, current, exc.position)]
+        except UnsupportedFeature as exc:
+            rejection = GuardRejection("parse", f"unsupported SQL feature {exc.feature}", exc.position)
+            fixes = [partial(_try_function_fix, current, exc),
+                     partial(_try_clause_drop, current, exc.position)]
+        else:
             violations = check_schema(ast, manifest)
             if not violations:
                 return ValidatedQuery(ast, render(ast), tuple(log), source_agent)
-            fix = None
-            if len(log) < MAX_REPAIR_PASSES:
-                fix = _try_identifier_fix(current, violations, manifest)
-            if fix is None:
-                identifier_kinds = {"unknown_column", "unknown_table"}
-                stage = (
-                    "schema"
-                    if not log and all(v.kind not in identifier_kinds for v in violations)
-                    else "repair_exhausted"
-                )
-                return GuardRejection(stage, "; ".join(str(v) for v in violations))
-            current, action = fix
-            log.append(action)
-            continue
-
-        position = failure.position
+            unknown_name = any(v.kind in ("unknown_column", "unknown_table") for v in violations)
+            rejection = GuardRejection(
+                "repair_exhausted" if unknown_name else "schema",
+                "; ".join(str(v) for v in violations),
+            )
+            fixes = [partial(_try_identifier_fix, current, violations, manifest)]
         fix = None
         if len(log) < MAX_REPAIR_PASSES:
-            if isinstance(failure, SqlSyntaxError):
-                fix = _try_keyword_fix(current, failure)
-                if fix is None and '"' in current:
-                    fix = _try_quote_fix(current)
-            else:
-                fix = _try_function_fix(current, failure)
-            if fix is None:
-                fix = _try_clause_drop(current, position)
+            fix = next(filter(None, (attempt() for attempt in fixes)), None)
         if fix is None:
-            reason = (
-                f"unsupported SQL feature {failure.feature}"
-                if isinstance(failure, UnsupportedFeature)
-                else failure.message
-            )
-            return GuardRejection("parse" if not log else "repair_exhausted", reason, position)
+            return replace(rejection, stage="repair_exhausted") if log else rejection
         current, action = fix
         log.append(action)
 

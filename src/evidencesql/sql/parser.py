@@ -9,6 +9,8 @@ token and the set of tokens that would have been legal there.
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from evidencesql.errors import SqlSyntaxError, UnsupportedFeature
 from evidencesql.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -40,6 +42,7 @@ _NEG = PRECEDENCE["NEG"]
 # operators each count one level, so every later tree walk stays far from
 # the interpreter's recursion limit.
 MAX_EXPR_DEPTH = 64
+_Item = TypeVar("_Item")
 
 
 def parse(text: str) -> QueryAst:
@@ -72,35 +75,29 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_keyword(self, word: str) -> bool:
+    def at(self, text: str) -> bool:
+        """Whether the current token is the operator ``text`` or the word
+        ``text`` in any case; no operator is a word."""
         tok = self.current()
-        return tok.kind is TokenKind.IDENT and tok.upper() == word
+        if tok.kind is TokenKind.OP:
+            return tok.value == text
+        return tok.kind is TokenKind.IDENT and tok.upper() == text
 
-    def at_op(self, op: str) -> bool:
-        tok = self.current()
-        return tok.kind is TokenKind.OP and tok.value == op
+    def accept(self, text: str) -> Token | None:
+        return self.advance() if self.at(text) else None
 
-    def accept_keyword(self, word: str) -> Token | None:
-        if self.at_keyword(word):
-            return self.advance()
-        return None
-
-    def accept_op(self, op: str) -> Token | None:
-        if self.at_op(op):
-            return self.advance()
-        return None
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.accept_keyword(word)
+    def expect(self, text: str) -> Token:
+        tok = self.accept(text)
         if tok is None:
-            self.fail(f"expected {word}", {word})
+            self.fail(f"expected {text if text.isalpha() else repr(text)}", {text})
         return tok
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.accept_op(op)
-        if tok is None:
-            self.fail(f"expected {op!r}", {op})
-        return tok
+    def parse_list(self, parse_item: Callable[[], _Item]) -> list[_Item]:
+        """One item, then one more after each ','."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return items
 
     def fail(self, message: str, expected: set[str]) -> None:
         tok = self.current()
@@ -127,48 +124,43 @@ class _Parser:
 
     def parse_statement(self) -> QueryAst:
         head = self.current()
-        if not self.at_keyword("SELECT"):
+        if not self.accept("SELECT"):
             self.reject_unsupported(head)
             raise SqlSyntaxError(
                 "expected SELECT", head.offset, frozenset({"SELECT"}), head.text,
             )
-        self.advance()
 
         projections = self.parse_projections()
-        self.expect_keyword("FROM")
-        if self.at_op("("):
+        self.expect("FROM")
+        if self.at("("):
             raise UnsupportedFeature("subquery", self.current().offset)
         from_table = self.expect_identifier("table name").text
 
         where = None
-        if self.accept_keyword("WHERE"):
+        if self.accept("WHERE"):
             self.no_aggregates_reason = "WHERE clause"
             where = self.parse_expr()
             self.no_aggregates_reason = None
 
         group_by: tuple[Expr, ...] = ()
-        if self.at_keyword("GROUP"):
-            self.advance()
-            self.expect_keyword("BY")
+        if self.accept("GROUP"):
+            self.expect("BY")
             self.no_aggregates_reason = "GROUP BY clause"
-            group_by = tuple(self.parse_expr_list())
+            group_by = tuple(self.parse_list(self.parse_expr))
             self.no_aggregates_reason = None
 
         having = None
-        having_tok = None
-        if self.at_keyword("HAVING"):
-            having_tok = self.advance()
+        having_tok = self.accept("HAVING")
+        if having_tok:
             having = self.parse_expr()
 
         order_by: tuple[OrderItem, ...] = ()
-        if self.at_keyword("ORDER"):
-            self.advance()
-            self.expect_keyword("BY")
-            order_by = tuple(self.parse_order_items())
+        if self.accept("ORDER"):
+            self.expect("BY")
+            order_by = tuple(self.parse_list(self.parse_order_item))
 
         limit = None
-        if self.at_keyword("LIMIT"):
-            self.advance()
+        if self.accept("LIMIT"):
             tok = self.current()
             if tok.kind is not TokenKind.NUMBER or not isinstance(tok.value, int):
                 self.fail("expected nonnegative integer after LIMIT", {"integer"})
@@ -177,7 +169,7 @@ class _Parser:
 
         tail = self.current()
         if tail.kind is not TokenKind.EOF:
-            if tail.kind is TokenKind.OP and tail.value == ";":
+            if self.at(";"):
                 raise SqlSyntaxError(
                     "statement separator: only a single statement is allowed",
                     tail.offset, frozenset({"end of input"}), tail.text,
@@ -210,44 +202,29 @@ class _Parser:
         )
 
     def parse_projections(self) -> tuple[Projection, ...]:
-        if self.at_op("*"):
-            star_tok = self.advance()
-            if self.accept_op(","):
+        star_tok = self.accept("*")
+        if star_tok:
+            if self.accept(","):
                 raise SqlSyntaxError(
                     "* must be the only projection", star_tok.offset,
                     frozenset({"FROM"}), "*",
                 )
             return (Projection(Star(), None),)
-        items = [self.parse_projection()]
-        while self.accept_op(","):
-            items.append(self.parse_projection())
-        return tuple(items)
+        return tuple(self.parse_list(self.parse_projection))
 
     def parse_projection(self) -> Projection:
         expr = self.parse_expr()
         alias = None
-        if self.accept_keyword("AS"):
+        if self.accept("AS"):
             alias = self.expect_identifier("alias").text
         return Projection(expr, alias)
 
-    def parse_expr_list(self) -> list[Expr]:
-        items = [self.parse_expr()]
-        while self.accept_op(","):
-            items.append(self.parse_expr())
-        return items
-
-    def parse_order_items(self) -> list[OrderItem]:
-        items = []
-        while True:
-            expr = self.parse_expr()
-            descending = False
-            if self.accept_keyword("DESC"):
-                descending = True
-            else:
-                self.accept_keyword("ASC")
-            items.append(OrderItem(expr, descending))
-            if not self.accept_op(","):
-                return items
+    def parse_order_item(self) -> OrderItem:
+        expr = self.parse_expr()
+        if self.accept("DESC"):
+            return OrderItem(expr, True)
+        self.accept("ASC")
+        return OrderItem(expr, False)
 
     # -- expressions ---------------------------------------------------------
 
@@ -278,10 +255,10 @@ class _Parser:
         """
         outer = self.depth
         self.nest()
-        if floor < _NOT and self.accept_keyword("NOT"):
+        if floor < _NOT and self.accept("NOT"):
             left: Expr = Unary("NOT", self.parse_expr(_NOT - 1))
             ceiling = _NOT - 1
-        elif self.accept_op("-"):
+        elif self.accept("-"):
             operand = self.parse_expr(_NEG - 1)
             # Fold minus into numeric literals so '-3' round-trips as one node.
             if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
@@ -320,16 +297,14 @@ class _Parser:
 
     def parse_between_tail(self, operand: Expr) -> Between:
         low = self.parse_literal("lower bound")
-        self.expect_keyword("AND")
+        self.expect("AND")
         high = self.parse_literal("upper bound")
         return Between(operand, low, high)
 
     def parse_in_tail(self, operand: Expr) -> InList:
-        self.expect_op("(")
-        items = [self.parse_literal("list item")]
-        while self.accept_op(","):
-            items.append(self.parse_literal("list item"))
-        self.expect_op(")")
+        self.expect("(")
+        items = self.parse_list(lambda: self.parse_literal("list item"))
+        self.expect(")")
         return InList(operand, tuple(items))
 
     def accept_literal(self) -> Literal | None:
@@ -337,12 +312,12 @@ class _Parser:
         if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
             self.advance()
             return Literal(tok.value)
-        if self.accept_keyword("NULL"):
+        if self.accept("NULL"):
             return Literal(None)
         return None
 
     def parse_literal(self, what: str) -> Literal:
-        if self.accept_op("-"):
+        if self.accept("-"):
             tok = self.current()
             if tok.kind is not TokenKind.NUMBER:
                 self.fail(f"expected number for {what}", {"number"})
@@ -358,24 +333,23 @@ class _Parser:
         if literal is not None:
             return literal
         tok = self.current()
-        if self.at_op("("):
-            self.advance()
-            if self.at_keyword("SELECT"):
+        if self.accept("("):
+            if self.at("SELECT"):
                 raise UnsupportedFeature("subquery", self.current().offset)
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if tok.kind is TokenKind.IDENT and tok.upper() not in KEYWORDS:
             self.reject_unsupported(tok)
             self.advance()
-            if self.at_op("("):
+            if self.at("("):
                 return self.parse_function_call(tok)
             return ColumnRef(tok.text)
         self.fail("expected expression", {"number", "string", "NULL", "identifier", "("})
 
     def parse_function_call(self, name_tok: Token) -> Expr:
         name = name_tok.upper()
-        open_tok = self.expect_op("(")
+        open_tok = self.expect("(")
         if name in AGGREGATE_FUNCTIONS:
             if self.in_aggregate or self.no_aggregates_reason is not None:
                 reason = (
@@ -384,9 +358,9 @@ class _Parser:
                     else f"aggregate function not allowed in {self.no_aggregates_reason}"
                 )
                 raise SqlSyntaxError(reason, name_tok.offset, frozenset(), name_tok.text)
-            distinct = bool(self.accept_keyword("DISTINCT"))
-            if self.at_op("*"):
-                star_tok = self.advance()
+            distinct = bool(self.accept("DISTINCT"))
+            star_tok = self.accept("*")
+            if star_tok:
                 if name != "COUNT":
                     raise SqlSyntaxError(
                         "* argument is only valid in COUNT", star_tok.offset,
@@ -397,18 +371,18 @@ class _Parser:
                         "COUNT(DISTINCT *) is not valid", star_tok.offset,
                         frozenset({"expression"}), "*",
                     )
-                self.expect_op(")")
+                self.expect(")")
                 return AggFn("COUNT", Star(), False)
             self.in_aggregate = True
             try:
                 arg = self.parse_expr()
             finally:
                 self.in_aggregate = False
-            self.expect_op(")")
+            self.expect(")")
             return AggFn(name, arg, distinct)
         if name in SCALAR_FUNCTIONS:
-            args = self.parse_expr_list()
-            self.expect_op(")")
+            args = self.parse_list(self.parse_expr)
+            self.expect(")")
             lo, hi = _SCALAR_ARITY[name]
             if not lo <= len(args) <= hi:
                 wanted = str(lo) if lo == hi else f"{lo} or {hi}"

@@ -372,11 +372,14 @@ def contract_inputs(tmp_path_factory, manifest_path, demo_case_dir, eval_dataset
     (root / "plain_file").write_text("", encoding="utf-8")
     (root / "nope.json").write_text('{"backend": "nope"}', encoding="utf-8")
     (root / "bad_manifest.json").write_text("{not json", encoding="utf-8")
+    (root / "no_global.json").write_text(_manifest_doc(manifest_path, lambda doc: doc.update(
+        tables=[t for t in doc["tables"] if t["level"] != "global"])), encoding="utf-8")
     (root / "utf16.sql").write_bytes(b"\xff\xfeS\x00E\x00L\x00")
     (root / "other_options.json").write_text(json.dumps(
         [{"case_id": "*", "prompt_text": "x or y?", "options": ["x", "y"]}]), encoding="utf-8")
     return SimpleNamespace(
         manifest=str(manifest_path), bad_manifest=str(root / "bad_manifest.json"),
+        no_global=str(root / "no_global.json"),
         case=str(demo_case_dir), empty_case=str(root / "empty_case"),
         unlabeled=str(unlabeled), plain_file=str(root / "plain_file"),
         nope=str(root / "nope.json"), other_options=str(root / "other_options.json"),
@@ -427,6 +430,8 @@ ERROR_CONTRACT = [
     ("ask-classifier-options-differ",
      lambda p: _ask(p, questions=p.other_options) + ["--mode", "cnn_only"], 1, "pipeline"),
     ("ask-out-under-file", lambda p: _ask(p, out=p.plain_file + "/run"), 1, "internal"),
+    ("ask-manifest-without-global-table",
+     lambda p: _ask(p, manifest=p.no_global) + ["--mode", "sql_only"], 2, "config"),
     ("ingest-bad-manifest",
      lambda p: ["ingest", "--manifest", p.bad_manifest, "--case", p.case], 2, "config"),
     ("validate-bad-manifest",
@@ -471,13 +476,15 @@ def _range_file(low, high):
     ("--ranges", "["),
     ("--ranges", json.dumps([{"feature_key": "a.b"}])),
     ("--ranges", "{}"),
+    ("--ranges", _range_file(1.0, 10**400)),
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
     ("--config", '{"timeout_seconds": -1}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
         "questions-empty",
         "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
-        "ranges-object", "config-list", "config-null-field", "config-timeout-negative"])
+        "ranges-object", "ranges-huge-int", "config-list", "config-null-field",
+        "config-timeout-negative"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):
     bad = tmp_path / "input.json"
@@ -505,23 +512,36 @@ def _manifest_doc(manifest_path, edit):
     return json.dumps(doc)
 
 
+def _domain_column(doc):
+    return next(c for c in doc["tables"][0]["columns"] if "categorical_domain" in c)
+
+
 def _string_domain(doc):
-    column = next(c for c in doc["tables"][0]["columns"] if "categorical_domain" in c)
-    column["categorical_domain"] = "neoplastic"
+    _domain_column(doc)["categorical_domain"] = "neoplastic"
 
 
-@pytest.mark.parametrize("make_content", [
-    lambda m: "[]",
-    lambda m: json.dumps({"version": "1"}),
-    lambda m: _manifest_doc(m, _string_domain),
-    lambda m: _manifest_doc(m, lambda doc: doc["tables"][0]["columns"][0].update(name=7)),
-], ids=["root-list", "missing-tables", "string-domain", "numeric-column-name"])
+@pytest.mark.parametrize("make_content, error_type", [
+    (lambda m: "[]", "ManifestParseError"),
+    (lambda m: json.dumps({"version": "1"}), "ManifestParseError"),
+    (lambda m: _manifest_doc(m, _string_domain), "ManifestParseError"),
+    (lambda m: _manifest_doc(m, lambda doc: doc["tables"][0]["columns"][0].update(name=7)),
+     "ManifestParseError"),
+    (lambda m: _manifest_doc(m, lambda doc: doc["tables"].append(doc["tables"][0])),
+     "ManifestError"),
+    (lambda m: _manifest_doc(m, lambda doc: doc["tables"][0]["columns"].append(
+        doc["tables"][0]["columns"][0])), "ManifestError"),
+    (lambda m: _manifest_doc(m, lambda doc: doc["tables"][0]["columns"][0].update(
+        categorical_domain=["a"])), "ManifestError"),
+    (lambda m: _manifest_doc(m, lambda doc: _domain_column(doc).update(categorical_domain=[])),
+     "ManifestError"),
+], ids=["root-list", "missing-tables", "string-domain", "numeric-column-name",
+        "duplicate-table", "duplicate-column", "domain-on-non-text", "empty-domain"])
 def test_malformed_manifest_names_its_file(runner, manifest_path, demo_case_dir, tmp_path,
-                                           make_content):
+                                           make_content, error_type):
     bad = tmp_path / "manifest.json"
     bad.write_text(make_content(manifest_path), encoding="utf-8")
     result = runner.invoke(main, ["ingest", "--manifest", str(bad), "--case", str(demo_case_dir)])
     assert result.exit_code == 2
     error = json.loads(result.stderr)["error"]
-    assert (error["stage"], error["type"]) == ("config", "ManifestParseError")
+    assert (error["stage"], error["type"]) == ("config", error_type)
     assert str(bad) in error["message"]

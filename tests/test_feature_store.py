@@ -195,6 +195,16 @@ def test_bad_sidecar_probs(demo_case_dir, manifest, tmp_path):
         ingest_case_dir(manifest, case)
 
 
+def test_sidecar_prob_beyond_float_range(demo_case_dir, manifest, tmp_path):
+    case = tmp_path / "huge_sidecar"
+    _copy_case(demo_case_dir, case)
+    (case / "sidecar.json").write_text(
+        '{"cnn_probs": {"a": 1' + "0" * 400 + ', "b": 0.5}}', encoding="utf-8",
+    )
+    with pytest.raises(SidecarError, match=r"cnn_probs\['a'\] outside \[0, 1\]"):
+        ingest_case_dir(manifest, case)
+
+
 def test_ingest_case_explicit_files(manifest, demo_case_dir):
     files = {t.name: demo_case_dir / f"{t.name}.csv" for t in manifest.tables}
     bundle = ingest_case(manifest, files, sidecar=demo_case_dir / "sidecar.json",

@@ -310,6 +310,16 @@ def test_fetch_llm_ranges_fans_out_and_keeps_pair_order():
     ]
 
 
+def test_range_reply_beyond_float_range_is_unusable():
+    class HugeReplyBackend(LlmBackendPort):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            return '{"low": 1' + "0" * 400 + ', "high": 2}'
+
+    assert fetch_llm_ranges(["f"], ["A"], HugeReplyBackend()) == (
+        [], ["unusable range reply for 'f'/'A'"],
+    )
+
+
 def test_fetch_llm_ranges_memo_hits_start_no_thread(monkeypatch):
     replies: dict = {}
     expected = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], SlowRangeBackend(), replies=replies)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -11,6 +12,7 @@ from evidencesql.feature_store import (
     SchemaManifest,
     TableSchema,
 )
+from evidencesql.serialize import canonical_json
 from evidencesql.sql.guard import (
     GuardRejection,
     RepairAction,
@@ -351,3 +353,96 @@ def test_keyword_and_function_fixes_change_only_the_replaced_word():
         assert fixed == text[:start] + action.after + text[end:]
 
     check()
+
+
+# One input per schema-rule message, with a fragment of the message it must
+# produce, plus inputs that break several rules at once to pin their order.
+_SCHEMA_RULE_INPUTS = (
+    ("SELECT AVG(zzz) FROM cells", "unknown column 'zzz'"),
+    ("SELECT area FROM nowhere", "unknown table 'nowhere'"),
+    ("SELECT area FROM cells WHERE NOT area", "NOT applied to a non-boolean"),
+    ("SELECT -cell_type FROM cells", "unary minus on a non-numeric"),
+    ("SELECT area FROM cells WHERE area AND area > 1", "AND requires boolean operands"),
+    ("SELECT cell_type + 1 FROM cells", "arithmetic '+' on non-numeric"),
+    ("SELECT area FROM cells WHERE cell_type > 1", "cannot compare text with integer"),
+    ("SELECT area FROM cells WHERE area IN ('a')", "IN list item type text"),
+    ("SELECT area FROM cells WHERE area BETWEEN 'a' AND 'b'", "BETWEEN bound type text"),
+    ("SELECT SQRT(cell_type) FROM cells", "SQRT on text expression"),
+    ("SELECT ROUND(area, 1.5) FROM cells", "ROUND digit count must be an integer"),
+    ("SELECT COUNT(area > 1) FROM cells", "COUNT of a boolean expression"),
+    ("SELECT MAX(area > 1) FROM cells", "MAX of a boolean expression"),
+    ("SELECT AVG(cell_type) FROM cells", "AVG on text expression"),
+    ("SELECT area FROM cells WHERE area", "WHERE must be a boolean predicate"),
+    ("SELECT cell_type FROM cells GROUP BY cell_type HAVING COUNT(*)",
+     "HAVING must be a boolean predicate"),
+    ("SELECT cell_type FROM cells GROUP BY cell_type HAVING area > 1",
+     "HAVING references a column that is not grouped"),
+    ("SELECT area > 1 FROM cells", "boolean expression cannot be projected"),
+    ("SELECT area, COUNT(*) FROM cells GROUP BY cell_type",
+     "projection references a column that is not grouped"),
+    ("SELECT area FROM cells ORDER BY area > 1", "boolean expression cannot be a sort key"),
+    ("SELECT cell_type FROM cells GROUP BY cell_type ORDER BY area",
+     "ORDER BY references a column that is not grouped"),
+    ("SELECT area FROM cells ORDER BY COUNT(*)", "aggregate in ORDER BY requires"),
+    ("SELECT area > 1, area, zzz FROM cells WHERE area GROUP BY cell_type "
+     "HAVING COUNT(*) ORDER BY area > 1, perimeter", "unknown column 'zzz'"),
+    ("SELECT area > 1, -cell_type FROM cells WHERE cell_type GROUP BY cell_type "
+     "HAVING area ORDER BY area > 1, area", "HAVING references a column"),
+)
+_TRAILING_CLAUSES = (" LIMIT", " ORDER BY", " WHERE", " GROUP BY cell_type", " HAVING",
+                     " AS", " LIMIT x", " ,")
+# sha256 of the canonical JSON of every (input, outcome type, outcome) in
+# test_guard_outcomes_are_pinned; only a deliberate change of guard outcomes
+# may change it.
+GUARD_OUTCOMES_DIGEST = "e2139f2b4ec8c0b2701b1e0019e68480d7c5392a085ee857c378584175e5bf02"
+
+
+def _mutate(rng, text):
+    """``text`` with one to three random edits: a character dropped, a
+    fragment inserted, a quote swapped, a clause appended or a word misspelled."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(5)
+        i = rng.randrange(len(text) + 1)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(_GUARD_FRAGMENTS) + text[i:]
+        elif edit == 2:
+            text = text.replace("'", '"', 1) if "'" in text else text.replace('"', "'", 1)
+        elif edit == 3:
+            text += rng.choice(_TRAILING_CLAUSES)
+        elif words := list(WORD_RE.finditer(text)):
+            word = rng.choice(words)
+            j = rng.randrange(word.start(), word.end())
+            text = text[:j] + rng.choice("aeiouxsß") + text[j + 1:]
+    return text
+
+
+def test_guard_outcomes_are_pinned(manifest):
+    """Stage, reason, position, repair log and canonical text of the guard's
+    outcome on a fixed set of generated inputs are exactly as pinned."""
+    from generators import QueryGenerator
+
+    rng = random.Random(13)
+    inputs = [e["input"] for e in CORPUS]
+    inputs += [site.format(w) for site in _MISSPELLING_SITES for w in _MISSPELLED_WORDS]
+    inputs += [text for text, _ in _SCHEMA_RULE_INPUTS]
+    for _ in range(3000):
+        inputs.append("".join(rng.choice(_GUARD_FRAGMENTS) + rng.choice(("", " "))
+                              for _ in range(rng.randint(1, 12))))
+    for _ in range(1200):
+        generated = render(QueryGenerator(rng, rng.choice(manifest.tables)).query())
+        inputs.append(_mutate(rng, generated))
+
+    outcomes = {text: validate_pipeline(text, manifest) for text in inputs}
+    for text, fragment in _SCHEMA_RULE_INPUTS:
+        assert fragment in outcomes[text].reason, (text, outcomes[text])
+    rejections = [o for o in outcomes.values() if isinstance(o, GuardRejection)]
+    assert {o.stage for o in rejections} == {"sanitize", "parse", "schema", "repair_exhausted"}
+    repairs = {a.kind for o in outcomes.values() if isinstance(o, ValidatedQuery)
+               for a in o.repair_log}
+    assert repairs == {"keyword_fix", "identifier_fix", "quote_fix", "clause_drop"}
+    records = [[text, type(outcomes[text]).__name__, outcomes[text].to_json_dict()]
+               for text in inputs]
+    digest = hashlib.sha256(canonical_json(records).encode("utf-8")).hexdigest()
+    assert digest == GUARD_OUTCOMES_DIGEST
