@@ -16,8 +16,10 @@ from dataclasses import asdict, dataclass, field
 from evidencesql.backends import (
     BackendConfig,
     LlmBackendPort,
+    ReplyMemo,
     TASK_GLOBAL,
     TASK_LOCAL,
+    ask_backend,
 )
 from evidencesql.errors import ConfigError, EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
@@ -214,9 +216,13 @@ def _run_agent(
     allowed_levels: tuple[Level, ...],
     want_plan: bool,
     verdicts: GuardMemo | None = None,
+    replies: ReplyMemo | None = None,
 ) -> tuple[list[PlanTarget] | None, list[ValidatedQuery], AgentTranscript]:
     """One agent stage: prompt, retry while no query is kept, guard each query.
 
+    Every attempt goes through ``ask_backend`` with the run's reply memo
+    ``replies``; a memoized reply is recorded in the transcript exactly like
+    a fresh one, and a retry's prompt differs from the first attempt's.
     Guard outcomes are memoized by (agent, raw SQL text), within this stage
     or, when ``verdicts`` is given, across calls (``batch_eval`` keeps one
     per run, over one manifest). A hit is recorded in the transcript
@@ -233,9 +239,7 @@ def _run_agent(
             user + f"\n\nRetry {attempt}: the previous response contained no "
                    f"usable SQL. Follow the output format exactly."
         )
-        response = backend.complete(
-            system, prompt_user, config.temperature, config.timeout_seconds,
-        )
+        response = ask_backend(backend, config, system, prompt_user, replies)
         transcript.attempts.append(Exchange(system, prompt_user, response))
         if want_plan and plan_targets is None:
             plan_targets = _parse_plan(response)
@@ -269,13 +273,14 @@ def plan_global(
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
     verdicts: GuardMemo | None = None,
+    replies: ReplyMemo | None = None,
 ) -> tuple[ReasoningPlan, list[ValidatedQuery], AgentTranscript]:
     """Run the whole-image reasoning stage.
 
     Validated queries against non-global tables are dropped and logged in
     the transcript; the plan keeps only targets that resolve to global-level
-    columns in the manifest. ``verdicts`` is the run's guard memo (see
-    ``_run_agent``).
+    columns in the manifest. ``verdicts`` and ``replies`` are the run's
+    guard and reply memos (see ``_run_agent``).
     """
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
@@ -283,7 +288,7 @@ def plan_global(
     system, user = build_global_prompts(question, manifest, config.prompt_version)
     targets, kept, transcript = _run_agent(
         "global", system, user, manifest, backend, config,
-        allowed_levels=(Level.GLOBAL,), want_plan=True, verdicts=verdicts,
+        allowed_levels=(Level.GLOBAL,), want_plan=True, verdicts=verdicts, replies=replies,
     )
     valid_targets = []
     for target in targets or []:
@@ -306,9 +311,10 @@ def plan_local(
     config: BackendConfig | None = None,
     global_results_text: str = "",
     verdicts: GuardMemo | None = None,
+    replies: ReplyMemo | None = None,
 ) -> tuple[list[ValidatedQuery], AgentTranscript]:
     """Run the cellular/architectural reasoning stage over the global plan;
-    ``verdicts`` is the run's guard memo, as for ``plan_global``."""
+    ``verdicts`` and ``replies`` are the run's memos, as for ``plan_global``."""
     config = config or BackendConfig()
     if plan.focus != "global":
         raise ValueError("local agent consumes the global plan")
@@ -318,6 +324,6 @@ def plan_local(
     _, kept, transcript = _run_agent(
         "local", system, user, manifest, backend, config,
         allowed_levels=(Level.LOCAL_CELLULAR, Level.LOCAL_ARCHITECTURE),
-        want_plan=False, verdicts=verdicts,
+        want_plan=False, verdicts=verdicts, replies=replies,
     )
     return kept, transcript

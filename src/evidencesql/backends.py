@@ -191,7 +191,9 @@ class ScriptedBackend(LlmBackendPort):
     """Replays a fixed list of responses; repeats the last one when drained.
 
     Responses go out in call order, so concurrent callers (batch workers,
-    a range fetch's fanned-out prompts) get them in arrival order.
+    a range fetch's fanned-out prompts) get them in arrival order. Under
+    ``batch_eval`` a repeated prompt is answered from the run's reply memo
+    (see ``ask_backend``), so the script advances only on new prompts.
     """
 
     responses: list[str]
@@ -262,6 +264,26 @@ class RemoteBackend(LlmBackendPort):
                 f"malformed backend response: message content is {type(content).__name__}, not text"
             )
         return content
+
+
+# Backend replies by (system, user) prompt pair, for one run.
+ReplyMemo = dict[tuple[str, str], str]
+
+
+def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, user: str,
+                replies: ReplyMemo | None = None) -> str:
+    """The one place a backend is asked: ``backend``'s reply to the prompt
+    pair under ``config``'s temperature and timeout.
+
+    ``replies``, when given, memoizes replies by prompt pair (``batch_eval``
+    keeps one per run): a hit skips the backend. Of two racing misses the
+    first stored reply wins, so every caller sharing the memo reads the same
+    one. A ``BackendError`` propagates and is never stored.
+    """
+    if replies is not None and (system, user) in replies:
+        return replies[system, user]
+    reply = backend.complete(system, user, config.temperature, config.timeout_seconds)
+    return reply if replies is None else replies.setdefault((system, user), reply)
 
 
 def make_backend(config: BackendConfig) -> LlmBackendPort:

@@ -33,7 +33,7 @@ from evidencesql.errors import (
     TypeMismatch,
 )
 from evidencesql.serialize import malformed, read_json_file
-from evidencesql.values import Dtype, Value, coerce
+from evidencesql.values import FLOAT_SAFE_LENGTH, Dtype, Value, coerce, fits_float
 
 SIDECAR_FILENAME = "sidecar.json"
 CNN_PROB_SUM_TOLERANCE = 1e-6
@@ -242,9 +242,13 @@ def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str
         except ValueError:
             ok = False
         else:
-            # filter(None, ...) skips nulls and zeros, which are finite
+            # filter(None, ...) skips nulls and zeros, which are finite; only a
+            # long text can hold an integer beyond float range
             ok = (not (has_null and col.is_key)
                   and (col.dtype is not Dtype.REAL or all(map(math.isfinite, filter(None, values))))
+                  and (col.dtype is not Dtype.INTEGER
+                       or max(map(len, texts), default=0) <= FLOAT_SAFE_LENGTH
+                       or all(map(fits_float, filter(None, values))))
                   and (col.categorical_domain is None
                        or set(values) <= {None, *col.categorical_domain}))
         if ok:

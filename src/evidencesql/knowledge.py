@@ -23,7 +23,9 @@ from evidencesql.backends import (
     BackendConfig,
     DECLINE_RESPONSE,
     LlmBackendPort,
+    ReplyMemo,
     TASK_RANGES,
+    ask_backend,
 )
 from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
 from evidencesql.feature_store import CaseBundle, Level
@@ -229,7 +231,7 @@ def fetch_llm_ranges(
     options: list[str],
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
-    replies: dict[tuple[str, str], str] | None = None,
+    replies: ReplyMemo | None = None,
 ) -> tuple[list[ReferenceRange], list[str]]:
     """Ask the backend for one [low, high] interval per (feature, option).
 
@@ -243,41 +245,27 @@ def fetch_llm_ranges(
     skips only its own pair, with a note; unparseable or inverted intervals
     are dropped with a note.
 
-    ``replies``, when given, memoizes raw replies by prompt pair across
-    calls (``batch_eval`` keeps one per run): a hit skips the backend and is
-    read exactly like a fresh reply, and a fully memoized fetch starts no
-    thread. Only replies are stored, so a ``BackendError`` is never cached;
-    when several fanned-out prompts fail, the first in (feature, option)
-    order is raised once every prompt has finished. Of two racing misses the
-    first stored reply wins, so every caller sharing the memo reads the same
-    one.
+    Every prompt goes through ``ask_backend`` with ``replies``, the run's
+    reply memo when given (``batch_eval`` keeps one per run): a hit skips
+    the backend and is read exactly like a fresh reply, and a fully memoized
+    fetch starts no thread. A ``BackendError`` is never memoized; when
+    several fanned-out prompts fail, the first in (feature, option) order is
+    raised once every prompt has finished.
     """
     config = config or BackendConfig()
     pairs = [(feature_key, option) for feature_key in feature_keys for option in options]
     if not pairs:
         return [], []
     memo = {} if replies is None else replies
-
-    def ask(prompt: tuple[str, str]) -> str:
-        system, user = prompt
-        return backend.complete(system, user, config.temperature, config.timeout_seconds)
-
-    probe = _range_prompt(*pairs[0])
-    if probe not in memo:
-        memo.setdefault(probe, ask(probe))
-    if memo[probe].strip() == DECLINE_RESPONSE:
+    if ask_backend(backend, config, *_range_prompt(*pairs[0]), memo).strip() == DECLINE_RESPONSE:
         return [], []
     prompts = [_range_prompt(*pair) for pair in pairs]
     misses = list(dict.fromkeys(p for p in prompts[1:] if p not in memo))
     if misses:
         with ThreadPoolExecutor(max_workers=min(len(misses), _RANGE_FANOUT_CAP)) as pool:
-            futures = [pool.submit(ask, prompt) for prompt in misses]
-        error = None
-        for prompt, future in zip(misses, futures):
-            if future.exception() is None:
-                memo.setdefault(prompt, future.result())
-            elif error is None:
-                error = future.exception()
+            futures = [pool.submit(ask_backend, backend, config, *prompt, memo)
+                       for prompt in misses]
+        error = next(filter(None, (future.exception() for future in futures)), None)
         if error is not None:
             raise error
 

@@ -22,6 +22,8 @@ from evidencesql.backends import (
     TASK_NARRATIVE,
     BackendConfig,
     LlmBackendPort,
+    ReplyMemo,
+    ask_backend,
     make_backend,
 )
 from evidencesql.errors import (
@@ -137,13 +139,14 @@ def run_case(
     config: RunConfig,
     backend: LlmBackendPort,
     file_ranges: list[ReferenceRange] | None = None,
-    range_replies: dict[tuple[str, str], str] | None = None,
+    replies: ReplyMemo | None = None,
     guard_verdicts: GuardMemo | None = None,
 ) -> CaseResult:
     """Process one ingested case under the configured mode.
 
-    ``range_replies`` is the run's memo of backend range replies, passed on
-    to ``fetch_llm_ranges``; ``None`` asks the backend afresh.
+    ``replies`` is the run's memo of backend replies by prompt pair, passed
+    on to both agents, ``fetch_llm_ranges`` and the narrative; ``None`` asks
+    the backend afresh.
     ``guard_verdicts`` is the run's memo of guard outcomes, passed on to
     the agents; ``None`` shares none across cases.
     """
@@ -156,6 +159,7 @@ def run_case(
     if config.mode != "cnn_only":
         plan, global_queries, global_tx = plan_global(
             question, manifest, backend, config.backend, verdicts=guard_verdicts,
+            replies=replies,
         )
         transcripts.append(global_tx)
         trace = [_execute_into_trace(i, "global", query, bundle)
@@ -163,6 +167,7 @@ def run_case(
         local_queries, local_tx = plan_local(
             question, plan, manifest, backend, config.backend,
             global_results_text=_format_results_text(trace), verdicts=guard_verdicts,
+            replies=replies,
         )
         transcripts.append(local_tx)
         trace += [_execute_into_trace(i, "local", query, bundle)
@@ -181,8 +186,7 @@ def run_case(
         if missing_keys:
             try:
                 fetched, fetch_notes = fetch_llm_ranges(
-                    missing_keys, list(options), backend, config.backend,
-                    range_replies,
+                    missing_keys, list(options), backend, config.backend, replies,
                 )
                 extra_notes += fetch_notes
             except BackendError as exc:
@@ -213,7 +217,7 @@ def run_case(
         question, decision, hypothesis, trace,
         transcripts_ref=transcripts_ref, extra_notes=extra_notes,
     )
-    narrative = _maybe_narrative(report, backend, config)
+    narrative = _maybe_narrative(report, backend, config, replies)
     markdown = render_report_markdown(report, narrative=narrative)
     return CaseResult(
         case_id=bundle.case_id,
@@ -226,8 +230,8 @@ def run_case(
     )
 
 
-def _maybe_narrative(report: dict, backend: LlmBackendPort,
-                     config: RunConfig) -> str | None:
+def _maybe_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
+                     replies: ReplyMemo | None) -> str | None:
     """Prose summary for the markdown report, remote backends only.
 
     The narrative is never load-bearing: it summarizes fields already in the
@@ -246,8 +250,7 @@ def _maybe_narrative(report: dict, backend: LlmBackendPort,
         "review_flag": report["decision"]["review_flag"],
     })
     try:
-        reply = backend.complete(system, user, config.backend.temperature,
-                                 config.backend.timeout_seconds)
+        reply = ask_backend(backend, config.backend, system, user, replies)
     except BackendError:
         return None
     reply = reply.strip()
@@ -352,9 +355,13 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
-    Backend range replies are memoized for the run, keyed on the range
-    prompt pair: each (feature, option) range is requested once and every
-    later case reads the same reply. A ``BackendError`` is not memoized.
+    Backend replies are memoized for the run, keyed on the (system, user)
+    prompt pair: every distinct prompt, from either agent, the range fetch
+    or the narrative, is asked once, and every later case that sends it
+    reads the same reply. The backend config is fixed for the run, so at
+    the default temperature 0 a fresh call would give that reply too; above
+    0 the run reuses one sample per prompt. A ``BackendError`` is not
+    memoized.
     Guard outcomes are memoized for the run too, keyed on (agent, raw SQL
     text): the manifest is fixed for the run, so a text is validated once
     and every later case records the same outcome in its transcript.
@@ -364,7 +371,7 @@ def batch_eval(
     file_ranges = load_ranges_file(config.ranges_path) if config.ranges_path else []
     case_dirs = sorted(p for p in Path(dataset_dir).iterdir() if p.is_dir())
     write_run_metadata(config)
-    range_replies: dict[tuple[str, str], str] = {}
+    replies: ReplyMemo = {}
     guard_verdicts: GuardMemo = {}
 
     def process(case_dir: Path) -> tuple[str, CaseResult | None, str | None]:
@@ -375,7 +382,7 @@ def batch_eval(
                 raise ConfigError(f"case {case_id!r} has no ground_truth label")
             question = select_question(questions, case_id)
             result = run_case(manifest, bundle, question, config, backend,
-                              file_ranges, range_replies, guard_verdicts)
+                              file_ranges, replies, guard_verdicts)
             write_case_outputs(config.out_dir, result)
             return case_id, result, None
         except EvidenceSqlError as exc:

@@ -21,6 +21,19 @@ class Dtype(enum.Enum):
     TEXT = "text"
 
 
+# An integer text this long or shorter is below 1e308, so float() holds it;
+# the engine converts integers to float in arithmetic and scoring.
+FLOAT_SAFE_LENGTH = 308
+
+
+def fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def coerce(text: str, dtype: Dtype) -> Value:
     """Convert a raw CSV field to a typed value. Empty string means null.
     ``feature_store`` converts whole columns with the same builtins, and
@@ -29,7 +42,7 @@ def coerce(text: str, dtype: Dtype) -> Value:
 
     Raises:
         TypeMismatch: the field cannot be represented under ``dtype``
-            (including non-finite reals).
+            (including non-finite reals and integers beyond float range).
     """
     if text == "":
         return None
@@ -37,9 +50,12 @@ def coerce(text: str, dtype: Dtype) -> Value:
         return text
     if dtype is Dtype.INTEGER:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise TypeMismatch(f"{text!r} is not an integer") from None
+        if len(text) > FLOAT_SAFE_LENGTH and not fits_float(value):
+            raise TypeMismatch(f"{len(text)}-character integer is beyond float range")
+        return value
     try:
         value = float(text)
     except ValueError:

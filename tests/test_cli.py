@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -83,6 +84,20 @@ def test_query_plain_text_output(runner, manifest_path, demo_case_dir):
         "3 | neoplastic | 141.2\n"
         "4 | neoplastic | \n"  # cell 4's intensity is null
     )
+
+
+def test_query_on_integer_beyond_float_range_is_ingest_error(runner, manifest_path,
+                                                            demo_case_dir, tmp_path):
+    case = Path(shutil.copytree(demo_case_dir, tmp_path / "huge_int"))
+    cells = case / "cells.csv"
+    cells.write_text(cells.read_text(encoding="utf-8").replace(
+        "\n1,neoplastic", "\n1" + "0" * 400 + ",neoplastic"), encoding="utf-8")
+    result = runner.invoke(main, ["query", "--manifest", str(manifest_path), "--case", str(case),
+                                  "--sql", "SELECT cell_id * 1.5 AS x FROM cells"])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)["error"]
+    assert (error["stage"], error["type"]) == ("ingest", "TypeMismatch")
+    assert error["message"] == "cells.cell_id row 0: 401-character integer is beyond float range"
 
 
 def test_calibrate_ranges_deterministic(runner, manifest_path, training_split, tmp_path):
@@ -282,8 +297,6 @@ def test_batch_eval_undecodable_case_files_fail_per_case(runner, manifest_path,
                                                         eval_dataset, tmp_path):
     """A stray non-UTF-8 byte or an oversized CSV field is a typed per-case
     failure, not a traceback that loses the whole batch."""
-    import shutil
-
     dataset = tmp_path / "dataset_with_undecodable_cases"
     shutil.copytree(eval_dataset["dataset"], dataset)
     cells = dataset / "case_03" / "cells.csv"

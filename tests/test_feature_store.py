@@ -205,6 +205,34 @@ def test_sidecar_prob_beyond_float_range(demo_case_dir, manifest, tmp_path):
         ingest_case_dir(manifest, case)
 
 
+HUGE_INT = "1" + "0" * 400
+
+
+def test_coerce_integer_beyond_float_range():
+    with pytest.raises(TypeMismatch, match="401-character integer is beyond float range"):
+        coerce(HUGE_INT, Dtype.INTEGER)
+    with pytest.raises(TypeMismatch, match="beyond float range"):
+        coerce("9" * 309, Dtype.INTEGER)
+    # long texts whose value float() still holds are accepted
+    assert coerce("0" * 400 + "7", Dtype.INTEGER) == 7
+    assert coerce("-" + "9" * 308, Dtype.INTEGER) == -int("9" * 308)
+    assert coerce("9" * 308, Dtype.INTEGER) == int("9" * 308)
+
+
+def test_integer_beyond_float_range_rejected_at_ingest(demo_case_dir, manifest, tmp_path):
+    case = tmp_path / "huge_int"
+    _copy_case(demo_case_dir, case)
+    path = case / "cells.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("\n3,neoplastic", f"\n{HUGE_INT},neoplastic"), encoding="utf-8")
+    assert _outcome(lambda: ingest_case_dir(manifest, case)) == (
+        TypeMismatch, "cells.cell_id row 2: 401-character integer is beyond float range",
+        "cells", "cell_id", 2)
+    path.write_text(text.replace("\n3,neoplastic", f"\n{'0' * 400}3,neoplastic"),
+                    encoding="utf-8")
+    assert ingest_case_dir(manifest, case).tables["cells"].columns["cell_id"][:3] == (1, 2, 3)
+
+
 def test_ingest_case_explicit_files(manifest, demo_case_dir):
     files = {t.name: demo_case_dir / f"{t.name}.csv" for t in manifest.tables}
     bundle = ingest_case(manifest, files, sidecar=demo_case_dir / "sidecar.json",
@@ -340,6 +368,10 @@ PRECEDENCE = [
     ("whitespace-real", "cells", _cells(2, r0={"eccentricity": "  "}),
      (TypeMismatch, "cells.eccentricity row 0: '  ' is not a real number",
       "cells", "eccentricity", 0)),
+    ("huge-int-before-later-domain", "cells",
+     _cells(4, r1={"cell_id": HUGE_INT}, r2={"cell_type": "bogus"}),
+     (TypeMismatch, "cells.cell_id row 1: 401-character integer is beyond float range",
+      "cells", "cell_id", 1)),
     ("whitespace-key", "cells", _cells(2, r1={"cell_id": " "}),
      (TypeMismatch, "cells.cell_id row 1: ' ' is not an integer", "cells", "cell_id", 1)),
     ("global-bad-cell-before-cardinality", "global_features",
@@ -405,7 +437,7 @@ def _reference_table(schema, rows):
 
 
 _FAULTS = ("abc", "inf", "-inf", "nan", "NaN", "", "  ", "zeta", "epsilon",
-           "1_0", "+5", " 5 ", "1e999", "DROP", "EXTRA")
+           "1_0", "+5", " 5 ", "1e999", HUGE_INT, "DROP", "EXTRA")
 
 
 def test_column_ingest_matches_row_major_reference(tmp_path):

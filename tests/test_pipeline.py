@@ -11,6 +11,9 @@ import pytest
 from evidencesql import agents, pipeline
 from evidencesql.agents import Question
 from evidencesql.backends import (
+    TASK_GLOBAL,
+    TASK_LOCAL,
+    TASK_NARRATIVE,
     TASK_RANGES,
     BackendConfig,
     LlmBackendPort,
@@ -317,19 +320,21 @@ def test_eval_dataset_cnn_only_summary_bytes_are_pinned(manifest_path, eval_data
     assert digest == EVAL_CNN_ONLY_SUMMARY_DIGEST
 
 
-# -- per-run range memo and per-case fault isolation --------------------------------
+# -- per-run reply memo and per-case fault isolation --------------------------------
 
 
 class CountingBackend(LlmBackendPort):
-    """Template replies for the agents and a fixed interval per option for
-    range prompts; counts calls by task. ``fail_range_calls`` holds the
-    1-based range call numbers that raise ``BackendError`` instead."""
+    """Template replies for the agents, a fixed interval per option for
+    range prompts and a one-line narrative; counts calls by task and by
+    prompt pair. ``fail_calls`` maps a task to the 1-based call numbers
+    of that task that raise ``BackendError`` instead."""
 
     name = "counting"
 
-    def __init__(self, fail_range_calls=()):
+    def __init__(self, fail_calls=None):
         self.calls: Counter[str] = Counter()
-        self.fail_range_calls = set(fail_range_calls)
+        self.prompts: Counter[tuple[str, str]] = Counter()
+        self.fail_calls = fail_calls or {}
         self._template = TemplateBackend()
         self._lock = threading.Lock()
 
@@ -337,11 +342,14 @@ class CountingBackend(LlmBackendPort):
         task = system_prompt.split("\n", 1)[0].removeprefix("Task:").strip()
         with self._lock:
             self.calls[task] += 1
+            self.prompts[system_prompt, user_prompt] += 1
             number = self.calls[task]
+        if number in self.fail_calls.get(task, ()):
+            raise BackendError(f"{task} service unavailable")
+        if task == TASK_NARRATIVE:
+            return f"A narrative over {len(user_prompt)} characters of report."
         if task != TASK_RANGES:
             return self._template.complete(system_prompt, user_prompt, temperature, timeout)
-        if number in self.fail_range_calls:
-            raise BackendError("range service unavailable")
         if user_prompt.endswith(PAPILLARY):
             return '{"low": 0.5, "high": 1000.0}'
         return '{"low": 0.0, "high": 0.5}'
@@ -364,29 +372,45 @@ def _output_bytes(out: Path) -> dict[str, bytes]:
     }
 
 
+def _run_each_case(manifest, dataset, questions, config, backend, out, task):
+    """``run_case`` over each case with no memo, writing into ``out``; the
+    number of ``task`` calls each case made."""
+    calls = []
+    for case_dir in sorted(dataset.iterdir()):
+        bundle = ingest_case_dir(manifest, case_dir)
+        before = backend.calls[task]
+        result = run_case(manifest, bundle, select_question(questions, bundle.case_id),
+                          config, backend)
+        calls.append(backend.calls[task] - before)
+        write_case_outputs(out, result)
+    return calls
+
+
 def test_batch_eval_requests_each_range_once(manifest, manifest_path, eval_dataset,
                                              three_cases, tmp_path):
+    """Each range, and every other distinct prompt, the global agent's
+    included, is asked once per run; the outputs match a per-case run
+    with no memo."""
     questions = load_questions(eval_dataset["questions"])
     memo_backend = CountingBackend()
     config = RunConfig(str(manifest_path), str(tmp_path / "memo"))
     summary = batch_eval(config, three_cases, questions, backend=memo_backend)
     assert summary.n_cases == 3 and summary.failures == []
+    assert memo_backend.calls[TASK_GLOBAL] == 1
+    assert memo_backend.calls[TASK_LOCAL] == 3
+    assert set(memo_backend.prompts.values()) == {1}
 
     plain_backend = CountingBackend()
     plain_out = tmp_path / "plain"
-    per_case_calls = []
-    for case_dir in sorted(three_cases.iterdir()):
-        bundle = ingest_case_dir(manifest, case_dir)
-        before = plain_backend.calls[TASK_RANGES]
-        result = run_case(manifest, bundle, select_question(questions, bundle.case_id),
-                          config, plain_backend)
-        per_case_calls.append(plain_backend.calls[TASK_RANGES] - before)
-        write_case_outputs(plain_out, result)
+    per_case_calls = _run_each_case(manifest, three_cases, questions, config,
+                                    plain_backend, plain_out, TASK_RANGES)
 
     # every case observes the same F features, so each asks for F x O ranges
     assert per_case_calls[0] > 0 and per_case_calls[0] % len(OPTIONS) == 0
     assert per_case_calls == [per_case_calls[0]] * 3
     assert memo_backend.calls[TASK_RANGES] == per_case_calls[0]
+    assert plain_backend.calls[TASK_GLOBAL] == 3
+    assert set(plain_backend.prompts) == set(memo_backend.prompts)
     memo_files = _output_bytes(Path(config.out_dir))
     assert len(memo_files) == 9
     assert memo_files == _output_bytes(plain_out)
@@ -394,11 +418,16 @@ def test_batch_eval_requests_each_range_once(manifest, manifest_path, eval_datas
     last_case = sorted(three_cases.iterdir())[-1].name
     report = json.loads(memo_files[f"reports/{last_case}.json"])
     assert any(f["fits"] for f in report["hypothesis"]["findings"])
+    # every transcript records the one global exchange as if it were asked
+    global_attempts = [doc["transcripts"][0]["attempts"]
+                       for doc in _transcript_docs(Path(config.out_dir))]
+    assert len(global_attempts) == 3 and global_attempts[0]
+    assert global_attempts == [global_attempts[0]] * 3
 
 
 def test_range_backend_error_is_not_memoized(manifest_path, eval_dataset, three_cases,
                                              tmp_path):
-    backend = CountingBackend(fail_range_calls={1})
+    backend = CountingBackend(fail_calls={TASK_RANGES: {1}})
     config = RunConfig(str(manifest_path), str(tmp_path / "out"))
     batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
                backend=backend)
@@ -412,6 +441,53 @@ def test_range_backend_error_is_not_memoized(manifest_path, eval_dataset, three_
     assert not any(n.startswith("range generation unavailable")
                    for n in second["data_quality_notes"])
     assert any(f["fits"] for f in second["hypothesis"]["findings"])
+
+
+def test_agent_backend_error_is_not_memoized(manifest_path, eval_dataset, three_cases,
+                                             tmp_path):
+    backend = CountingBackend(fail_calls={TASK_GLOBAL: {1}})
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=backend)
+    first = sorted(three_cases.iterdir())[0].name
+    assert summary.failures == [
+        {"case_id": first, "error": f"{TASK_GLOBAL} service unavailable"}]
+    assert summary.n_cases == 2
+    assert backend.calls[TASK_GLOBAL] == 2
+
+
+def test_reply_memo_is_not_shared_across_runs(manifest_path, eval_dataset, three_cases,
+                                              tmp_path):
+    questions = load_questions(eval_dataset["questions"])
+    backend = CountingBackend()
+    batch_eval(RunConfig(str(manifest_path), str(tmp_path / "first")), three_cases,
+               questions, backend=backend)
+    first = Counter(backend.prompts)
+    batch_eval(RunConfig(str(manifest_path), str(tmp_path / "second")), three_cases,
+               questions, backend=backend)
+    assert first and backend.prompts == first + first
+
+
+def test_remote_narrative_goes_through_the_memo(manifest, manifest_path, eval_dataset,
+                                                three_cases, tmp_path):
+    questions = load_questions(eval_dataset["questions"])
+    memo_backend = CountingBackend()
+    # in cnn_only mode the narrative prompt holds only the classifier's
+    # diagnosis, so cases with the same one send the same prompt
+    config = RunConfig(str(manifest_path), str(tmp_path / "memo"), mode="cnn_only",
+                       backend=BackendConfig(kind="remote"))
+    batch_eval(config, three_cases, questions, backend=memo_backend)
+    plain_backend = CountingBackend()
+    plain_out = tmp_path / "plain"
+    per_case_calls = _run_each_case(manifest, three_cases, questions, config,
+                                    plain_backend, plain_out, TASK_NARRATIVE)
+    assert per_case_calls == [1, 1, 1]
+    assert memo_backend.calls == Counter({TASK_NARRATIVE: 2})
+    assert set(memo_backend.prompts.values()) == {1}
+    memo_files = _output_bytes(Path(config.out_dir))
+    assert all("## Generated narrative" in text.decode()
+               for name, text in memo_files.items() if name.endswith(".md"))
+    assert memo_files == _output_bytes(plain_out)
 
 
 def test_batch_eval_memo_output_does_not_depend_on_workers(manifest_path, eval_dataset,
