@@ -20,6 +20,8 @@ from evidencesql.backends import (
     TASK_GLOBAL,
     TASK_LOCAL,
     ask_backend,
+    render_schema_dictionary,
+    system_prompt,
 )
 from evidencesql.errors import ConfigError, EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
@@ -112,21 +114,6 @@ def extract_sql(response: str) -> list[str]:
     return found
 
 
-def render_schema_dictionary(manifest: SchemaManifest) -> str:
-    """Compact data dictionary included in every prompt."""
-    lines = [f"Schema (version {manifest.version}):"]
-    for table in manifest.tables:
-        lines.append(f"TABLE {table.name} LEVEL {table.level.value}")
-        for col in table.columns:
-            parts = [f"  COLUMN {col.name} {col.dtype.value}"]
-            if col.categorical_domain:
-                parts.append("IN {" + ", ".join(col.categorical_domain) + "}")
-            if col.unit:
-                parts.append(f"UNIT {col.unit}")
-            lines.append(" ".join(parts))
-    return "\n".join(lines)
-
-
 _GRAMMAR_NOTE = (
     "Queries must be single-table SELECT statements. Available clauses: "
     "WHERE, GROUP BY, HAVING, ORDER BY, LIMIT. Functions: COUNT, SUM, AVG, "
@@ -136,59 +123,42 @@ _GRAMMAR_NOTE = (
 )
 
 
-def build_global_prompts(question: Question, manifest: SchemaManifest,
-                         prompt_version: str = "1") -> tuple[str, str]:
-    system = "\n\n".join([
-        f"Task: {TASK_GLOBAL}",
-        f"Prompt-Version: {prompt_version}",
-        "You analyze whole-image pathology metrics. Select the most "
-        "informative global features for the question and write SQL that "
-        "retrieves them. Only query tables at level global; cellular and "
-        "architectural evidence is handled by a separate agent.",
-        render_schema_dictionary(manifest),
-        _GRAMMAR_NOTE,
-        "Respond with a JSON plan in a ```json fence shaped as "
-        '{"target_features": [{"table": ..., "column": ..., "rationale": ...}]} '
-        "followed by one or more queries in ```sql fences.",
-    ])
-    user = "\n".join([
-        f"Question: {question.prompt_text}",
-        "Options: " + ", ".join(question.options),
-    ])
-    return system, user
+@dataclass(frozen=True)
+class AgentStage:
+    """One agent: its name, the backend task it asks, the brief and reply
+    format of its system prompt, the table levels whose queries it keeps,
+    and whether its reply carries a JSON plan."""
+
+    agent: str  # global | local
+    task: str
+    brief: str
+    reply_format: str
+    levels: tuple[Level, ...]
+    plans: bool = False
 
 
-def build_local_prompts(
-    question: Question,
-    plan: ReasoningPlan,
-    manifest: SchemaManifest,
-    global_results_text: str = "",
-    prompt_version: str = "1",
-) -> tuple[str, str]:
-    system = "\n\n".join([
-        f"Task: {TASK_LOCAL}",
-        f"Prompt-Version: {prompt_version}",
-        "You analyze cell-level and structure-level pathology evidence. "
-        "Using the global plan and its measurements, write complementary SQL "
-        "against tables at level local_cellular and local_architecture: use "
-        "WHERE for cell-type specificity, GROUP BY for cross-population "
-        "comparison, and in-query statistics where helpful.",
-        render_schema_dictionary(manifest),
-        _GRAMMAR_NOTE,
-        "Respond with one or more queries in ```sql fences.",
-    ])
-    plan_lines = [
-        f"- {t.table}.{t.column}: {t.rationale}" for t in plan.target_features
-    ]
-    user_parts = [
-        f"Question: {question.prompt_text}",
-        "Options: " + ", ".join(question.options),
-        "Global plan:",
-        *plan_lines,
-    ]
-    if global_results_text:
-        user_parts += ["Global measurements:", global_results_text]
-    return system, "\n".join(user_parts)
+GLOBAL_STAGE = AgentStage(
+    "global", TASK_GLOBAL,
+    brief="You analyze whole-image pathology metrics. Select the most "
+          "informative global features for the question and write SQL that "
+          "retrieves them. Only query tables at level global; cellular and "
+          "architectural evidence is handled by a separate agent.",
+    reply_format="Respond with a JSON plan in a ```json fence shaped as "
+                 '{"target_features": [{"table": ..., "column": ..., "rationale": ...}]} '
+                 "followed by one or more queries in ```sql fences.",
+    levels=(Level.GLOBAL,),
+    plans=True,
+)
+LOCAL_STAGE = AgentStage(
+    "local", TASK_LOCAL,
+    brief="You analyze cell-level and structure-level pathology evidence. "
+          "Using the global plan and its measurements, write complementary SQL "
+          "against tables at level local_cellular and local_architecture: use "
+          "WHERE for cell-type specificity, GROUP BY for cross-population "
+          "comparison, and in-query statistics where helpful.",
+    reply_format="Respond with one or more queries in ```sql fences.",
+    levels=(Level.LOCAL_CELLULAR, Level.LOCAL_ARCHITECTURE),
+)
 
 
 def _parse_plan(response: str) -> list[PlanTarget] | None:
@@ -207,19 +177,19 @@ def _parse_plan(response: str) -> list[PlanTarget] | None:
 
 
 def _run_agent(
-    agent: str,
-    system: str,
-    user: str,
+    stage: AgentStage,
+    question: Question,
     manifest: SchemaManifest,
     backend: LlmBackendPort,
     config: BackendConfig,
-    allowed_levels: tuple[Level, ...],
-    want_plan: bool,
+    context: list[str],
     verdicts: GuardMemo | None = None,
     replies: ReplyMemo | None = None,
 ) -> tuple[list[PlanTarget] | None, list[ValidatedQuery], AgentTranscript]:
     """One agent stage: prompt, retry while no query is kept, guard each query.
 
+    The prompt is ``stage``'s system prompt over ``manifest``, and a user
+    prompt of the question, its options and then the ``context`` lines.
     Every attempt goes through ``ask_backend`` with the run's reply memo
     ``replies``; a memoized reply is recorded in the transcript exactly like
     a fresh one, and a retry's prompt differs from the first attempt's.
@@ -229,6 +199,13 @@ def _run_agent(
     exactly like a fresh outcome. Rejections are stored too: the guard is
     deterministic.
     """
+    agent = stage.agent
+    system = system_prompt(
+        stage.task, f"Prompt-Version: {config.prompt_version}", stage.brief,
+        render_schema_dictionary(manifest), _GRAMMAR_NOTE, stage.reply_format,
+    )
+    user = "\n".join([f"Question: {question.prompt_text}",
+                      "Options: " + ", ".join(question.options), *context])
     transcript = AgentTranscript(agent=agent, backend=backend.name)
     memo = {} if verdicts is None else verdicts
     plan_targets: list[PlanTarget] | None = None
@@ -241,7 +218,7 @@ def _run_agent(
         )
         response = ask_backend(backend, config, system, prompt_user, replies)
         transcript.attempts.append(Exchange(system, prompt_user, response))
-        if want_plan and plan_targets is None:
+        if stage.plans and plan_targets is None:
             plan_targets = _parse_plan(response)
         for raw in extract_sql(response):
             outcome = memo.get((agent, raw))
@@ -252,7 +229,7 @@ def _run_agent(
             if isinstance(outcome, GuardRejection):
                 continue
             table = manifest.table(outcome.ast.from_table)
-            if table is None or table.level not in allowed_levels:
+            if table is None or table.level not in stage.levels:
                 transcript.dropped.append(
                     (raw, f"table {outcome.ast.from_table!r} outside {agent} agent scope")
                 )
@@ -285,10 +262,8 @@ def plan_global(
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
         raise ConfigError("manifest declares no global-level table")
-    system, user = build_global_prompts(question, manifest, config.prompt_version)
     targets, kept, transcript = _run_agent(
-        "global", system, user, manifest, backend, config,
-        allowed_levels=(Level.GLOBAL,), want_plan=True, verdicts=verdicts, replies=replies,
+        GLOBAL_STAGE, question, manifest, backend, config, [], verdicts, replies,
     )
     valid_targets = []
     for target in targets or []:
@@ -318,12 +293,11 @@ def plan_local(
     config = config or BackendConfig()
     if plan.focus != "global":
         raise ValueError("local agent consumes the global plan")
-    system, user = build_local_prompts(
-        question, plan, manifest, global_results_text, config.prompt_version,
-    )
+    context = ["Global plan:",
+               *(f"- {t.table}.{t.column}: {t.rationale}" for t in plan.target_features)]
+    if global_results_text:
+        context += ["Global measurements:", global_results_text]
     _, kept, transcript = _run_agent(
-        "local", system, user, manifest, backend, config,
-        allowed_levels=(Level.LOCAL_CELLULAR, Level.LOCAL_ARCHITECTURE),
-        want_plan=False, verdicts=verdicts, replies=replies,
+        LOCAL_STAGE, question, manifest, backend, config, context, verdicts, replies,
     )
     return kept, transcript

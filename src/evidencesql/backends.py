@@ -8,7 +8,9 @@ configured through environment variables.
 The template backend never sees package internals — it reads the schema
 dictionary straight out of the prompt it receives, exactly like a hosted
 model would, so the whole prompt/extraction/validation path stays exercised
-offline.
+offline. The prompt parts it reads are written here too: the ``Task:``
+frame (``system_prompt``) and the schema dictionary
+(``render_schema_dictionary``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from evidencesql.errors import BackendError, ConfigError
+from evidencesql.feature_store import SchemaManifest
 from evidencesql.serialize import malformed
 
 ENV_API_KEY = "EVIDENCESQL_LLM_API_KEY"
@@ -41,6 +44,29 @@ _TABLE_RE = re.compile(r"^TABLE\s+(\w+)\s+LEVEL\s+(\w+)\s*$", re.MULTILINE)
 _COLUMN_RE = re.compile(
     r"^\s+COLUMN\s+(\w+)\s+(integer|real|text)(?:\s+IN\s+\{([^}]*)\})?", re.MULTILINE
 )
+
+
+def system_prompt(task: str, *sections: str) -> str:
+    """The one writer of a system prompt: a ``Task:`` line naming ``task``,
+    which ``_TASK_RE`` reads back, then ``sections``, blank-line separated."""
+    return "\n\n".join([f"Task: {task}", *sections])
+
+
+def render_schema_dictionary(manifest: SchemaManifest) -> str:
+    """Compact data dictionary included in every agent prompt, in the
+    ``TABLE``/``COLUMN`` lines that ``_TABLE_RE`` and ``_COLUMN_RE`` read
+    back."""
+    lines = [f"Schema (version {manifest.version}):"]
+    for table in manifest.tables:
+        lines.append(f"TABLE {table.name} LEVEL {table.level.value}")
+        for col in table.columns:
+            parts = [f"  COLUMN {col.name} {col.dtype.value}"]
+            if col.categorical_domain:
+                parts.append("IN {" + ", ".join(col.categorical_domain) + "}")
+            if col.unit:
+                parts.append(f"UNIT {col.unit}")
+            lines.append(" ".join(parts))
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

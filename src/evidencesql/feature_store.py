@@ -32,7 +32,7 @@ from evidencesql.errors import (
     SidecarError,
     TypeMismatch,
 )
-from evidencesql.serialize import malformed, read_json_file
+from evidencesql.serialize import json_field, malformed, read_json_file
 from evidencesql.values import FLOAT_SAFE_LENGTH, Dtype, Value, coerce, fits_float
 
 SIDECAR_FILENAME = "sidecar.json"
@@ -127,21 +127,11 @@ def _check_manifest(manifest: SchemaManifest, source: str) -> SchemaManifest:
     return manifest
 
 
-def _text(value, what: str, nullable: bool = False) -> str | None:
-    """``value`` when it is a string, or null where ``nullable``; else a
-    TypeError naming ``what``."""
-    if isinstance(value, str) or (nullable and value is None):
-        return value
-    wanted = "a string or null" if nullable else "a string"
-    raise TypeError(f"{what} must be {wanted}, not {type(value).__name__}")
-
-
 def _domain(value) -> tuple[str, ...] | None:
     if value is None:
         return None
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise TypeError(f"categorical_domain must be a JSON list of strings, got {value!r}")
+    return tuple(json_field(v, "categorical_domain entry")
+                 for v in json_field(value, "categorical_domain", list))
 
 
 def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
@@ -156,14 +146,14 @@ def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
         for tdoc in doc["tables"]:
             columns = tuple(
                 ColumnSchema(
-                    name=_text(cdoc["name"], "column name"),
+                    name=json_field(cdoc["name"], "column name"),
                     dtype=Dtype(cdoc["dtype"]),
-                    unit=_text(cdoc.get("unit"), "unit", nullable=True),
+                    unit=json_field(cdoc.get("unit"), "unit", nullable=True),
                     categorical_domain=_domain(cdoc.get("categorical_domain")),
                 )
                 for cdoc in tdoc["columns"]
             )
-            tables.append(TableSchema(name=_text(tdoc["name"], "table name"),
+            tables.append(TableSchema(name=json_field(tdoc["name"], "table name"),
                                       level=Level(tdoc["level"]), columns=columns))
         manifest = SchemaManifest(version=str(doc["version"]), tables=tuple(tables))
     except (KeyError, TypeError, ValueError) as exc:

@@ -26,10 +26,11 @@ from evidencesql.backends import (
     ReplyMemo,
     TASK_RANGES,
     ask_backend,
+    system_prompt,
 )
 from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
 from evidencesql.feature_store import CaseBundle, Level
-from evidencesql.serialize import quantize_float
+from evidencesql.serialize import json_field, quantize_float
 from evidencesql.sql.ast import ColumnRef, Star
 from evidencesql.sql.executor import ResultTable
 from evidencesql.sql.guard import ValidatedQuery
@@ -71,6 +72,8 @@ class ReferenceRange:
     unit: str | None = None
 
     def __post_init__(self):
+        if self.source not in ("empirical", "llm_knowledge"):
+            raise ValueError(f"range for {self.feature_key!r} has unknown source {self.source!r}")
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise ValueError(f"range for {self.feature_key!r} has a non-finite bound")
         if self.low > self.high:
@@ -208,15 +211,14 @@ def compute_empirical_ranges(
 
 
 def _range_prompt(feature_key: str, option: str) -> tuple[str, str]:
-    system = "\n\n".join([
-        f"Task: {TASK_RANGES}",
+    system = system_prompt(
+        TASK_RANGES,
         "You provide typical numeric intervals for quantitative pathology "
         "features under a given diagnosis. Answer with one JSON object "
         'shaped as {"low": <number>, "high": <number>} and nothing else. '
         "Reply DECLINE if you cannot give a grounded interval.",
-    ])
-    user = f"Feature: {feature_key}\nDiagnosis option: {option}"
-    return system, user
+    )
+    return system, f"Feature: {feature_key}\nDiagnosis option: {option}"
 
 
 _JSON_OBJECT_RE = re.compile(r"\{.*?\}", re.DOTALL)
@@ -444,14 +446,19 @@ def score_observations(
     return findings, notes
 
 
+def best_fit(fits: dict[str, FitScore]) -> tuple[str, FitScore]:
+    """The option a finding fits best, with its fit: the highest weight,
+    and of tied options the earliest in question order, the order
+    ``score_observations`` keys ``fits`` in. A finding's rationale and its
+    report row both name this option."""
+    return max(fits.items(), key=lambda kv: kv[1].weight)
+
+
 def _rationale(obs: Observation, fits: dict[str, FitScore]) -> str:
     if not fits:
         return f"{obs.feature_key} = {obs.observed!r}; no scorable reference range"
-    best = max(fits.items(), key=lambda kv: kv[1].weight)
-    return (
-        f"{obs.feature_key} = {obs.observed!r} fits {best[0]!r} best "
-        f"({best[1].category.value})"
-    )
+    option, fit = best_fit(fits)
+    return f"{obs.feature_key} = {obs.observed!r} fits {option!r} best ({fit.category.value})"
 
 
 # -- calibration -----------------------------------------------------------------------
@@ -599,12 +606,12 @@ def ranges_to_json_list(ranges: list[ReferenceRange]) -> list[dict]:
 def ranges_from_json_list(docs: list[dict]) -> list[ReferenceRange]:
     return [
         ReferenceRange(
-            feature_key=d["feature_key"],
-            option_label=d["option_label"],
-            low=float(d["low"]),
-            high=float(d["high"]),
-            source=d.get("source", "empirical"),
-            unit=d.get("unit"),
+            feature_key=json_field(d["feature_key"], "feature_key"),
+            option_label=json_field(d["option_label"], "option_label"),
+            low=float(json_field(d["low"], "low", float)),
+            high=float(json_field(d["high"], "high", float)),
+            source=json_field(d.get("source", "empirical"), "source"),
+            unit=json_field(d.get("unit"), "unit", nullable=True),
         )
         for d in docs
     ]

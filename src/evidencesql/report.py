@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from evidencesql.agents import Question
 from evidencesql.errors import DanglingQueryId
 from evidencesql.fusion import FusedDecision
-from evidencesql.knowledge import Hypothesis, hypothesis_to_json_dict
+from evidencesql.knowledge import Hypothesis, best_fit, hypothesis_to_json_dict
 from evidencesql.serialize import quantize_float
 from evidencesql.sql.executor import ExecError, ResultTable
 from evidencesql.sql.guard import ValidatedQuery
@@ -53,10 +53,7 @@ def contributing_features(hypothesis: Hypothesis) -> list[dict]:
     for finding in hypothesis.findings:
         if not finding.per_option_fits:
             continue
-        best_option = max(
-            finding.per_option_fits.items(), key=lambda kv: (kv[1].weight, -_ordinal(kv[0], hypothesis)),
-        )[0]
-        best = finding.per_option_fits[best_option]
+        best_option, best = best_fit(finding.per_option_fits)
         rows.append({
             "feature_key": finding.feature_key,
             "observed": finding.observed,
@@ -68,13 +65,6 @@ def contributing_features(hypothesis: Hypothesis) -> list[dict]:
     for row in rows:
         del row["weight"]
     return rows
-
-
-def _ordinal(option: str, hypothesis: Hypothesis) -> int:
-    for i, (label, _) in enumerate(hypothesis.ranked_options):
-        if label == option:
-            return i
-    return len(hypothesis.ranked_options)
 
 
 def build_report(

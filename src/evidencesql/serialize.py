@@ -7,7 +7,8 @@ written in one walk that quantizes each float value with round-half-even at
 6 decimals as it goes; quantized values survive a JSON round-trip exactly.
 
 Input files (manifest, sidecar, questions, ranges, backend config, query)
-are read here too, so every unreadable one fails with the same message.
+are read here too, so every unreadable one fails with the same message;
+``json_field`` checks the type of a manifest, questions or ranges field.
 """
 
 from __future__ import annotations
@@ -152,6 +153,19 @@ def malformed(source: str, exc: Exception, error: type[Exception]) -> Exception:
     """An ``error`` for a document from ``source`` whose shape or field
     types ``exc`` rejected, naming the source and the exception."""
     return error(f"malformed {source}: {type(exc).__name__}: {exc}")
+
+
+def json_field(value, what: str, kind: type = str, nullable: bool = False):
+    """``value`` when it is a JSON ``kind`` (str, list, or float: any number
+    but a bool), or null where ``nullable``; else a TypeError naming
+    ``what``. Input-file readers check fields with it instead of coercing."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and not isinstance(value, bool) or (
+            nullable and value is None):
+        return value
+    wanted = {str: "a string", list: "a JSON list", float: "a number"}[kind]
+    raise TypeError(f"{what} must be {wanted}{' or null' if nullable else ''}, "
+                    f"not {type(value).__name__}")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

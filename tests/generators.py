@@ -161,6 +161,32 @@ class QueryGenerator:
         )
         return Binary(op, left, right)
 
+    def having_comparison(self) -> Expr:
+        """One aggregate compared with a numeric literal."""
+        rng = self.rng
+        numeric = _numeric_columns(self.schema)
+        if rng.random() < 0.5 or not numeric:
+            agg: Expr = AggFn("COUNT", Star(), False)
+            value = Literal(rng.randint(0, 5))
+        else:
+            name = rng.choice(("SUM", "AVG", "MIN", "MAX", "STDDEV"))
+            agg = AggFn(name, self.numeric_expr(depth=1), False)
+            value = Literal(round(rng.uniform(-40.0, 40.0), 2))
+        op = rng.choice((">", ">=", "<", "<=", "=", "!="))
+        return Binary(op, agg, value)
+
+    def having_predicate(self, depth: int = 0) -> Expr:
+        """Aggregate comparisons joined by AND, OR and NOT, the way
+        ``predicate`` joins row comparisons."""
+        rng = self.rng
+        roll = rng.random()
+        if depth < 2 and roll < 0.3:
+            op = rng.choice(("AND", "OR"))
+            return Binary(op, self.having_predicate(depth + 1), self.having_predicate(depth + 1))
+        if depth < 2 and roll < 0.38:
+            return Unary("NOT", self.having_predicate(depth + 1))
+        return self.having_comparison()
+
     def aggregate_expr(self) -> Expr:
         rng = self.rng
         roll = rng.random()
@@ -274,18 +300,7 @@ class QueryGenerator:
         for i in range(rng.randint(1, 2)):
             projections.append(self._maybe_alias(self.aggregate_expr(), i))
 
-        having = None
-        if rng.random() < 0.4:
-            numeric = _numeric_columns(self.schema)
-            if rng.random() < 0.5 or not numeric:
-                agg: Expr = AggFn("COUNT", Star(), False)
-                value = Literal(rng.randint(0, 5))
-            else:
-                name = rng.choice(("SUM", "AVG", "MIN", "MAX", "STDDEV"))
-                agg = AggFn(name, self.numeric_expr(depth=1), False)
-                value = Literal(round(rng.uniform(-40.0, 40.0), 2))
-            op = rng.choice((">", ">=", "<", "<=", "=", "!="))
-            having = Binary(op, agg, value)
+        having = self.having_comparison() if rng.random() < 0.4 else None
 
         order_by = []
         if rng.random() < 0.6:

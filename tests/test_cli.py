@@ -471,9 +471,9 @@ def test_error_contract(runner, contract_inputs, args, code, stage):
     assert json.loads(result.stderr)["error"]["stage"] == stage
 
 
-def _range_file(low, high):
+def _range_file(low=0.5, high=0.7, **fields):
     return json.dumps([{"feature_key": "global_features.neoplastic_ratio",
-                        "option_label": OPTIONS[0], "low": low, "high": high}])
+                        "option_label": OPTIONS[0], "low": low, "high": high, **fields}])
 
 
 @pytest.mark.parametrize("command", ["ask", "batch-eval"])
@@ -483,6 +483,8 @@ def _range_file(low, high):
     ("--questions", json.dumps([{"prompt_text": "q?", "options": ["only"]}])),
     ("--questions", json.dumps([{"case_id": "*", "prompt_text": "q?", "options": "ab"}])),
     ("--questions", "[]"),
+    ("--questions", json.dumps([{"case_id": None, "prompt_text": "q?", "options": list(OPTIONS)}])),
+    ("--questions", json.dumps([{"case_id": "*", "prompt_text": "q?", "options": [OPTIONS[0], None]}])),
     ("--ranges", _range_file(2.0, 1.0)),
     ("--ranges", _range_file(float("nan"), 1.0)),
     ("--ranges", _range_file(float("-inf"), float("inf"))),
@@ -490,13 +492,20 @@ def _range_file(low, high):
     ("--ranges", json.dumps([{"feature_key": "a.b"}])),
     ("--ranges", "{}"),
     ("--ranges", _range_file(1.0, 10**400)),
+    ("--ranges", _range_file(feature_key=5)),
+    ("--ranges", _range_file(option_label=None)),
+    ("--ranges", _range_file(low=True, high=2.0)),
+    ("--ranges", _range_file(high="2")),
+    ("--ranges", _range_file(source="made_up")),
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
     ("--config", '{"timeout_seconds": -1}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
-        "questions-empty",
+        "questions-empty", "questions-null-case-id", "questions-null-option",
         "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
-        "ranges-object", "ranges-huge-int", "config-list", "config-null-field",
+        "ranges-object", "ranges-huge-int", "ranges-numeric-key", "ranges-null-option",
+        "ranges-bool-low", "ranges-string-high", "ranges-unknown-source",
+        "config-list", "config-null-field",
         "config-timeout-negative"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):

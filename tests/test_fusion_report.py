@@ -12,9 +12,17 @@ from evidencesql.knowledge import (
     FeatureFinding,
     FitCategory,
     FitScore,
+    Observation,
+    ReferenceRange,
     build_hypothesis,
+    score_observations,
 )
-from evidencesql.report import TraceEntry, build_report, render_report_markdown
+from evidencesql.report import (
+    TraceEntry,
+    build_report,
+    contributing_features,
+    render_report_markdown,
+)
 from evidencesql.serialize import canonical_json
 from evidencesql.sql.executor import execute
 from evidencesql.sql.guard import validate_pipeline
@@ -196,3 +204,18 @@ def test_contributing_features_require_scores(manifest, demo_bundle):
     assert [row["feature_key"] for row in doc["contributing_features"]] == [
         "global_features.neoplastic_ratio",
     ]
+
+
+def test_best_option_is_the_option_the_rationale_names_on_a_tie():
+    """Both options fit excellently and B is ranked first: the report row and
+    the rationale both name A, the earlier option in question order."""
+    question = Question("case-x", "?", ("A", "B"))
+    index = {("f", o): ReferenceRange("f", o, 0.0, 1.0, "empirical") for o in "AB"}
+    findings, _ = score_observations([Observation("f", 0.5, 0)], index, question.options)
+    assert {o: f.category for o, f in findings[0].per_option_fits.items()} == {
+        "A": FitCategory.EXCELLENT, "B": FitCategory.EXCELLENT}
+    h = build_hypothesis(question, findings, [("A", 0.4), ("B", 0.6)], [])
+    assert h.ranked_options[0][0] == "B"
+    [row] = contributing_features(h)
+    assert row["best_option"] == "A"
+    assert "fits 'A' best" in h.findings[0].rationale

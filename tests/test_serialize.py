@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from evidencesql.serialize import canonical_json
+from evidencesql.serialize import canonical_json, json_field
 
 from reference_serialize import canonical_json as reference_canonical_json
 
@@ -88,3 +88,16 @@ def test_canonical_json_rejects_what_the_reference_rejects(obj, error):
         reference_canonical_json(obj)
     with pytest.raises(error):
         canonical_json(obj)
+
+
+@pytest.mark.parametrize("value, kind, nullable, message", [
+    (None, str, False, "x must be a string, not NoneType"),
+    (5, str, True, "x must be a string or null, not int"),
+    (True, float, False, "x must be a number, not bool"),
+    ("2", float, False, "x must be a number, not str"),
+    ("ab", list, False, "x must be a JSON list, not str"),
+])
+def test_json_field_rejects_a_wrong_type_instead_of_coercing(value, kind, nullable, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        json_field(value, "x", kind, nullable)
+

@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from evidencesql.feature_store import CaseBundle, FeatureTable
 from evidencesql.pipeline import _execute_into_trace
 from evidencesql.sql.executor import ExecError, ResultTable, execute
 from evidencesql.sql.guard import ValidatedQuery, validate_pipeline
+from evidencesql.sql.ast import AggFn, ColumnRef, Projection, QueryAst, Star, Unary
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
 
@@ -258,3 +261,72 @@ def run_differential(seed: int, n_pairs: int) -> int:
 
 def test_differential_against_oracle_quick():
     assert run_differential(seed=424242, n_pairs=150) == 150
+
+
+# -- ternary logic partitioning (Rigger & Su, OOPSLA 2020) ---------------------
+
+
+def _assert_partitioned(base: QueryAst, clause: str, p, table) -> None:
+    """The rows ``base`` returns with ``clause`` (where or having) set to
+    ``p``, those with it set to ``NOT (p)``, and those where the oracle
+    evaluates ``p`` to null make up exactly the rows ``base`` returns with
+    no such clause; the first two share no row. A ``p`` that raises
+    ``ArithmeticDomain`` raises the same message and row under ``NOT (p)``."""
+    bundle = table_bundle(table)
+
+    def run(ast: QueryAst) -> list[tuple]:
+        return list(execute(ValidatedQuery(ast, render(ast)), bundle).rows)
+
+    negated = replace(base, **{clause: Unary("NOT", p)})
+    try:
+        true_rows = run(replace(base, **{clause: p}))
+    except ArithmeticDomain as exc:
+        with pytest.raises(ArithmeticDomain) as under_not:
+            run(negated)
+        assert (str(under_not.value), under_not.value.row_index) == (str(exc), exc.row_index)
+        return
+    false_rows = run(negated)
+    dict_rows = [{name: values[i] for name, values in table.columns.items()}
+                 for i in range(table.row_count)]
+    judged = oracle.evaluate(replace(base, projections=base.projections + (Projection(p, "p"),)),
+                             dict_rows, list(table.schema.column_names))
+    null_rows = [row[:-1] for row in judged if row[-1] is None]
+    assert not set(true_rows) & set(false_rows), render(p)
+    assert Counter(true_rows) + Counter(false_rows) + Counter(null_rows) == Counter(run(base)), \
+        render(p)
+
+
+def _derandomized(check):
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    return settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])(
+        given(rng=st.randoms(use_true_random=False), raw_sqrt=st.booleans())(check))
+
+
+def test_where_partitions_rows_by_ternary_logic():
+    @_derandomized
+    def check(rng, raw_sqrt):
+        schema = random_schema(rng)
+        table = random_table(rng, schema, max_rows=30)
+        p = QueryGenerator(rng, schema, allow_raw_sqrt=raw_sqrt).predicate()
+        base = QueryAst(tuple(Projection(ColumnRef(n)) for n in schema.column_names), "t")
+        _assert_partitioned(base, "where", p, table)
+
+    check()
+
+
+def test_having_partitions_groups_by_ternary_logic():
+    @_derandomized
+    def check(rng, raw_sqrt):
+        schema = random_schema(rng)
+        table = random_table(rng, schema, max_rows=30)
+        generator = QueryGenerator(rng, schema, allow_raw_sqrt=raw_sqrt)
+        keys = tuple(ColumnRef(c.name)
+                     for c in rng.sample(schema.columns, rng.randint(1, min(2, len(schema.columns)))))
+        base = QueryAst((*(Projection(k) for k in keys), Projection(AggFn("COUNT", Star(), False), "n")),
+                        "t", group_by=keys)
+        _assert_partitioned(base, "having", generator.having_predicate(), table)
+
+    check()
