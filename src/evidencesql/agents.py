@@ -20,16 +20,19 @@ from evidencesql.backends import (
     TASK_GLOBAL,
     TASK_LOCAL,
     ask_backend,
+    memoized,
     render_schema_dictionary,
     system_prompt,
 )
 from evidencesql.errors import ConfigError, EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
+from evidencesql.sql.ast import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
 from evidencesql.sql.guard import FENCE_RE, GuardRejection, ValidatedQuery, validate_pipeline
 
 _FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 
-# Guard outcomes by (agent, raw SQL text), for one manifest.
+# Guard outcomes by (agent, raw SQL text), for one manifest; an entry in
+# flight is a Future (see ``backends.memoized``).
 GuardMemo = dict[tuple[str, str], ValidatedQuery | GuardRejection]
 
 
@@ -56,7 +59,6 @@ class PlanTarget:
 @dataclass(frozen=True)
 class ReasoningPlan:
     target_features: tuple[PlanTarget, ...]
-    focus: str  # global | local
 
 
 @dataclass
@@ -116,10 +118,11 @@ def extract_sql(response: str) -> list[str]:
 
 _GRAMMAR_NOTE = (
     "Queries must be single-table SELECT statements. Available clauses: "
-    "WHERE, GROUP BY, HAVING, ORDER BY, LIMIT. Functions: COUNT, SUM, AVG, "
-    "MIN, MAX, STDDEV, SQRT, ABS, ROUND. No joins, no subqueries, no "
-    "comments, one statement only. Give every computed projection an alias "
-    "with AS; aliases key the downstream reference-range comparison."
+    "WHERE, GROUP BY, HAVING, ORDER BY, LIMIT. "
+    f"Functions: {', '.join([*AGGREGATE_FUNCTIONS, *SCALAR_FUNCTIONS])}. "
+    "No joins, no subqueries, no comments, one statement only. Give every "
+    "computed projection an alias with AS; aliases key the downstream "
+    "reference-range comparison."
 )
 
 
@@ -210,7 +213,7 @@ def _run_agent(
     memo = {} if verdicts is None else verdicts
     plan_targets: list[PlanTarget] | None = None
     kept: list[ValidatedQuery] = []
-    attempts = 1 + max(0, config.max_retries)
+    attempts = 1 + config.max_retries
     for attempt in range(attempts):
         prompt_user = user if attempt == 0 else (
             user + f"\n\nRetry {attempt}: the previous response contained no "
@@ -221,9 +224,8 @@ def _run_agent(
         if stage.plans and plan_targets is None:
             plan_targets = _parse_plan(response)
         for raw in extract_sql(response):
-            outcome = memo.get((agent, raw))
-            if outcome is None:
-                outcome = memo[agent, raw] = validate_pipeline(raw, manifest, source_agent=agent)
+            outcome = memoized(memo, (agent, raw),
+                               lambda: validate_pipeline(raw, manifest, source_agent=agent))
             transcript.extracted_queries.append(raw)
             transcript.guard_outcomes.append(outcome)
             if isinstance(outcome, GuardRejection):
@@ -274,8 +276,7 @@ def plan_global(
             )
             continue
         valid_targets.append(target)
-    plan = ReasoningPlan(tuple(valid_targets), focus="global")
-    return plan, kept, transcript
+    return ReasoningPlan(tuple(valid_targets)), kept, transcript
 
 
 def plan_local(
@@ -291,8 +292,6 @@ def plan_local(
     """Run the cellular/architectural reasoning stage over the global plan;
     ``verdicts`` and ``replies`` are the run's memos, as for ``plan_global``."""
     config = config or BackendConfig()
-    if plan.focus != "global":
-        raise ValueError("local agent consumes the global plan")
     context = ["Global plan:",
                *(f"- {t.table}.{t.column}: {t.rationale}" for t in plan.target_features)]
     if global_results_text:

@@ -20,11 +20,13 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass, field, fields
+from typing import Callable, TypeVar
 
 from evidencesql.errors import BackendError, ConfigError
-from evidencesql.feature_store import SchemaManifest
-from evidencesql.serialize import malformed
+from evidencesql.feature_store import Level, SchemaManifest
+from evidencesql.serialize import json_field, malformed
 
 ENV_API_KEY = "EVIDENCESQL_LLM_API_KEY"
 ENV_BASE_URL = "EVIDENCESQL_LLM_BASE_URL"
@@ -69,6 +71,10 @@ def render_schema_dictionary(manifest: SchemaManifest) -> str:
     return "\n".join(lines)
 
 
+# ``json_field`` kinds by ``BackendConfig`` field annotation.
+_FIELD_KINDS = {"str": str, "float": float, "int": int}
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     kind: str = "template"  # template | remote
@@ -78,29 +84,32 @@ class BackendConfig:
     prompt_version: str = "1"
 
     def __post_init__(self):
+        if self.kind not in ("template", "remote"):
+            raise ValueError(f"unknown backend kind {self.kind!r}")
         if not math.isfinite(self.temperature):
             raise ValueError(f"temperature must be finite, got {self.temperature}")
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
             raise ValueError(
                 f"timeout_seconds must be finite and positive, got {self.timeout_seconds}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
-    @staticmethod
-    def from_dict(doc: dict, source: str = "backend config") -> "BackendConfig":
-        """Raises ConfigError for an unknown backend kind, or, naming
-        ``source``, for a document or field of the wrong shape or type."""
+    @classmethod
+    def from_dict(cls, doc: dict, source: str = "backend config") -> "BackendConfig":
+        """The config a backend-config document gives; its ``backend`` key
+        names ``kind``, and each field it leaves out keeps its default.
+
+        Raises ConfigError naming ``source`` for a document or field of the
+        wrong shape, type or value.
+        """
         if not isinstance(doc, dict):
             raise ConfigError(f"{source} must hold a JSON object")
-        kind = doc.get("backend", "template")
-        if kind not in ("template", "remote"):
-            raise ConfigError(f"unknown backend kind {kind!r}")
         try:
-            return BackendConfig(
-                kind=kind,
-                temperature=float(doc.get("temperature", 0.0)),
-                timeout_seconds=float(doc.get("timeout_seconds", 30.0)),
-                max_retries=int(doc.get("max_retries", 2)),
-                prompt_version=str(doc.get("prompt_version", "1")),
-            )
+            return cls(**{
+                f.name: json_field(doc[key], key, _FIELD_KINDS[f.type])
+                for f in fields(cls)
+                if (key := "backend" if f.name == "kind" else f.name) in doc
+            })
         except (TypeError, ValueError, OverflowError) as exc:
             raise malformed(source, exc, ConfigError) from exc
 
@@ -119,8 +128,8 @@ class LlmBackendPort:
 class _PromptSchema:
     tables: list[tuple[str, str, list[tuple[str, str, list[str] | None]]]]
 
-    def tables_at(self, level: str) -> list[tuple[str, list[tuple[str, str, list[str] | None]]]]:
-        return [(name, cols) for name, lvl, cols in self.tables if lvl == level]
+    def tables_at(self, level: Level) -> list[tuple[str, list[tuple[str, str, list[str] | None]]]]:
+        return [(name, cols) for name, lvl, cols in self.tables if lvl == level.value]
 
 
 def _parse_prompt_schema(system_prompt: str) -> _PromptSchema:
@@ -162,7 +171,7 @@ class TemplateBackend(LlmBackendPort):
     def _global_response(self, schema: _PromptSchema) -> str:
         targets = []
         queries = []
-        for name, columns in schema.tables_at("global"):
+        for name, columns in schema.tables_at(Level.GLOBAL):
             for col, _dtype, _domain in columns:
                 targets.append({
                     "table": name,
@@ -178,7 +187,7 @@ class TemplateBackend(LlmBackendPort):
 
     def _local_response(self, schema: _PromptSchema) -> str:
         queries: list[str] = []
-        for name, columns in schema.tables_at("local_cellular"):
+        for name, columns in schema.tables_at(Level.LOCAL_CELLULAR):
             categorical = next(
                 ((col, domain) for col, dtype, domain in columns
                  if dtype == "text" and domain), None,
@@ -199,7 +208,7 @@ class TemplateBackend(LlmBackendPort):
             elif real_cols:
                 means = ", ".join(f"AVG({c}) AS mean_{c}" for c in real_cols)
                 queries.append(f"SELECT {means} FROM {name}")
-        for name, columns in schema.tables_at("local_architecture"):
+        for name, columns in schema.tables_at(Level.LOCAL_ARCHITECTURE):
             parts = [f"COUNT(*) AS n_{name}"]
             parts += [
                 f"AVG({col}) AS {name}_mean_{col}"
@@ -292,7 +301,38 @@ class RemoteBackend(LlmBackendPort):
         return content
 
 
-# Backend replies by (system, user) prompt pair, for one run.
+_ABSENT = object()
+_V = TypeVar("_V")
+
+
+def memoized(memo: dict, key, compute: Callable[[], _V]) -> _V:
+    """``memo[key]``, computed by ``compute()`` on the first ask for ``key``.
+
+    The one rule of the per-run memos (replies, guard outcomes), which
+    batch workers share: the first asker computes while the key holds a
+    ``Future``; a concurrent ask for the same key waits for that result.
+    An exception reaches every waiter and is stored for none, so a later
+    ask computes afresh. A finished entry holds the plain value.
+    """
+    entry = memo.get(key, _ABSENT)
+    if entry is _ABSENT:
+        future = Future()
+        entry = memo.setdefault(key, future)
+        if entry is future:
+            try:
+                value = compute()
+            except BaseException as exc:
+                del memo[key]
+                future.set_exception(exc)
+                raise
+            memo[key] = value
+            future.set_result(value)
+            return value
+    return entry.result() if isinstance(entry, Future) else entry
+
+
+# Backend replies by (system, user) prompt pair, for one run; an entry in
+# flight is a Future (see ``memoized``).
 ReplyMemo = dict[tuple[str, str], str]
 
 
@@ -302,14 +342,13 @@ def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, use
     pair under ``config``'s temperature and timeout.
 
     ``replies``, when given, memoizes replies by prompt pair (``batch_eval``
-    keeps one per run): a hit skips the backend. Of two racing misses the
-    first stored reply wins, so every caller sharing the memo reads the same
-    one. A ``BackendError`` propagates and is never stored.
+    keeps one per run) through ``memoized``: each distinct pair is asked
+    once, however many workers ask it, and every caller sharing the memo
+    reads the same reply. A ``BackendError`` propagates and is never stored.
     """
-    if replies is not None and (system, user) in replies:
-        return replies[system, user]
-    reply = backend.complete(system, user, config.temperature, config.timeout_seconds)
-    return reply if replies is None else replies.setdefault((system, user), reply)
+    if replies is not None:
+        return memoized(replies, (system, user), lambda: ask_backend(backend, config, system, user))
+    return backend.complete(system, user, config.temperature, config.timeout_seconds)
 
 
 def make_backend(config: BackendConfig) -> LlmBackendPort:

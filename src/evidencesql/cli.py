@@ -2,8 +2,8 @@
 
 Exit codes are stable contracts: 0 success, 1 pipeline error, 2
 configuration or usage error. Errors print a structured JSON object on
-stderr so wrappers never have to scrape prose. The command group maps each
-error to its exit code and stage by the error's class, in one table: stage
+stderr so wrappers never have to scrape prose. The command group reports
+each package error under the stage its class names (``errors``): stage
 ``config`` (exit 2) for unusable run inputs, among them a malformed
 manifest, questions, ranges or backend-config file in every command;
 ``ingest``, ``execute``, ``calibrate`` or ``pipeline`` (exit 1) for a
@@ -22,8 +22,8 @@ import click
 
 from evidencesql import errors
 from evidencesql.backends import BackendConfig, make_backend
-from evidencesql.feature_store import ingest_case_dir, load_manifest, load_training_split
-from evidencesql.knowledge import compute_empirical_ranges, ranges_to_json_list
+from evidencesql.feature_store import Level, ingest_case_dir, load_manifest, load_training_split
+from evidencesql.knowledge import DEFAULT_QUANTILE, compute_empirical_ranges, ranges_to_json_list
 from evidencesql.pipeline import (
     DEFAULT_ALPHA,
     MODES,
@@ -39,29 +39,10 @@ from evidencesql.pipeline import (
 from evidencesql.serialize import canonical_json, read_json_file, read_text_file, write_json_atomic
 from evidencesql.sql.guard import GuardRejection, validate_pipeline
 from evidencesql.sql.executor import execute
-from evidencesql.values import render_value
+from evidencesql.values import Dtype, render_value
 
 EXIT_PIPELINE = 1
 EXIT_CONFIG = 2
-
-
-# Exit code and stage by error class; the nearest class in an error's MRO
-# wins, and an exception outside the package is ``internal``.
-_CONTRACT: dict[type, tuple[int, str]] = {
-    errors.ConfigError: (EXIT_CONFIG, "config"),
-    errors.ManifestParseError: (EXIT_CONFIG, "config"),
-    errors.ManifestError: (EXIT_CONFIG, "config"),
-    errors.TypeMismatch: (EXIT_PIPELINE, "ingest"),
-    errors.DomainViolation: (EXIT_PIPELINE, "ingest"),
-    errors.CardinalityError: (EXIT_PIPELINE, "ingest"),
-    errors.SidecarError: (EXIT_PIPELINE, "ingest"),
-    errors.TableNotInBundle: (EXIT_PIPELINE, "execute"),
-    errors.ArithmeticDomain: (EXIT_PIPELINE, "execute"),
-    errors.CaseLoadError: (EXIT_PIPELINE, "calibrate"),
-    errors.MissingLabel: (EXIT_PIPELINE, "calibrate"),
-    errors.EvidenceSqlError: (EXIT_PIPELINE, "pipeline"),
-    Exception: (EXIT_PIPELINE, "internal"),
-}
 
 
 def _fail(code: int, stage: str, error: Exception) -> None:
@@ -73,7 +54,8 @@ def _fail(code: int, stage: str, error: Exception) -> None:
 
 
 class _Cli(click.Group):
-    """Reports every exception a command raises through ``_CONTRACT``."""
+    """Reports every exception a command raises under its class's stage
+    (``errors``); an exception from outside the package is ``internal``."""
 
     def invoke(self, ctx):
         try:
@@ -81,8 +63,8 @@ class _Cli(click.Group):
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise  # click's own usage errors and exits keep their codes
         except Exception as exc:  # no raw traceback on stderr
-            cls = next(c for c in type(exc).__mro__ if c in _CONTRACT)
-            _fail(*_CONTRACT[cls], exc)
+            stage = exc.stage if isinstance(exc, errors.EvidenceSqlError) else "internal"
+            _fail(EXIT_CONFIG if stage == "config" else EXIT_PIPELINE, stage, exc)
 
 
 @click.group(cls=_Cli)
@@ -162,7 +144,7 @@ def query(manifest_path, case_dir, sql, as_json, as_csv):
 @click.option("--training", "training_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--feature", "features", multiple=True,
               help="Feature key (table.column); repeatable. Defaults to all global numeric columns.")
-@click.option("--quantile", "q", default=0.05, show_default=True)
+@click.option("--quantile", "q", default=DEFAULT_QUANTILE, show_default=True)
 @click.option("--out-file", required=True, type=click.Path())
 def calibrate_ranges(manifest_path, training_dir, features, q, out_file):
     """Compute empirical reference ranges from a labeled training split."""
@@ -171,8 +153,8 @@ def calibrate_ranges(manifest_path, training_dir, features, q, out_file):
     labels = sorted({b.ground_truth for b in training if b.ground_truth is not None})
     feature_keys = list(features) or [
         f"{t.name}.{c.name}"
-        for t in manifest.tables if t.level.value == "global"
-        for c in t.columns if c.dtype.value in ("integer", "real")
+        for t in manifest.tables_at(Level.GLOBAL)
+        for c in t.columns if c.dtype in (Dtype.INTEGER, Dtype.REAL)
     ]
     try:
         ranges, notes = compute_empirical_ranges(training, feature_keys, labels, q)

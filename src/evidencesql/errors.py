@@ -3,6 +3,12 @@
 Guard rejections are deliberately NOT exceptions: a bad model-emitted query
 is an expected outcome, returned as a value so callers can regenerate.
 Everything here signals a genuinely broken input or a violated contract.
+
+Each class names the CLI stage it is reported under as its ``stage``:
+``config`` (exit 2) for unusable run inputs, ``ingest``, ``execute`` or
+``calibrate`` for a failure in that part of a run, and ``pipeline`` for
+everything else in the package (exit 1). A subclass inherits its parent's
+stage.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 class EvidenceSqlError(Exception):
     """Base class for all package errors."""
 
+    stage = "pipeline"
+
 
 # -- feature store ------------------------------------------------------
 
@@ -18,13 +26,19 @@ class EvidenceSqlError(Exception):
 class ManifestParseError(EvidenceSqlError):
     """Manifest file is not well-formed JSON or misses required keys."""
 
+    stage = "config"
+
 
 class ManifestError(EvidenceSqlError):
     """Manifest violates a structural invariant (duplicate names, bad domains)."""
 
+    stage = "config"
+
 
 class _CellError(EvidenceSqlError):
     """An ingest error that names where it happened: table, column, row."""
+
+    stage = "ingest"
 
     def __init__(self, message: str, table: str | None = None,
                  column: str | None = None, row: int | None = None):
@@ -45,13 +59,19 @@ class DomainViolation(_CellError):
 class CardinalityError(EvidenceSqlError):
     """A table has the wrong row count (global tables hold exactly one row)."""
 
+    stage = "ingest"
+
 
 class SidecarError(EvidenceSqlError):
     """Sidecar JSON is malformed or its probabilities are invalid."""
 
+    stage = "ingest"
+
 
 class CaseLoadError(EvidenceSqlError):
     """A case in a training split failed to load; carries the case id."""
+
+    stage = "calibrate"
 
     def __init__(self, case_id: str, cause: Exception):
         super().__init__(f"case {case_id!r}: {cause}")
@@ -61,6 +81,8 @@ class CaseLoadError(EvidenceSqlError):
 
 class MissingLabel(EvidenceSqlError):
     """A training case lacks the ground-truth label required for calibration."""
+
+    stage = "calibrate"
 
     def __init__(self, case_id: str):
         super().__init__(f"training case {case_id!r} has no ground_truth label")
@@ -101,6 +123,8 @@ class UnsupportedFeature(EvidenceSqlError):
 class TableNotInBundle(EvidenceSqlError):
     """The query's FROM table is absent from the case bundle."""
 
+    stage = "execute"
+
     def __init__(self, table: str, case_id: str):
         super().__init__(f"table {table!r} not present in case {case_id!r}")
         self.table = table
@@ -113,6 +137,8 @@ class ArithmeticDomain(EvidenceSqlError):
     ``row_index`` is the 0-based source row being evaluated, or None when the
     offending value came from an aggregate rather than a single row.
     """
+
+    stage = "execute"
 
     def __init__(self, message: str, row_index: int | None):
         super().__init__(message)
@@ -155,3 +181,5 @@ class DanglingQueryId(EvidenceSqlError):
 class ConfigError(EvidenceSqlError):
     """Run configuration is unusable (bad mode, malformed input file,
     missing required inputs)."""
+
+    stage = "config"

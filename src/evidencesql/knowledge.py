@@ -249,10 +249,11 @@ def fetch_llm_ranges(
 
     Every prompt goes through ``ask_backend`` with ``replies``, the run's
     reply memo when given (``batch_eval`` keeps one per run): a hit skips
-    the backend and is read exactly like a fresh reply, and a fully memoized
-    fetch starts no thread. A ``BackendError`` is never memoized; when
-    several fanned-out prompts fail, the first in (feature, option) order is
-    raised once every prompt has finished.
+    the backend and is read exactly like a fresh reply, a prompt another
+    batch worker is asking is waited for, and a fully memoized fetch starts
+    no thread. A ``BackendError`` is never memoized; when several
+    fanned-out prompts fail, the first in (feature, option) order is raised
+    once every prompt has finished.
     """
     config = config or BackendConfig()
     pairs = [(feature_key, option) for feature_key in feature_keys for option in options]
@@ -274,7 +275,7 @@ def fetch_llm_ranges(
     ranges: list[ReferenceRange] = []
     notes: list[str] = []
     for (feature_key, option), prompt in zip(pairs, prompts):
-        reply = memo[prompt]
+        reply = ask_backend(backend, config, *prompt, memo)
         if reply.strip() == DECLINE_RESPONSE:
             notes.append(f"backend declined range for {feature_key!r}/{option!r}")
             continue
@@ -313,20 +314,14 @@ def _parse_range_reply(reply: str) -> tuple[float, float] | None:
     return low, high
 
 
-def merge_ranges(
-    primary: list[ReferenceRange], secondary: list[ReferenceRange],
-) -> dict[tuple[str, str], ReferenceRange]:
-    """Index ranges by (feature, option); entries in ``primary`` win.
-
-    Empirical ranges are passed as primary: the training split is treated as
-    ground truth wherever it covers a feature.
+def merge_ranges(ranges: list[ReferenceRange]) -> dict[tuple[str, str], ReferenceRange]:
+    """Index ranges by (feature, option). An empirical range beats any other
+    for its pair, and otherwise a later range beats an earlier one: the
+    training split is treated as ground truth wherever it covers a feature.
     """
-    index: dict[tuple[str, str], ReferenceRange] = {}
-    for r in secondary:
-        index[(r.feature_key, r.option_label)] = r
-    for r in primary:
-        index[(r.feature_key, r.option_label)] = r
-    return index
+    # a stable sort puts the empirical ranges last, so they are written last
+    return {(r.feature_key, r.option_label): r
+            for r in sorted(ranges, key=lambda r: r.source == "empirical")}
 
 
 # -- fit scoring -----------------------------------------------------------------
@@ -608,8 +603,8 @@ def ranges_from_json_list(docs: list[dict]) -> list[ReferenceRange]:
         ReferenceRange(
             feature_key=json_field(d["feature_key"], "feature_key"),
             option_label=json_field(d["option_label"], "option_label"),
-            low=float(json_field(d["low"], "low", float)),
-            high=float(json_field(d["high"], "high", float)),
+            low=json_field(d["low"], "low", float),
+            high=json_field(d["high"], "high", float),
             source=json_field(d.get("source", "empirical"), "source"),
             unit=json_field(d.get("unit"), "unit", nullable=True),
         )

@@ -193,11 +193,8 @@ def run_case(
                 extra_notes += fetch_notes
             except BackendError as exc:
                 extra_notes.append(f"range generation unavailable: {exc}")
-        index = merge_ranges(
-            [r for r in ranges + fetched if r.source == "empirical"],
-            [r for r in ranges + fetched if r.source != "empirical"],
-        )
-        findings, finding_notes = score_observations(observations, index, options)
+        findings, finding_notes = score_observations(
+            observations, merge_ranges(ranges + fetched), options)
         try:
             confidences, calibration_notes = calibrate_confidence(findings, options)
         except NoEvidence:
@@ -352,8 +349,8 @@ def batch_eval(
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
-    or the narrative, is asked once, and every later case that sends it
-    reads the same reply. The backend config is fixed for the run, so at
+    or the narrative, is asked once at any worker count, and every other
+    case that sends it reads the same reply. The backend config is fixed for the run, so at
     the default temperature 0 a fresh call would give that reply too; above
     0 the run reuses one sample per prompt. A ``BackendError`` is not
     memoized.

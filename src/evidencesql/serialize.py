@@ -8,7 +8,8 @@ written in one walk that quantizes each float value with round-half-even at
 
 Input files (manifest, sidecar, questions, ranges, backend config, query)
 are read here too, so every unreadable one fails with the same message;
-``json_field`` checks the type of a manifest, questions or ranges field.
+``json_field`` checks the type of a manifest, questions, ranges or
+backend-config field.
 """
 
 from __future__ import annotations
@@ -156,14 +157,16 @@ def malformed(source: str, exc: Exception, error: type[Exception]) -> Exception:
 
 
 def json_field(value, what: str, kind: type = str, nullable: bool = False):
-    """``value`` when it is a JSON ``kind`` (str, list, or float: any number
-    but a bool), or null where ``nullable``; else a TypeError naming
-    ``what``. Input-file readers check fields with it instead of coercing."""
+    """``value`` when it is a JSON ``kind`` (str, list, int: a whole number
+    but a bool, or float: any number but a bool, returned as a float), or
+    null where ``nullable``; else a TypeError naming ``what``. Input-file
+    readers check fields with it instead of coercing."""
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, accepted) and not isinstance(value, bool) or (
-            nullable and value is None):
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return float(value) if kind is float else value
+    if nullable and value is None:
         return value
-    wanted = {str: "a string", list: "a JSON list", float: "a number"}[kind]
+    wanted = {str: "a string", list: "a JSON list", int: "an integer", float: "a number"}[kind]
     raise TypeError(f"{what} must be {wanted}{' or null' if nullable else ''}, "
                     f"not {type(value).__name__}")
 

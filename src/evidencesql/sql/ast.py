@@ -57,7 +57,7 @@ class Between(Expr):
 
 @dataclass(frozen=True)
 class ScalarFn(Expr):
-    name: str  # SQRT, ABS, ROUND
+    name: str  # a key of SCALAR_FUNCTIONS
     args: tuple[Expr, ...]
 
 
@@ -68,7 +68,7 @@ class Star:
 
 @dataclass(frozen=True)
 class AggFn(Expr):
-    name: str  # COUNT, SUM, AVG, MIN, MAX, STDDEV
+    name: str  # one of AGGREGATE_FUNCTIONS
     arg: Union[Expr, Star]
     distinct: bool = False
 
@@ -112,7 +112,8 @@ PRECEDENCE = {
 LEFT_ASSOCIATIVE = frozenset({"OR", "AND", "+", "-", "*", "/"})
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV")
-SCALAR_FUNCTIONS = ("SQRT", "ABS", "ROUND")
+# Scalar functions by name, with the (fewest, most) arguments each takes.
+SCALAR_FUNCTIONS = {"SQRT": (1, 1), "ABS": (1, 1), "ROUND": (1, 2)}
 
 
 def children(expr: Expr) -> tuple[Expr, ...]:

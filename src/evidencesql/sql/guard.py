@@ -400,7 +400,7 @@ def _try_function_fix(text: str, error: UnsupportedFeature) -> tuple[str, Repair
         return None
     # the feature names the upper-cased word, which can be longer (ß -> SS)
     original = WORD_RE.match(text, error.position).group(0)
-    found = _unique_candidate(original, AGGREGATE_FUNCTIONS + SCALAR_FUNCTIONS)
+    found = _unique_candidate(original, (*AGGREGATE_FUNCTIONS, *SCALAR_FUNCTIONS))
     if found is None:
         return None
     fn, distance = found

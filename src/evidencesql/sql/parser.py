@@ -34,7 +34,6 @@ from evidencesql.sql.ast import (
 )
 from evidencesql.sql.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS, Token, TokenKind, tokenize
 
-_SCALAR_ARITY = {"SQRT": (1, 1), "ABS": (1, 1), "ROUND": (1, 2)}
 _OPERATOR_WORDS = KEYWORDS & PRECEDENCE.keys()
 _NOT = PRECEDENCE["NOT"]
 _NEG = PRECEDENCE["NEG"]
@@ -383,7 +382,7 @@ class _Parser:
         if name in SCALAR_FUNCTIONS:
             args = self.parse_list(self.parse_expr)
             self.expect(")")
-            lo, hi = _SCALAR_ARITY[name]
+            lo, hi = SCALAR_FUNCTIONS[name]
             if not lo <= len(args) <= hi:
                 wanted = str(lo) if lo == hi else f"{lo} or {hi}"
                 raise SqlSyntaxError(

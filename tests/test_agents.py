@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from evidencesql.agents import (
 )
 from evidencesql.backends import BackendConfig, ScriptedBackend, TemplateBackend
 from evidencesql.errors import EmptyGeneration
+from evidencesql.sql.ast import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
 from evidencesql.sql.guard import GuardRejection
 
 
@@ -50,7 +52,6 @@ def test_schema_dictionary_lists_all_columns(manifest):
 
 def test_template_global_stage(question, manifest):
     plan, queries, transcript = plan_global(question, manifest, TemplateBackend())
-    assert plan.focus == "global"
     assert [t.column for t in plan.target_features] == [
         c.name for c in manifest.table("global_features").columns
     ]
@@ -95,6 +96,32 @@ def test_global_stage_drops_local_table_queries(question, manifest):
     assert transcript.dropped
     assert "outside global agent scope" in transcript.dropped[0][1]
     assert [t.column for t in plan.target_features] == ["neoplastic_ratio"]
+
+
+def test_global_plan_target_outside_global_schema_is_dropped(question, manifest):
+    backend = ScriptedBackend([
+        '```json\n{"target_features": ['
+        '{"table": "global_features", "column": "neoplastic_ratio", "rationale": "r"}, '
+        '{"table": "cells", "column": "area", "rationale": "r"}, '
+        '{"table": "global_features", "column": "no_such_column", "rationale": "r"}, '
+        '{"table": "no_such_table", "column": "x", "rationale": "r"}]}\n```\n'
+        "```sql\nSELECT * FROM global_features\n```"
+    ])
+    plan, queries, transcript = plan_global(question, manifest, backend)
+    assert [(t.table, t.column) for t in plan.target_features] == [
+        ("global_features", "neoplastic_ratio")]
+    assert transcript.dropped == [
+        (f"plan:{target}", "plan target outside global schema")
+        for target in ("cells.area", "global_features.no_such_column", "no_such_table.x")
+    ]
+    assert len(queries) == 1
+
+
+def test_system_prompt_names_exactly_the_sql_functions(question, manifest):
+    _, _, transcript = plan_global(question, manifest, TemplateBackend())
+    system = transcript.attempts[0].system_prompt
+    listed = re.search(r"Functions: ([A-Z, ]+)\.", system).group(1).split(", ")
+    assert listed == [*AGGREGATE_FUNCTIONS, *SCALAR_FUNCTIONS]
 
 
 def test_local_stage_guard_rejects_write(question, manifest):

@@ -1,6 +1,10 @@
 import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +12,14 @@ import pytest
 import requests
 
 import evidencesql
-from evidencesql.backends import ENV_API_KEY, ENV_BASE_URL, ENV_MODEL, BackendConfig, RemoteBackend
+from evidencesql.backends import (
+    ENV_API_KEY,
+    ENV_BASE_URL,
+    ENV_MODEL,
+    BackendConfig,
+    RemoteBackend,
+    memoized,
+)
 from evidencesql.errors import BackendError, ConfigError
 
 
@@ -25,13 +36,75 @@ def test_pipeline_import_leaves_out_requests_and_click():
 @pytest.mark.parametrize("field, value", [
     ("timeout_seconds", 0.0), ("timeout_seconds", -1.0), ("timeout_seconds", float("nan")),
     ("timeout_seconds", float("inf")), ("temperature", float("nan")),
-    ("temperature", float("inf")),
+    ("temperature", float("inf")), ("max_retries", -1),
 ])
 def test_backend_config_refuses_unusable_timeout_and_temperature(field, value):
     with pytest.raises(ValueError, match=field):
         BackendConfig(**{field: value})
     with pytest.raises(ConfigError, match="malformed backend config"):
         BackendConfig.from_dict({field: value})
+
+
+# -- the per-run memo rule -------------------------------------------------
+
+
+def test_memoized_computes_each_key_once_under_contention():
+    """More threads than cores ask overlapping keys at once: each key is
+    computed once and every thread reads that value."""
+    memo: dict = {}
+    computed: Counter = Counter()
+    lock = threading.Lock()
+    barrier = threading.Barrier(16)
+
+    def compute(key):
+        with lock:
+            computed[key] += 1
+        time.sleep(0.002)
+        return f"value {key}"
+
+    def ask_all(worker):
+        barrier.wait(timeout=10)
+        keys = [(worker + k) % 20 for k in range(20)]
+        return {key: memoized(memo, key, lambda: compute(key)) for key in keys}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            results = list(pool.map(ask_all, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = {key: f"value {key}" for key in range(20)}
+    assert computed == Counter(range(20))
+    assert results == [expected] * 16
+    assert memo == expected  # finished entries hold the plain value
+
+
+def test_memoized_exception_reaches_waiters_and_is_not_stored():
+    memo: dict = {}
+    started, release = threading.Event(), threading.Event()
+
+    def failing():
+        started.set()
+        release.wait(timeout=10)
+        raise RuntimeError("backend down")
+
+    def ask(compute):
+        try:
+            return memoized(memo, "k", compute)
+        except RuntimeError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(ask, failing)
+        assert started.wait(timeout=10)
+        waiter = pool.submit(ask, lambda: "computed by the waiter")
+        time.sleep(0.1)  # the waiter finds the key in flight
+        release.set()
+        outcomes = [first.result(timeout=10), waiter.result(timeout=10)]
+    assert [str(o) for o in outcomes] == ["backend down", "backend down"]
+    assert memo == {}
+    assert memoized(memo, "k", lambda: "fresh") == "fresh" and memo == {"k": "fresh"}
 
 
 # -- RemoteBackend against a stand-in for requests.post (no network) ------

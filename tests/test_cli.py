@@ -3,9 +3,11 @@ import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from evidencesql import errors
 from evidencesql.cli import main
 
 from datasets import OPTIONS, QUESTION_TEXT, build_training_split
@@ -26,6 +28,13 @@ def test_ingest_ok(runner, manifest_path, demo_case_dir):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["tables"] == {"cells": 6, "global_features": 1, "structures": 2}
+
+
+def test_ingest_plain_text_output(runner, manifest_path, demo_case_dir):
+    result = invoke(runner, ["ingest", "--manifest", str(manifest_path),
+                             "--case", str(demo_case_dir)])
+    assert result.exit_code == 0
+    assert result.output == "case demo_case: cells=6 rows, global_features=1 rows, structures=2 rows\n"
 
 
 def test_ingest_failure_exits_1(runner, manifest_path, tmp_path):
@@ -84,6 +93,14 @@ def test_query_plain_text_output(runner, manifest_path, demo_case_dir):
         "3 | neoplastic | 141.2\n"
         "4 | neoplastic | \n"  # cell 4's intensity is null
     )
+
+
+def test_query_guard_rejection_exits_1(runner, manifest_path, demo_case_dir):
+    result = runner.invoke(main, ["query", "--manifest", str(manifest_path),
+                                  "--case", str(demo_case_dir), "--sql", "DROP TABLE cells"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["rejection"]["stage"] == "sanitize"
 
 
 def test_query_on_integer_beyond_float_range_is_ingest_error(runner, manifest_path,
@@ -247,6 +264,21 @@ def test_batch_eval_modes(runner, manifest_path, eval_dataset, tmp_path):
         assert summary["failures"] == []
         assert (out / "summary.json").exists()
         assert len(list((out / "reports").glob("*.json"))) == 20
+
+
+def test_batch_eval_plain_text_output(runner, manifest_path, eval_dataset, tmp_path):
+    out = tmp_path / "plain"
+    result = invoke(runner, [
+        "batch-eval", "--manifest", str(manifest_path),
+        "--dataset", str(eval_dataset["dataset"]),
+        "--questions", str(eval_dataset["questions"]),
+        "--ranges", str(eval_dataset["ranges"]),
+        "--out", str(out), "--mode", "cnn_only",
+    ])
+    assert result.exit_code == 0
+    assert result.output == (
+        f"17/20 correct (accuracy 0.8500), 0 flagged, 0 failed; summary at {out}/summary.json\n"
+    )
 
 
 def test_batch_eval_summary_matches_recount(runner, manifest_path, eval_dataset, tmp_path):
@@ -471,6 +503,71 @@ def test_error_contract(runner, contract_inputs, args, code, stage):
     assert json.loads(result.stderr)["error"]["stage"] == stage
 
 
+# Every error class in ``errors``, raised from a stub command: the stage it is
+# reported under and the exit code. A bare ``_CellError`` is never raised;
+# its row pins the stage its subclasses inherit.
+ERROR_STAGES = [
+    (errors.EvidenceSqlError("x"), 1, "pipeline"),
+    (errors.ManifestParseError("x"), 2, "config"),
+    (errors.ManifestError("x"), 2, "config"),
+    (errors._CellError("x"), 1, "ingest"),
+    (errors.TypeMismatch("x"), 1, "ingest"),
+    (errors.DomainViolation("x"), 1, "ingest"),
+    (errors.CardinalityError("x"), 1, "ingest"),
+    (errors.SidecarError("x"), 1, "ingest"),
+    (errors.CaseLoadError("c", ValueError("x")), 1, "calibrate"),
+    (errors.MissingLabel("c"), 1, "calibrate"),
+    (errors.SqlSyntaxError("x", 0), 1, "pipeline"),
+    (errors.UnsupportedFeature("x", 0), 1, "pipeline"),
+    (errors.TableNotInBundle("t", "c"), 1, "execute"),
+    (errors.ArithmeticDomain("x", 0), 1, "execute"),
+    (errors.BackendError("x"), 1, "pipeline"),
+    (errors.EmptyGeneration("x"), 1, "pipeline"),
+    (errors.NonFiniteObservation("x"), 1, "pipeline"),
+    (errors.NoEvidence("x"), 1, "pipeline"),
+    (errors.OptionMismatch("x"), 1, "pipeline"),
+    (errors.DanglingQueryId("x"), 1, "pipeline"),
+    (errors.ConfigError("x"), 2, "config"),
+    (RuntimeError("x"), 1, "internal"),
+]
+
+
+@pytest.mark.parametrize("error, code, stage", ERROR_STAGES,
+                         ids=[type(row[0]).__name__ for row in ERROR_STAGES])
+def test_error_class_names_its_stage(runner, monkeypatch, error, code, stage):
+    def fail():
+        raise error
+
+    monkeypatch.setitem(main.commands, "fail", click.Command("fail", callback=fail))
+    result = runner.invoke(main, ["fail"])
+    assert result.exit_code == code
+    assert json.loads(result.stderr) == {"error": {
+        "stage": stage, "type": type(error).__name__, "message": str(error)}}
+
+
+def test_every_error_class_has_a_stage_row():
+    """A new error class needs its stage chosen, and a row above."""
+    defined = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.EvidenceSqlError)}
+    assert defined == {type(row[0]) for row in ERROR_STAGES} - {RuntimeError}
+
+
+def test_integer_backend_config_numbers_give_the_same_run_json(runner, contract_inputs,
+                                                               tmp_path):
+    """Numbers are stored as floats, so ``0`` and ``0.0`` give one run.json."""
+    p = contract_inputs
+    run_jsons = []
+    for content in ("{}", '{"temperature": 0.0, "timeout_seconds": 30.0}',
+                    '{"temperature": 0, "timeout_seconds": 30, "max_retries": 2}'):
+        config = tmp_path / "config.json"
+        config.write_text(content, encoding="utf-8")
+        out = tmp_path / "run"
+        result = runner.invoke(main, _ask(p, out=str(out)) + ["--config", str(config)])
+        assert result.exit_code == 0, result.output
+        run_jsons.append((out / "run.json").read_bytes())
+    assert run_jsons[1] == run_jsons[0] and run_jsons[2] == run_jsons[0]
+
+
 def _range_file(low=0.5, high=0.7, **fields):
     return json.dumps([{"feature_key": "global_features.neoplastic_ratio",
                         "option_label": OPTIONS[0], "low": low, "high": high, **fields}])
@@ -500,13 +597,21 @@ def _range_file(low=0.5, high=0.7, **fields):
     ("--config", "[]"),
     ("--config", '{"max_retries": null}'),
     ("--config", '{"timeout_seconds": -1}'),
+    ("--config", '{"temperature": true}'),
+    ("--config", '{"max_retries": "2"}'),
+    ("--config", '{"max_retries": 1.5}'),
+    ("--config", '{"max_retries": -1}'),
+    ("--config", '{"prompt_version": 2}'),
+    ("--config", '{"timeout_seconds": "5"}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
         "questions-empty", "questions-null-case-id", "questions-null-option",
         "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
         "ranges-object", "ranges-huge-int", "ranges-numeric-key", "ranges-null-option",
         "ranges-bool-low", "ranges-string-high", "ranges-unknown-source",
         "config-list", "config-null-field",
-        "config-timeout-negative"])
+        "config-timeout-negative", "config-bool-temperature", "config-string-retries",
+        "config-fractional-retries", "config-negative-retries", "config-numeric-version",
+        "config-string-timeout"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):
     bad = tmp_path / "input.json"

@@ -205,6 +205,30 @@ def test_sidecar_prob_beyond_float_range(demo_case_dir, manifest, tmp_path):
         ingest_case_dir(manifest, case)
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ('{"cnn_probs": [0.5, 0.5]}', "cnn_probs must be a non-empty object"),
+    ('{"cnn_probs": {"a": "0.5", "b": 0.5}}', r"cnn_probs\['a'\] is not a number"),
+    ('{"cnn_probs": {"a": true, "b": 0.0}}', r"cnn_probs\['a'\] is not a number"),
+    ('{"cnn_probs": {"a": 1.5, "b": -0.5}}', r"cnn_probs\['a'\] = 1.5 outside \[0, 1\]"),
+    ('{"ground_truth": 3}', "ground_truth must be a string label"),
+], ids=["probs-list", "prob-string", "prob-bool", "prob-above-one", "label-number"])
+def test_sidecar_shape_errors(demo_case_dir, manifest, tmp_path, sidecar, message):
+    case = tmp_path / "sidecar_shape"
+    _copy_case(demo_case_dir, case)
+    (case / "sidecar.json").write_text(sidecar, encoding="utf-8")
+    with pytest.raises(SidecarError, match=message):
+        ingest_case_dir(manifest, case)
+
+
+def test_empty_table_file_is_type_mismatch(demo_case_dir, manifest, tmp_path):
+    case = tmp_path / "empty_table"
+    _copy_case(demo_case_dir, case)
+    (case / "structures.csv").write_text("", encoding="utf-8")
+    with pytest.raises(TypeMismatch, match="is empty; header row required") as caught:
+        ingest_case_dir(manifest, case)
+    assert caught.value.table == "structures"
+
+
 HUGE_INT = "1" + "0" * 400
 
 
@@ -245,6 +269,13 @@ def test_missing_table_file(manifest, demo_case_dir):
     files = {t.name: demo_case_dir / f"{t.name}.csv" for t in manifest.tables}
     del files["structures"]
     with pytest.raises(TypeMismatch, match="structures"):
+        ingest_case(manifest, files)
+
+
+def test_undeclared_table_file_is_manifest_error(manifest, demo_case_dir):
+    files = {t.name: demo_case_dir / f"{t.name}.csv" for t in manifest.tables}
+    files["extra"] = demo_case_dir / "cells.csv"
+    with pytest.raises(ManifestError, match=r"\['extra'\] not declared in manifest"):
         ingest_case(manifest, files)
 
 

@@ -195,6 +195,25 @@ def test_report_markdown_sections(manifest, demo_bundle):
     assert "## Generated narrative" in with_narrative
 
 
+def test_report_markdown_lists_repairs_and_null_cells(manifest, demo_bundle):
+    question, decision, h, trace = _make_report_inputs(manifest, demo_bundle)
+    repaired = validate_pipeline(
+        "SELECT cell_id, mean_intensty FROM cells WHERE cell_id = 4", manifest)
+    trace.append(TraceEntry(1, "local", repaired, result=execute(repaired, demo_bundle)))
+    md = render_report_markdown(build_report(question, decision, h, trace)).splitlines()
+    start = md.index("SELECT cell_id, mean_intensity FROM cells WHERE cell_id = 4")
+    assert md[start + 1:start + 9] == [
+        "```",
+        "",
+        "Repairs applied:",
+        "- identifier_fix: 'mean_intensty' -> 'mean_intensity' (distance 1)",
+        "",
+        "| cell_id | mean_intensity |",
+        "| --- | --- |",
+        "| 4 | null |",
+    ]
+
+
 def test_contributing_features_require_scores(manifest, demo_bundle):
     question, decision, h, trace = _make_report_inputs(manifest, demo_bundle)
     unscored = FeatureFinding("y", None, 0, {}, "r", quality_note="observed value is null")

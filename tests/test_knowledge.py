@@ -210,8 +210,8 @@ def test_fetch_llm_ranges_unparseable_noted():
 
 
 def test_fetch_llm_ranges_racing_misses_share_one_reply():
-    """Concurrent misses on one memo may each ask the backend, but every
-    caller reads the reply stored first."""
+    """Concurrent misses on one memo ask the backend once per prompt, and
+    every caller reads that reply."""
 
     class NumberedBackend(LlmBackendPort):
         def __init__(self):
@@ -219,7 +219,7 @@ def test_fetch_llm_ranges_racing_misses_share_one_reply():
 
         def complete(self, system_prompt, user_prompt, temperature, timeout):
             number = next(self.numbers)
-            time.sleep(0.02)  # every caller misses before a reply is stored
+            time.sleep(0.02)  # every caller asks before a reply is stored
             return json.dumps({"low": 0.0, "high": float(number)})
 
     backend = NumberedBackend()
@@ -237,7 +237,7 @@ def test_fetch_llm_ranges_racing_misses_share_one_reply():
             results = list(pool.map(fetch, range(4), timeout=30))
     finally:
         sys.setswitchinterval(interval)
-    assert next(backend.numbers) > 3  # the misses really raced
+    assert next(backend.numbers) == 3  # one call per prompt: the probe and one more
     assert all(result == results[0] for result in results)
     assert [r.high for r in results[0][0]] == [
         json.loads(reply)["high"] for reply in replies.values()
@@ -349,8 +349,15 @@ def test_fetch_llm_ranges_fanned_out_error_propagates_uncached():
 def test_merge_prefers_empirical():
     empirical = ReferenceRange("f", "A", 0.0, 1.0, "empirical")
     llm = ReferenceRange("f", "A", 5.0, 6.0, "llm_knowledge")
-    index = merge_ranges([empirical], [llm])
+    index = merge_ranges([empirical, llm])
     assert index[("f", "A")] is empirical
+
+
+def test_merge_later_range_wins_among_one_source():
+    first_llm, later_llm = (ReferenceRange("f", "A", x, x, "llm_knowledge") for x in (1.0, 2.0))
+    first_emp, later_emp = (ReferenceRange("g", "A", x, x, "empirical") for x in (1.0, 2.0))
+    index = merge_ranges([first_emp, first_llm, later_emp, later_llm])
+    assert index == {("f", "A"): later_llm, ("g", "A"): later_emp}
 
 
 # -- calibration -------------------------------------------------------------------

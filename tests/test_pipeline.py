@@ -2,6 +2,7 @@ import hashlib
 import json
 import shutil
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -221,6 +222,28 @@ def test_execution_error_lands_in_trace_not_findings(manifest, demo_bundle,
     assert finding_ids & {e["query_id"] for e in later}
 
 
+def test_arithmetic_domain_from_an_agent_query_is_recorded_in_the_trace(
+        manifest, demo_bundle, question, file_ranges, tmp_path):
+    """A square root of a negative value in an agent's query is an error in
+    its trace entry, naming the source row; the case still completes."""
+    global_resp = TemplateBackend().complete(
+        "Task: global-feature-analysis\n" + _schema_text(manifest), "", 0, 0,
+    )
+    local_resp = (
+        "```sql\nSELECT SQRT(area - 300) AS s FROM cells\n```\n"
+        "```sql\nSELECT COUNT(*) AS n FROM cells\n```\n"
+    )
+    backend = ScriptedBackend([global_resp, local_resp])
+    config = make_config(tmp_path, mode="sql_only")
+    result = run_case(manifest, demo_bundle, question, config, backend, file_ranges)
+    trace = result.report["sql_trace"]
+    errored = [e for e in trace if "error" in e]
+    assert [e["canonical_text"] for e in errored] == ["SELECT SQRT(area - 300) AS s FROM cells"]
+    error = errored[0]["error"]
+    assert (error["kind"], error["row_index"]) == ("arithmetic_domain", 4)  # area 290.0
+    assert "rows" in trace[-1] and trace[-1]["canonical_text"] == "SELECT COUNT(*) AS n FROM cells"
+
+
 def test_grouping_rejection_is_recorded_not_raised(manifest, demo_bundle, question,
                                                    file_ranges, tmp_path):
     """An aggregate in ORDER BY of an ungrouped query is a guard rejection in
@@ -327,14 +350,16 @@ class CountingBackend(LlmBackendPort):
     """Template replies for the agents, a fixed interval per option for
     range prompts and a one-line narrative; counts calls by task and by
     prompt pair. ``fail_calls`` maps a task to the 1-based call numbers
-    of that task that raise ``BackendError`` instead."""
+    of that task that raise ``BackendError`` instead; each call first
+    waits ``delay`` seconds, like a hosted model."""
 
     name = "counting"
 
-    def __init__(self, fail_calls=None):
+    def __init__(self, fail_calls=None, delay=0.0):
         self.calls: Counter[str] = Counter()
         self.prompts: Counter[tuple[str, str]] = Counter()
         self.fail_calls = fail_calls or {}
+        self.delay = delay
         self._template = TemplateBackend()
         self._lock = threading.Lock()
 
@@ -344,6 +369,7 @@ class CountingBackend(LlmBackendPort):
             self.calls[task] += 1
             self.prompts[system_prompt, user_prompt] += 1
             number = self.calls[task]
+        time.sleep(self.delay)
         if number in self.fail_calls.get(task, ()):
             raise BackendError(f"{task} service unavailable")
         if task == TASK_NARRATIVE:
@@ -618,3 +644,25 @@ def test_batch_eval_output_with_workers_matches_one_worker(manifest_path, eval_d
         outputs.append((_output_bytes(out), (out / "summary.json").read_bytes()))
     assert len(outputs[0][0]) == 60
     assert outputs[0] == outputs[1]
+
+
+def test_remote_batch_asks_each_prompt_once_at_any_worker_count(manifest_path, eval_dataset,
+                                                               tmp_path):
+    """Four workers share the reply memo's in-flight entries: they send
+    exactly the calls one worker sends, and write the same bytes."""
+    questions = load_questions(eval_dataset["questions"])
+    runs = []
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        backend = CountingBackend(delay=0.02)
+        config = RunConfig(str(manifest_path), str(out), workers=workers,
+                           backend=BackendConfig(kind="remote"))
+        batch_eval(config, eval_dataset["dataset"], questions, backend=backend)
+        runs.append((backend.prompts, _output_bytes(out), (out / "summary.json").read_bytes()))
+    prompts, files, _ = runs[0]
+    assert set(prompts.values()) == {1}
+    assert {task: sum(1 for system, _ in prompts if system.startswith(f"Task: {task}\n"))
+            for task in (TASK_GLOBAL, TASK_LOCAL, TASK_NARRATIVE)} == {
+        TASK_GLOBAL: 1, TASK_LOCAL: 20, TASK_NARRATIVE: 20}
+    assert len(files) == 60
+    assert runs[1] == runs[0]

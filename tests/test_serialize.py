@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from evidencesql.serialize import canonical_json, json_field
+from evidencesql.serialize import canonical_json, json_field, write_text_atomic
 
 from reference_serialize import canonical_json as reference_canonical_json
 
@@ -96,8 +96,26 @@ def test_canonical_json_rejects_what_the_reference_rejects(obj, error):
     (True, float, False, "x must be a number, not bool"),
     ("2", float, False, "x must be a number, not str"),
     ("ab", list, False, "x must be a JSON list, not str"),
+    (True, int, False, "x must be an integer, not bool"),
+    (1.5, int, False, "x must be an integer, not float"),
+    ("2", int, True, "x must be an integer or null, not str"),
 ])
 def test_json_field_rejects_a_wrong_type_instead_of_coercing(value, kind, nullable, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         json_field(value, "x", kind, nullable)
 
+
+
+def test_json_field_returns_a_number_as_a_float_and_an_integer_as_is():
+    assert type(json_field(2, "x", float)) is float and json_field(2, "x", float) == 2.0
+    assert type(json_field(2, "x", int)) is int
+    assert json_field(None, "x", int, nullable=True) is None
+
+
+def test_write_text_atomic_removes_its_temp_file_after_a_failed_write(tmp_path):
+    target = tmp_path / "out" / "report.md"
+    write_text_atomic(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "half \ud800 written")  # a lone surrogate has no UTF-8
+    assert sorted(p.name for p in target.parent.iterdir()) == ["report.md"]
+    assert target.read_text(encoding="utf-8") == "old\n"

@@ -77,6 +77,24 @@ def test_unsupported_features_named(text, feature):
     assert exc_info.value.feature == feature
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("SELECT ROUND(area, 1, 2) AS r FROM cells", SqlSyntaxError,
+     "ROUND expects 1 or 2 argument(s), got 3 at offset 12"),
+    ("SELECT SQRT(area, 2) AS s FROM cells", SqlSyntaxError,
+     "SQRT expects 1 argument(s), got 2 at offset 11"),
+    ("SELECT COUNT(DISTINCT *) AS n FROM cells", SqlSyntaxError,
+     "COUNT(DISTINCT *) is not valid at offset 22"),
+    ("SELECT * FROM cells GROUP BY cell_type", SqlSyntaxError,
+     "SELECT * cannot be combined with GROUP BY at offset 0"),
+    ("SELECT (SELECT 1) AS x FROM cells", UnsupportedFeature,
+     "unsupported SQL feature subquery at offset 8"),
+], ids=["round-arity", "sqrt-arity", "count-distinct-star", "star-group-by", "scalar-subquery"])
+def test_parser_rejection_messages(text, error, message):
+    with pytest.raises(error) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_nested_aggregate_rejected():
     with pytest.raises(SqlSyntaxError, match="nested"):
         parse("SELECT AVG(COUNT(a)) FROM t")
