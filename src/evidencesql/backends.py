@@ -100,15 +100,20 @@ class BackendConfig:
         names ``kind``, and each field it leaves out keeps its default.
 
         Raises ConfigError naming ``source`` for a document or field of the
-        wrong shape, type or value.
+        wrong shape, type or value, and for a key that names no field.
         """
         if not isinstance(doc, dict):
             raise ConfigError(f"{source} must hold a JSON object")
+        keys = {f.name: "backend" if f.name == "kind" else f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - set(keys.values()))
+        if unknown:
+            hint = "; the backend kind is set by 'backend'" if "kind" in unknown else ""
+            raise ConfigError(
+                f"{source} has unknown field(s) {', '.join(map(repr, unknown))}{hint}")
         try:
             return cls(**{
-                f.name: json_field(doc[key], key, _FIELD_KINDS[f.type])
-                for f in fields(cls)
-                if (key := "backend" if f.name == "kind" else f.name) in doc
+                f.name: json_field(doc[keys[f.name]], keys[f.name], _FIELD_KINDS[f.type])
+                for f in fields(cls) if keys[f.name] in doc
             })
         except (TypeError, ValueError, OverflowError) as exc:
             raise malformed(source, exc, ConfigError) from exc
@@ -228,7 +233,10 @@ class ScriptedBackend(LlmBackendPort):
     Responses go out in call order, so concurrent callers (batch workers,
     a range fetch's fanned-out prompts) get them in arrival order. Under
     ``batch_eval`` a repeated prompt is answered from the run's reply memo
-    (see ``ask_backend``), so the script advances only on new prompts.
+    (see ``ask_backend``), so the script advances only on new prompts. A
+    remote-kind ``batch_eval`` asks each case's narrative while the next
+    case is analysed, so which prompt gets which response is not fixed
+    there, even at one worker.
     """
 
     responses: list[str]

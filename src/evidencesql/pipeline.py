@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from evidencesql import __version__
 from evidencesql.agents import AgentTranscript, GuardMemo, Question, plan_global, plan_local
@@ -100,11 +103,14 @@ class RunConfig:
 class CaseResult:
     case_id: str
     report: dict
-    markdown: str
+    markdown: str | None  # None until ``finish_case`` renders it
     transcripts: list[AgentTranscript]
     decision_label: str
     review_flag: bool
     ground_truth: str | None
+    # the narrative reply, waited for or asked when called; None for a
+    # backend kind that writes no narrative
+    narrative: Callable[[], str] | None = field(default=None, repr=False, compare=False)
 
 
 def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
@@ -143,6 +149,7 @@ def run_case(
     file_ranges: list[ReferenceRange] | None = None,
     replies: ReplyMemo | None = None,
     guard_verdicts: GuardMemo | None = None,
+    narrator: Executor | None = None,
 ) -> CaseResult:
     """Process one ingested case under the configured mode.
 
@@ -151,6 +158,10 @@ def run_case(
     the backend afresh.
     ``guard_verdicts`` is the run's memo of guard outcomes, passed on to
     the agents; ``None`` shares none across cases.
+    ``narrator``, when given, asks the report narrative on that executor
+    and returns at once with ``markdown`` None; the caller renders it with
+    ``finish_case`` when it wants the reply. ``None`` asks it here and
+    returns the rendered markdown.
     """
     options = question.options
     transcripts: list[AgentTranscript] = []
@@ -216,26 +227,25 @@ def run_case(
         question, decision, hypothesis, trace,
         transcripts_ref=transcripts_ref, extra_notes=extra_notes,
     )
-    narrative = _maybe_narrative(report, backend, config, replies)
-    markdown = render_report_markdown(report, narrative=narrative)
-    return CaseResult(
+    result = CaseResult(
         case_id=bundle.case_id,
         report=report,
-        markdown=markdown,
+        markdown=None,
         transcripts=transcripts,
         decision_label=decision.label,
         review_flag=decision.review_flag,
         ground_truth=bundle.ground_truth,
+        narrative=_ask_narrative(report, backend, config, replies, narrator),
     )
+    return result if narrator is not None else finish_case(result)
 
 
-def _maybe_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
-                     replies: ReplyMemo | None) -> str | None:
-    """Prose summary for the markdown report, remote backends only.
-
-    The narrative is never load-bearing: it summarizes fields already in the
-    structured report, and any backend failure just omits it.
-    """
+def _ask_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
+                   replies: ReplyMemo | None,
+                   narrator: Executor | None) -> Callable[[], str] | None:
+    """The reply to the report's narrative prompt, remote backends only:
+    asked on ``narrator`` now, the returned callable waiting for it, or
+    without one asked when the returned callable is called."""
     if config.backend.kind != "remote":
         return None
     system = system_prompt(
@@ -246,14 +256,27 @@ def _maybe_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
         "contributing_features": report["contributing_features"],
         "review_flag": report["decision"]["review_flag"],
     })
-    try:
-        reply = ask_backend(backend, config.backend, system, user, replies)
-    except BackendError:
-        return None
-    reply = reply.strip()
-    if not reply or reply == DECLINE_RESPONSE:
-        return None
-    return reply
+    ask = partial(ask_backend, backend, config.backend, system, user, replies)
+    return narrator.submit(ask).result if narrator is not None else ask
+
+
+def finish_case(result: CaseResult) -> CaseResult:
+    """Render ``result``'s markdown, with its narrative reply as a prose
+    summary when it has one.
+
+    The narrative is never load-bearing: it summarizes fields already in the
+    structured report, and a ``BackendError``, an empty reply or ``DECLINE``
+    just omits it.
+    """
+    reply = ""
+    if result.narrative is not None:
+        try:
+            reply = result.narrative().strip()
+        except BackendError:
+            pass
+    narrative = reply if reply and reply != DECLINE_RESPONSE else None
+    result.markdown = render_report_markdown(result.report, narrative=narrative)
+    return result
 
 
 def _execute_into_trace(
@@ -347,6 +370,16 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
+    Workers pull cases from one shared list and run one case behind: a
+    worker analyses a case (ingest, agents, ranges, report) while the
+    previous case's narrative is asked on the run's narrator pool, then
+    renders and writes that previous case. So each worker has at most one
+    narrative in flight beside its own case's calls, a case's files land
+    after the next case's analysis, and every case's files land before
+    ``summary.json``. A narrative can reach the backend while the next
+    case's agents do, so a ``ScriptedBackend``'s responses do not go to
+    fixed prompts in a remote-kind run, even at one worker.
+
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
     or the narrative, is asked once at any worker count, and every other
@@ -365,29 +398,58 @@ def batch_eval(
     write_run_metadata(config)
     replies: ReplyMemo = {}
     guard_verdicts: GuardMemo = {}
+    Outcome = tuple[str, CaseResult | None, str | None]
 
-    def process(case_dir: Path) -> tuple[str, CaseResult | None, str | None]:
-        case_id = case_dir.name
+    def attempt(case_id: str, step: Callable[[], CaseResult]) -> Outcome:
         try:
-            bundle = ingest_case_dir(manifest, case_dir)
-            if bundle.ground_truth is None:
-                raise ConfigError(f"case {case_id!r} has no ground_truth label")
-            question = select_question(questions, case_id)
-            result = run_case(manifest, bundle, question, config, backend,
-                              file_ranges, replies, guard_verdicts)
-            write_case_outputs(config.out_dir, result)
-            return case_id, result, None
+            return case_id, step(), None
         except EvidenceSqlError as exc:
             return case_id, None, str(exc)
         except Exception as exc:  # one broken case must not end the batch
             return case_id, None, f"{type(exc).__name__}: {exc}"
 
-    # one worker keeps a plain loop: a one-thread pool measured 5-14% slower per CPU-bound case
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(process, case_dirs))
-    else:
-        outcomes = [process(d) for d in case_dirs]
+    def analyse(case_dir: Path) -> CaseResult:
+        bundle = ingest_case_dir(manifest, case_dir)
+        if bundle.ground_truth is None:
+            raise ConfigError(f"case {case_dir.name!r} has no ground_truth label")
+        question = select_question(questions, case_dir.name)
+        return run_case(manifest, bundle, question, config, backend,
+                        file_ranges, replies, guard_verdicts, narrator)
+
+    def render_and_write(result: CaseResult) -> CaseResult:
+        write_case_outputs(config.out_dir, finish_case(result))
+        return result
+
+    def finish(outcome: Outcome) -> Outcome:
+        case_id, result, error = outcome
+        return outcome if error is not None else attempt(case_id, partial(render_and_write, result))
+
+    pending = iter(case_dirs)
+    pending_lock = threading.Lock()
+
+    def next_case() -> Path | None:
+        with pending_lock:
+            return next(pending, None)
+
+    def work() -> list[Outcome]:
+        """Analyse each case this worker pulls, then finish the one before it."""
+        outcomes: list[Outcome] = []
+        for case_dir in iter(next_case, None):
+            outcomes.append(attempt(case_dir.name, partial(analyse, case_dir)))
+            if len(outcomes) > 1:
+                outcomes[-2] = finish(outcomes[-2])
+        if outcomes:
+            outcomes[-1] = finish(outcomes[-1])
+        return outcomes
+
+    with ThreadPoolExecutor(max_workers=config.workers) as narrator:
+        # one worker keeps a plain loop: a one-thread pool measured 5-14% slower per CPU-bound case
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                shares = [pool.submit(work) for _ in range(config.workers)]
+                outcomes = [outcome for share in shares for outcome in share.result()]
+        else:
+            outcomes = work()
     outcomes.sort(key=lambda item: item[0])
 
     results = [result for _, result, error in outcomes if error is None]

@@ -45,6 +45,19 @@ def test_backend_config_refuses_unusable_timeout_and_temperature(field, value):
         BackendConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"max_retry": 0, "temprature": 0.7},
+     "backend config has unknown field(s) 'max_retry', 'temprature'"),
+    ({"backend": "remote", "model": "m"}, "backend config has unknown field(s) 'model'"),
+    ({"kind": "remote"},
+     "backend config has unknown field(s) 'kind'; the backend kind is set by 'backend'"),
+], ids=["misspelled", "unknown", "kind-for-backend"])
+def test_backend_config_refuses_unknown_keys(doc, message):
+    with pytest.raises(ConfigError) as raised:
+        BackendConfig.from_dict(doc)
+    assert str(raised.value) == message
+
+
 # -- the per-run memo rule -------------------------------------------------
 
 

@@ -603,6 +603,8 @@ def _range_file(low=0.5, high=0.7, **fields):
     ("--config", '{"max_retries": -1}'),
     ("--config", '{"prompt_version": 2}'),
     ("--config", '{"timeout_seconds": "5"}'),
+    ("--config", '{"max_retry": 0, "temprature": 0.7}'),
+    ("--config", '{"kind": "remote"}'),
 ], ids=["questions-shape", "questions-json", "questions-one-option", "questions-string-options",
         "questions-empty", "questions-null-case-id", "questions-null-option",
         "ranges-inverted", "ranges-nan", "ranges-infinite", "ranges-json", "ranges-missing-key",
@@ -611,7 +613,7 @@ def _range_file(low=0.5, high=0.7, **fields):
         "config-list", "config-null-field",
         "config-timeout-negative", "config-bool-temperature", "config-string-retries",
         "config-fractional-retries", "config-negative-retries", "config-numeric-version",
-        "config-string-timeout"])
+        "config-string-timeout", "config-unknown-keys", "config-kind-key"])
 def test_malformed_input_file_is_config_error(runner, contract_inputs, tmp_path,
                                               command, option, content):
     bad = tmp_path / "input.json"

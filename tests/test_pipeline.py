@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import shutil
+import sys
 import threading
 import time
 from collections import Counter
@@ -9,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from evidencesql import agents, pipeline
+from evidencesql import agents, pipeline, serialize
 from evidencesql.agents import Question
 from evidencesql.backends import (
     TASK_GLOBAL,
@@ -350,16 +352,22 @@ class CountingBackend(LlmBackendPort):
     """Template replies for the agents, a fixed interval per option for
     range prompts and a one-line narrative; counts calls by task and by
     prompt pair. ``fail_calls`` maps a task to the 1-based call numbers
-    of that task that raise ``BackendError`` instead; each call first
-    waits ``delay`` seconds, like a hosted model."""
+    of that task that raise ``error`` (``BackendError`` by default)
+    instead; each call first waits ``delay`` seconds, like a hosted model.
+    ``peak`` holds the most calls of each task in flight at once, and
+    ``met`` the tasks in flight when a call of each task began."""
 
     name = "counting"
 
-    def __init__(self, fail_calls=None, delay=0.0):
+    def __init__(self, fail_calls=None, delay=0.0, error=BackendError):
         self.calls: Counter[str] = Counter()
         self.prompts: Counter[tuple[str, str]] = Counter()
         self.fail_calls = fail_calls or {}
         self.delay = delay
+        self.error = error
+        self.peak: Counter[str] = Counter()
+        self.met: dict[str, set[str]] = {}
+        self._in_flight: Counter[str] = Counter()
         self._template = TemplateBackend()
         self._lock = threading.Lock()
 
@@ -369,9 +377,16 @@ class CountingBackend(LlmBackendPort):
             self.calls[task] += 1
             self.prompts[system_prompt, user_prompt] += 1
             number = self.calls[task]
-        time.sleep(self.delay)
+            self.met.setdefault(task, set()).update(+self._in_flight)
+            self._in_flight[task] += 1
+            self.peak[task] = max(self.peak[task], self._in_flight[task])
+        try:
+            time.sleep(self.delay)
+        finally:
+            with self._lock:
+                self._in_flight[task] -= 1
         if number in self.fail_calls.get(task, ()):
-            raise BackendError(f"{task} service unavailable")
+            raise self.error(f"{task} service unavailable")
         if task == TASK_NARRATIVE:
             return f"A narrative over {len(user_prompt)} characters of report."
         if task != TASK_RANGES:
@@ -666,3 +681,105 @@ def test_remote_batch_asks_each_prompt_once_at_any_worker_count(manifest_path, e
         TASK_GLOBAL: 1, TASK_LOCAL: 20, TASK_NARRATIVE: 20}
     assert len(files) == 60
     assert runs[1] == runs[0]
+
+
+# -- narrative asked while the next case is analysed --------------------------------
+
+
+def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
+        manifest, manifest_path, eval_dataset, three_cases, tmp_path, monkeypatch):
+    """At one worker a case's narrative is in flight while the next case's
+    local agent is asked, and the case is written before the case after
+    that starts, so one narrative at most is in flight; the files and
+    prompts are those of each case run on its own."""
+    questions = load_questions(eval_dataset["questions"])
+    backend = CountingBackend(delay=0.1)
+    local_calls_at_write = []
+    real_write = pipeline.write_case_outputs
+
+    def logged_write(out_dir, result):
+        local_calls_at_write.append(backend.calls[TASK_LOCAL])
+        real_write(out_dir, result)
+
+    monkeypatch.setattr(pipeline, "write_case_outputs", logged_write)
+    config = RunConfig(str(manifest_path), str(tmp_path / "batch"),
+                       backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, three_cases, questions, backend=backend)
+    assert summary.n_cases == 3 and summary.failures == []
+    assert TASK_NARRATIVE in backend.met[TASK_LOCAL]
+    assert local_calls_at_write == [2, 3, 3]
+    assert backend.peak[TASK_NARRATIVE] == 1
+
+    plain_backend = CountingBackend()
+    plain_out = tmp_path / "plain"
+    per_case_calls = _run_each_case(manifest, three_cases, questions, config,
+                                    plain_backend, plain_out, TASK_NARRATIVE)
+    assert per_case_calls == [1, 1, 1]
+    assert set(backend.prompts) == set(plain_backend.prompts)
+    assert set(backend.prompts.values()) == {1}
+    assert backend.calls[TASK_NARRATIVE] == backend.calls[TASK_LOCAL] == 3
+    files = _output_bytes(Path(config.out_dir))
+    assert len(files) == 9
+    assert files == _output_bytes(plain_out)
+
+
+@pytest.mark.parametrize("fault", ["narrative-raises", "report-path-is-a-directory"])
+def test_deferred_case_failure_fails_only_that_case(fault, manifest_path, eval_dataset,
+                                                    three_cases, tmp_path, monkeypatch):
+    """A fault in a case's narrative or in writing its files is that case's
+    summary entry; the other cases are written, and ``summary.json`` last."""
+    names = [d.name for d in sorted(three_cases.iterdir())]
+    broken = names[1]
+    out = tmp_path / "out"
+    if fault == "narrative-raises":
+        backend = CountingBackend(fail_calls={TASK_NARRATIVE: {2}}, error=RuntimeError)
+        expected = re.escape(f"RuntimeError: {TASK_NARRATIVE} service unavailable")
+    else:
+        backend = CountingBackend()
+        report_path = out / "reports" / f"{broken}.json"
+        report_path.mkdir(parents=True)
+        expected = (r"IsADirectoryError: \[Errno 21\] Is a directory: '.*\.tmp' -> "
+                    + re.escape(f"'{report_path}'"))
+    written = []
+    real_write = serialize.write_text_atomic
+
+    def logged_write(path, text):
+        real_write(path, text)
+        written.append(Path(path).relative_to(out).as_posix())
+
+    monkeypatch.setattr(serialize, "write_text_atomic", logged_write)
+    monkeypatch.setattr(pipeline, "write_text_atomic", logged_write)
+    config = RunConfig(str(manifest_path), str(out), backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=backend)
+    [failure] = summary.failures
+    assert failure["case_id"] == broken
+    assert re.fullmatch(expected, failure["error"])
+    assert summary.n_cases == 2
+    assert json.loads((out / "summary.json").read_text()) == summary.to_json_dict()
+    assert written[-1] == "summary.json"
+    assert sorted(written) == sorted(
+        ["run.json", "summary.json"]
+        + [f"{kind}/{name}.{ext}" for name in names if name != broken
+           for kind, ext in (("reports", "json"), ("reports", "md"), ("transcripts", "json"))])
+
+
+def test_remote_batch_workers_share_one_case_list(
+        manifest_path, eval_dataset, tmp_path):
+    """More workers than cores pull from one case list under a short switch
+    interval: every case is analysed and written once, and each narrative
+    is asked once."""
+    questions = load_questions(eval_dataset["questions"])
+    backend = CountingBackend(delay=0.005)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=8,
+                       backend=BackendConfig(kind="remote"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        summary = batch_eval(config, eval_dataset["dataset"], questions, backend=backend)
+    finally:
+        sys.setswitchinterval(interval)
+    assert summary.n_cases == 20 and summary.failures == []
+    assert backend.calls[TASK_NARRATIVE] == backend.calls[TASK_LOCAL] == 20
+    assert set(backend.prompts.values()) == {1}
+    assert len(_output_bytes(Path(config.out_dir))) == 60
