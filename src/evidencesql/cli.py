@@ -37,7 +37,7 @@ from evidencesql.pipeline import (
     write_run_metadata,
 )
 from evidencesql.serialize import canonical_json, read_json_file, read_text_file, write_json_atomic
-from evidencesql.sql.guard import GuardRejection, validate_pipeline
+from evidencesql.sql.guard import GuardRejection, ValidatedQuery, validate_pipeline
 from evidencesql.sql.executor import execute
 from evidencesql.values import Dtype, render_value
 
@@ -51,6 +51,14 @@ def _fail(code: int, stage: str, error: Exception) -> None:
     }
     click.echo(json.dumps(payload, sort_keys=True), err=True)
     sys.exit(code)
+
+
+def _accepted(outcome: ValidatedQuery | GuardRejection) -> ValidatedQuery:
+    """The guard's accepted query; a rejection prints its own JSON and exits 1."""
+    if isinstance(outcome, GuardRejection):
+        click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)
+        sys.exit(EXIT_PIPELINE)
+    return outcome
 
 
 class _Cli(click.Group):
@@ -101,10 +109,7 @@ def validate(manifest_path, query_file, as_json):
     """Run the guard pipeline on a query file; print the canonical text."""
     manifest = load_manifest(manifest_path)
     text = read_text_file(query_file, "query file", errors.ConfigError)
-    outcome = validate_pipeline(text, manifest)
-    if isinstance(outcome, GuardRejection):
-        click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)
-        sys.exit(EXIT_PIPELINE)
+    outcome = _accepted(validate_pipeline(text, manifest))
     if as_json:
         click.echo(json.dumps(outcome.to_json_dict(), sort_keys=True))
     else:
@@ -121,10 +126,7 @@ def query(manifest_path, case_dir, sql, as_json, as_csv):
     """Validate and execute one query against a case."""
     manifest = load_manifest(manifest_path)
     bundle = ingest_case_dir(manifest, case_dir)
-    outcome = validate_pipeline(sql, manifest)
-    if isinstance(outcome, GuardRejection):
-        click.echo(json.dumps({"rejection": outcome.to_json_dict()}, sort_keys=True), err=True)
-        sys.exit(EXIT_PIPELINE)
+    outcome = _accepted(validate_pipeline(sql, manifest))
     result = execute(outcome, bundle)
     if as_json:
         click.echo(json.dumps(result.to_json_dict(), sort_keys=True))

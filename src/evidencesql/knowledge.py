@@ -566,16 +566,23 @@ def hypothesis_to_json_dict(hypothesis: Hypothesis) -> dict:
     }
 
 
-def hypothesis_from_json_dict(doc: dict) -> Hypothesis:
+def hypothesis_from_json_dict(doc: dict, options: tuple[str, ...]) -> Hypothesis:
+    """The hypothesis written for a question with ``options``, each finding's
+    fits keyed in option order as ``score_observations`` keys them, so
+    ``best_fit`` breaks ties as before; a fit for another option is a ValueError."""
+
+    def fits_in_option_order(fits: dict[str, str]) -> dict[str, FitScore]:
+        if unknown := sorted(set(fits) - set(options)):
+            raise ValueError(f"fits name option(s) not in the question: {unknown}")
+        return {label: FitScore(FitCategory(fits[label]), FIT_WEIGHTS[FitCategory(fits[label])])
+                for label in options if label in fits}
+
     findings = tuple(
         FeatureFinding(
             feature_key=f["feature_key"],
             observed=f["observed"],
             query_id=f["query_id"],
-            per_option_fits={
-                label: FitScore(FitCategory(cat), FIT_WEIGHTS[FitCategory(cat)])
-                for label, cat in f["fits"].items()
-            },
+            per_option_fits=fits_in_option_order(f["fits"]),
             rationale=f["rationale"],
             quality_note=f.get("quality_note"),
         )

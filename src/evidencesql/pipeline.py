@@ -370,15 +370,16 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
-    Workers pull cases from one shared list and run one case behind: a
-    worker analyses a case (ingest, agents, ranges, report) while the
-    previous case's narrative is asked on the run's narrator pool, then
-    renders and writes that previous case. So each worker has at most one
-    narrative in flight beside its own case's calls, a case's files land
-    after the next case's analysis, and every case's files land before
-    ``summary.json``. A narrative can reach the backend while the next
-    case's agents do, so a ``ScriptedBackend``'s responses do not go to
-    fixed prompts in a remote-kind run, even at one worker.
+    ``config.workers`` workers, the calling thread one of them, pull cases
+    from one shared list and run one case behind: a worker analyses a case
+    (ingest, agents, ranges, report), which submits its narrative to the
+    run's narrator pool, then waits for the previous case's narrative and
+    renders and writes that case. The pool has ``config.workers`` threads,
+    so at most that many narratives are asked at once. A case's files land
+    after the next case's analysis and before ``summary.json``. A narrative
+    can reach the backend while the next case's agents do, so a
+    ``ScriptedBackend``'s responses do not go to fixed prompts in a
+    remote-kind run, even at one worker.
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
@@ -398,15 +399,17 @@ def batch_eval(
     write_run_metadata(config)
     replies: ReplyMemo = {}
     guard_verdicts: GuardMemo = {}
-    Outcome = tuple[str, CaseResult | None, str | None]
+    results: list[CaseResult] = []
+    failures: dict[str, str] = {}
 
-    def attempt(case_id: str, step: Callable[[], CaseResult]) -> Outcome:
+    def attempt(case_id: str, step: Callable[[], CaseResult | None]) -> CaseResult | None:
+        """``step()``, or None with its failure recorded as ``case_id``'s."""
         try:
-            return case_id, step(), None
-        except EvidenceSqlError as exc:
-            return case_id, None, str(exc)
+            return step()
         except Exception as exc:  # one broken case must not end the batch
-            return case_id, None, f"{type(exc).__name__}: {exc}"
+            failures[case_id] = (str(exc) if isinstance(exc, EvidenceSqlError)
+                                 else f"{type(exc).__name__}: {exc}")
+        return None
 
     def analyse(case_dir: Path) -> CaseResult:
         bundle = ingest_case_dir(manifest, case_dir)
@@ -416,13 +419,10 @@ def batch_eval(
         return run_case(manifest, bundle, question, config, backend,
                         file_ranges, replies, guard_verdicts, narrator)
 
-    def render_and_write(result: CaseResult) -> CaseResult:
+    def finish(result: CaseResult) -> None:
+        """Render and write an analysed case, which then counts in the summary."""
         write_case_outputs(config.out_dir, finish_case(result))
-        return result
-
-    def finish(outcome: Outcome) -> Outcome:
-        case_id, result, error = outcome
-        return outcome if error is not None else attempt(case_id, partial(render_and_write, result))
+        results.append(result)
 
     pending = iter(case_dirs)
     pending_lock = threading.Lock()
@@ -431,28 +431,26 @@ def batch_eval(
         with pending_lock:
             return next(pending, None)
 
-    def work() -> list[Outcome]:
+    def work() -> None:
         """Analyse each case this worker pulls, then finish the one before it."""
-        outcomes: list[Outcome] = []
+        behind: CaseResult | None = None
         for case_dir in iter(next_case, None):
-            outcomes.append(attempt(case_dir.name, partial(analyse, case_dir)))
-            if len(outcomes) > 1:
-                outcomes[-2] = finish(outcomes[-2])
-        if outcomes:
-            outcomes[-1] = finish(outcomes[-1])
-        return outcomes
+            analysed = attempt(case_dir.name, partial(analyse, case_dir))
+            if behind is not None:
+                attempt(behind.case_id, partial(finish, behind))
+            behind = analysed
+        if behind is not None:
+            attempt(behind.case_id, partial(finish, behind))
 
-    with ThreadPoolExecutor(max_workers=config.workers) as narrator:
-        # one worker keeps a plain loop: a one-thread pool measured 5-14% slower per CPU-bound case
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                shares = [pool.submit(work) for _ in range(config.workers)]
-                outcomes = [outcome for share in shares for outcome in share.result()]
-        else:
-            outcomes = work()
-    outcomes.sort(key=lambda item: item[0])
+    # the calling thread is one worker and the pool runs the others; a pool refuses
+    # a size of 0, and starts no thread before its first submit
+    with (ThreadPoolExecutor(max_workers=config.workers) as narrator,
+          ThreadPoolExecutor(max_workers=max(config.workers - 1, 1)) as pool):
+        others = [pool.submit(work) for _ in range(config.workers - 1)]
+        work()
+        for other in others:
+            other.result()
 
-    results = [result for _, result, error in outcomes if error is None]
     per_class_total = Counter(r.ground_truth for r in results)
     per_class_correct = Counter(r.ground_truth for r in results
                                 if r.decision_label == r.ground_truth)
@@ -466,8 +464,8 @@ def batch_eval(
             label: per_class_correct[label] / total
             for label, total in sorted(per_class_total.items())
         },
-        failures=[{"case_id": case_id, "error": error}
-                  for case_id, _, error in outcomes if error is not None],
+        failures=[{"case_id": case_id, "error": failures[case_id]}
+                  for case_id in sorted(failures)],
     )
     write_json_atomic(Path(config.out_dir) / "summary.json", summary.to_json_dict())
     return summary

@@ -122,6 +122,11 @@ def _format_cell(value: Value) -> str:
     return render_value(value)
 
 
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """A markdown table's lines, then a blank line."""
+    return [f"| {' | '.join(cells)} |" for cells in (header, ["---"] * len(header), *rows)] + [""]
+
+
 def render_report_markdown(report: dict, narrative: str | None = None) -> str:
     """Human-readable view of the report; one section per audit surface."""
     lines = [f"# Diagnostic report: case {report['case_id']}", ""]
@@ -139,32 +144,23 @@ def render_report_markdown(report: dict, narrative: str | None = None) -> str:
         "",
         "## Ranked options",
         "",
-        "| option | fused probability |",
-        "| --- | --- |",
+        *_table(["option", "fused probability"],
+                [[option, f"{quantize_float(decision['fused'][option]):.6f}"]
+                 for option in report["question"]["options"]]),
     ]
-    for option in report["question"]["options"]:
-        lines.append(f"| {option} | {quantize_float(decision['fused'][option]):.6f} |")
-    lines.append("")
 
     if report["contributing_features"]:
-        lines += [
-            "## Contributing features",
-            "",
-            "| feature | observed | best fit | category |",
-            "| --- | --- | --- | --- |",
-        ]
-        for row in report["contributing_features"]:
-            lines.append(
-                f"| {row['feature_key']} | {_format_cell(row['observed'])} "
-                f"| {row['best_option']} | {row['fit_category']} |"
-            )
-        lines.append("")
+        lines += ["## Contributing features", "", *_table(
+            ["feature", "observed", "best fit", "category"],
+            [[row["feature_key"], _format_cell(row["observed"]), row["best_option"],
+              row["fit_category"]] for row in report["contributing_features"]],
+        )]
 
     if report["sql_trace"]:
         lines += ["## SQL evidence trace", ""]
         for entry in report["sql_trace"]:
-            lines.append(f"### q{entry['query_id']} ({entry['agent']})")
-            lines += ["", "```sql", entry["canonical_text"], "```", ""]
+            lines += [f"### q{entry['query_id']} ({entry['agent']})",
+                      "", "```sql", entry["canonical_text"], "```", ""]
             if entry["repair_log"]:
                 lines.append("Repairs applied:")
                 for action in entry["repair_log"]:
@@ -174,18 +170,14 @@ def render_report_markdown(report: dict, narrative: str | None = None) -> str:
                     )
                 lines.append("")
             if "rows" in entry:
-                lines.append("| " + " | ".join(entry["columns"]) + " |")
-                lines.append("| " + " | ".join("---" for _ in entry["columns"]) + " |")
-                for row in entry["rows"]:
-                    lines.append("| " + " | ".join(_format_cell(v) for v in row) + " |")
-                lines.append("")
+                lines += _table(entry["columns"],
+                                [[_format_cell(v) for v in row] for row in entry["rows"]])
             if "error" in entry:
                 lines += [f"Execution error: {entry['error']['message']}", ""]
 
     if report["data_quality_notes"]:
-        lines += ["## Data quality notes", ""]
-        lines += [f"- {note}" for note in report["data_quality_notes"]]
-        lines.append("")
+        lines += ["## Data quality notes", "",
+                  *(f"- {note}" for note in report["data_quality_notes"]), ""]
 
     if narrative:
         lines += ["## Generated narrative", "", narrative.strip(), ""]

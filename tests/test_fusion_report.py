@@ -71,6 +71,23 @@ def test_fuse_option_mismatch():
         fuse(cnn, hyp([("A", 0.5), ("B", 0.5)]), 0.5, ("A", "B"))
 
 
+@pytest.mark.parametrize("probs, message", [
+    ({"A": 1.2, "B": -0.2}, r"probability for 'A' is 1.2, outside \[0, 1\]"),
+    ({"A": float("nan"), "B": 0.5}, r"probability for 'A' is nan, outside \[0, 1\]"),
+    ({"A": 0.5, "B": 0.4}, r"classifier probabilities sum to 0.9"),
+])
+def test_cnn_output_rejects_bad_probabilities(probs, message):
+    with pytest.raises(OptionMismatch, match=message):
+        CnnOutput(probs).validate(("A", "B"))
+
+
+def test_fuse_rejects_hypothesis_options_unlike_the_question():
+    cnn = CnnOutput({"A": 0.5, "B": 0.5})
+    with pytest.raises(OptionMismatch,
+                       match=r"hypothesis options \['A', 'C'\] do not match question"):
+        fuse(cnn, hyp([("A", 0.5), ("C", 0.5)]), 0.5, ("A", "B"))
+
+
 def test_fuse_alpha_validated():
     cnn = CnnOutput({"A": 1.0, "B": 0.0})
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from evidencesql.knowledge import (
     FeatureFinding,
     FitCategory,
     FitScore,
+    Observation,
     ReferenceRange,
     build_hypothesis,
     calibrate_confidence,
@@ -33,6 +34,7 @@ from evidencesql.knowledge import (
     score_fit,
     score_observations,
 )
+from evidencesql.report import contributing_features
 from evidencesql.serialize import canonical_json
 from evidencesql.sql.executor import execute
 from evidencesql.sql.guard import validate_pipeline
@@ -473,9 +475,34 @@ def test_hypothesis_serialization_roundtrip():
     }, "rationale", quality_note="no reference range for option(s): B")
     h = build_hypothesis(q, [finding], [("A", 2 / 3), ("B", 1 / 3)], ["note"])
     blob = canonical_json(hypothesis_to_json_dict(h))
-    again = hypothesis_from_json_dict(json.loads(blob))
+    again = hypothesis_from_json_dict(json.loads(blob), q.options)
     assert again == h
     assert canonical_json(hypothesis_to_json_dict(again)) == blob
+
+
+def test_hypothesis_round_trip_keeps_fits_in_option_order():
+    """The JSON sorts fit keys; the reader keys them in question order
+    again, so a tie still goes to the earliest option."""
+    q = Question("c", "?", ("tubular", "papillary"))
+    finding = FeatureFinding("t.col", 1.0, 0, {
+        "tubular": fit(FitCategory.EXCELLENT), "papillary": fit(FitCategory.EXCELLENT),
+    }, "rationale")
+    h = build_hypothesis(q, [finding], [("tubular", 0.5), ("papillary", 0.5)], [])
+    doc = json.loads(canonical_json(hypothesis_to_json_dict(h)))
+    assert list(doc["findings"][0]["fits"]) == ["papillary", "tubular"]
+    revived = hypothesis_from_json_dict(doc, q.options)
+    assert [list(f.per_option_fits) for f in revived.findings] == [["tubular", "papillary"]]
+    assert contributing_features(revived) == contributing_features(h)
+    assert contributing_features(revived)[0]["best_option"] == "tubular"
+
+
+def test_hypothesis_reader_refuses_a_fit_for_an_unknown_option():
+    q = Question("c", "?", ("A", "B"))
+    h = build_hypothesis(q, [FeatureFinding("t.col", 1.0, 0, {"A": fit(FitCategory.GOOD)}, "r")],
+                         [("A", 0.5), ("B", 0.5)], [])
+    doc = json.loads(canonical_json(hypothesis_to_json_dict(h)))
+    with pytest.raises(ValueError, match=r"not in the question: \['A'\]"):
+        hypothesis_from_json_dict(doc, ("B", "C"))
 
 
 def test_hypothesis_confidence_reproducible_from_findings():
@@ -495,7 +522,7 @@ def test_hypothesis_confidence_reproducible_from_findings():
             continue
         h = build_hypothesis(q, findings, confidences, notes)
         doc = json.loads(canonical_json(hypothesis_to_json_dict(h)))
-        revived = hypothesis_from_json_dict(doc)
+        revived = hypothesis_from_json_dict(doc, q.options)
         confidences2, _ = calibrate_confidence(list(revived.findings), q.options)
         h2 = build_hypothesis(q, list(revived.findings), confidences2, notes)
         assert h2.ranked_options == h.ranked_options
@@ -528,9 +555,17 @@ def test_extract_observations_from_executed_queries(manifest, demo_bundle):
     assert math.isclose(mean_area.observed, 400.0, rel_tol=1e-12)
 
 
-def test_score_observations_null_and_missing(manifest):
-    from evidencesql.knowledge import Observation
+def test_extract_observations_keys_plain_columns_and_skips_text(manifest, demo_bundle):
+    query = validate_pipeline("SELECT cell_type, area FROM cells ORDER BY area LIMIT 1",
+                              manifest)
+    result = execute(query, demo_bundle)
+    assert result.column_names == ("cell_type", "area")
+    assert isinstance(result.rows[0][0], str)
+    assert extract_observations([(3, query, result)]) == [
+        Observation("cells.area", result.rows[0][1], 3)]
 
+
+def test_score_observations_null_and_missing(manifest):
     index = {("f", "A"): rng_range(0, 1)}
     findings, notes = score_observations(
         [Observation("f", None, 0), Observation("g", 0.5, 1), Observation("f", 0.5, 2)],

@@ -783,3 +783,77 @@ def test_remote_batch_workers_share_one_case_list(
     assert backend.calls[TASK_NARRATIVE] == backend.calls[TASK_LOCAL] == 20
     assert set(backend.prompts.values()) == {1}
     assert len(_output_bytes(Path(config.out_dir))) == 60
+
+
+def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_path,
+                                              monkeypatch):
+    """At four workers the calling thread analyses cases beside three pool
+    threads: the first four ingests wait for one another, so four threads
+    run them, and the calling thread is one."""
+    meeting = threading.Barrier(4, timeout=10)
+    ingest_threads = []
+    lock = threading.Lock()
+    real_ingest = pipeline.ingest_case_dir
+
+    def ingest_after_meeting(manifest, case_dir):
+        with lock:
+            ingest_threads.append(threading.get_ident())
+            early = len(ingest_threads) <= 4
+        if early:
+            meeting.wait()
+        return real_ingest(manifest, case_dir)
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", ingest_after_meeting)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=4)
+    summary = batch_eval(config, eval_dataset["dataset"],
+                         load_questions(eval_dataset["questions"]), backend=TemplateBackend())
+    assert summary.n_cases == 20 and summary.failures == []
+    assert len(set(ingest_threads[:4])) == 4
+    assert threading.get_ident() in ingest_threads
+
+
+def test_narrative_backend_error_leaves_the_narrative_out(manifest_path, eval_dataset,
+                                                          three_cases, tmp_path):
+    """A ``BackendError`` from the narrative is no failure: that case is
+    written without its narrative section."""
+    names = [d.name for d in sorted(three_cases.iterdir())]
+    backend = CountingBackend(fail_calls={TASK_NARRATIVE: {2}})
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"),
+                       backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=backend)
+    assert summary.n_cases == 3 and summary.failures == []
+    files = _output_bytes(Path(config.out_dir))
+    assert ["## Generated narrative" in files[f"reports/{name}.md"].decode()
+            for name in names] == [True, False, True]
+
+
+def test_case_without_ground_truth_fails_only_that_case(manifest_path, eval_dataset,
+                                                        three_cases, tmp_path):
+    unlabeled = sorted(three_cases.iterdir())[1]
+    sidecar = unlabeled / "sidecar.json"
+    doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    del doc["ground_truth"]
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=TemplateBackend())
+    assert summary.failures == [{
+        "case_id": unlabeled.name,
+        "error": f"case {unlabeled.name!r} has no ground_truth label"}]
+    assert summary.n_cases == 2
+    assert len(_output_bytes(Path(config.out_dir))) == 6
+
+
+def test_select_question_without_a_match_is_config_error():
+    questions = [Question("case-a", "?", OPTIONS)]
+    assert select_question(questions, "case-a") is questions[0]
+    with pytest.raises(ConfigError, match="no question found for case 'case-b'"):
+        select_question(questions, "case-b")
+
+
+def test_questions_file_may_hold_one_object(tmp_path):
+    path = tmp_path / "question.json"
+    path.write_text(json.dumps({"prompt_text": QUESTION_TEXT, "options": list(OPTIONS)}),
+                    encoding="utf-8")
+    assert load_questions(path) == [Question("*", QUESTION_TEXT, OPTIONS)]
