@@ -371,33 +371,24 @@ def extract_observations(
 ) -> list[Observation]:
     """Scalar observations from single-row results.
 
-    Keys: ``table.column`` for plain column projections (and ``SELECT *``
-    over one-row tables), the alias for aliased projections, the rendered
-    expression otherwise. Multi-row results stay in the trace as evidence
-    but yield no scalar observation; text values carry no range semantics
-    and are skipped.
+    Each is keyed by the executor's name for its result column (the alias,
+    else the rendered expression), with ``table.`` in front for ``SELECT *``
+    over one-row tables and for unaliased plain column projections. Multi-row
+    results stay in the trace as evidence but yield no scalar observation;
+    text values carry no range semantics and are skipped.
     """
     observations: list[Observation] = []
     for query_id, query, result in executed:
         if len(result.rows) != 1:
             continue
-        row = result.rows[0]
-        star = any(isinstance(p.expr, Star) for p in query.ast.projections)
-        if star:
-            keys = [f"{query.ast.from_table}.{name}" for name in result.column_names]
-        else:
-            keys = []
-            for projection, name in zip(query.ast.projections, result.column_names):
-                if projection.alias is not None:
-                    keys.append(projection.alias)
-                elif isinstance(projection.expr, ColumnRef):
-                    keys.append(f"{query.ast.from_table}.{projection.expr.name}")
-                else:
-                    keys.append(name)
-        for key, value in zip(keys, row):
-            if isinstance(value, str):
-                continue
-            observations.append(Observation(key, value, query_id))
+        projections = query.ast.projections
+        star = any(isinstance(p.expr, Star) for p in projections)
+        for i, (name, value) in enumerate(zip(result.column_names, result.rows[0])):
+            bare = star or (projections[i].alias is None
+                            and isinstance(projections[i].expr, ColumnRef))
+            if not isinstance(value, str):
+                observations.append(Observation(
+                    f"{query.ast.from_table}.{name}" if bare else name, value, query_id))
     return observations
 
 

@@ -370,13 +370,15 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
-    ``config.workers`` workers, the calling thread one of them, pull cases
-    from one shared list and run one case behind: a worker analyses a case
-    (ingest, agents, ranges, report), which submits its narrative to the
-    run's narrator pool, then waits for the previous case's narrative and
-    renders and writes that case. The pool has ``config.workers`` threads,
-    so at most that many narratives are asked at once. A case's files land
-    after the next case's analysis and before ``summary.json``. A narrative
+    ``config.workers`` workers, or one per case when there are fewer cases,
+    the calling thread one of them, pull cases from one shared list and run
+    one case behind: a worker analyses a case (ingest, agents, ranges,
+    report), which submits its narrative to the run's narrator pool, then
+    waits for the previous case's narrative and renders and writes that
+    case. The pool has ``config.workers`` threads, so at most that many
+    narratives are asked at once. A case's files land after the next case's
+    analysis and before ``summary.json``; from then on the batch keeps only
+    the case's ground truth, decision and review flag. A narrative
     can reach the backend while the next case's agents do, so a
     ``ScriptedBackend``'s responses do not go to fixed prompts in a
     remote-kind run, even at one worker.
@@ -399,7 +401,8 @@ def batch_eval(
     write_run_metadata(config)
     replies: ReplyMemo = {}
     guard_verdicts: GuardMemo = {}
-    results: list[CaseResult] = []
+    # (ground truth, decision, review flag) per written case: all the summary reads
+    outcomes: list[tuple[str | None, str, bool]] = []
     failures: dict[str, str] = {}
 
     def attempt(case_id: str, step: Callable[[], CaseResult | None]) -> CaseResult | None:
@@ -422,7 +425,7 @@ def batch_eval(
     def finish(result: CaseResult) -> None:
         """Render and write an analysed case, which then counts in the summary."""
         write_case_outputs(config.out_dir, finish_case(result))
-        results.append(result)
+        outcomes.append((result.ground_truth, result.decision_label, result.review_flag))
 
     pending = iter(case_dirs)
     pending_lock = threading.Lock()
@@ -442,24 +445,24 @@ def batch_eval(
         if behind is not None:
             attempt(behind.case_id, partial(finish, behind))
 
-    # the calling thread is one worker and the pool runs the others; a pool refuses
-    # a size of 0, and starts no thread before its first submit
+    # the calling thread is one worker and the pool runs the others, one loop per
+    # case at most; a pool refuses a size of 0, and starts no thread before its
+    # first submit
     with (ThreadPoolExecutor(max_workers=config.workers) as narrator,
           ThreadPoolExecutor(max_workers=max(config.workers - 1, 1)) as pool):
-        others = [pool.submit(work) for _ in range(config.workers - 1)]
+        others = [pool.submit(work) for _ in range(min(config.workers, len(case_dirs)) - 1)]
         work()
         for other in others:
             other.result()
 
-    per_class_total = Counter(r.ground_truth for r in results)
-    per_class_correct = Counter(r.ground_truth for r in results
-                                if r.decision_label == r.ground_truth)
+    per_class_total = Counter(truth for truth, _, _ in outcomes)
+    per_class_correct = Counter(truth for truth, label, _ in outcomes if label == truth)
     n_correct = sum(per_class_correct.values())
     summary = EvalSummary(
-        n_cases=len(results),
+        n_cases=len(outcomes),
         n_correct=n_correct,
-        accuracy=(n_correct / len(results)) if results else 0.0,
-        n_flagged=sum(r.review_flag for r in results),
+        accuracy=(n_correct / len(outcomes)) if outcomes else 0.0,
+        n_flagged=sum(flagged for _, _, flagged in outcomes),
         per_class_accuracy={
             label: per_class_correct[label] / total
             for label, total in sorted(per_class_total.items())

@@ -49,22 +49,12 @@ class TraceEntry:
 def contributing_features(hypothesis: Hypothesis) -> list[dict]:
     """Scored findings, strongest best-fit first; unscored findings are
     quality notes, not contributions."""
-    rows = []
-    for finding in hypothesis.findings:
-        if not finding.per_option_fits:
-            continue
-        best_option, best = best_fit(finding.per_option_fits)
-        rows.append({
-            "feature_key": finding.feature_key,
-            "observed": finding.observed,
-            "best_option": best_option,
-            "fit_category": best.category.value,
-            "weight": best.weight,
-        })
-    rows.sort(key=lambda r: (-r["weight"], r["feature_key"]))
-    for row in rows:
-        del row["weight"]
-    return rows
+    best = sorted(((finding, *best_fit(finding.per_option_fits))
+                   for finding in hypothesis.findings if finding.per_option_fits),
+                  key=lambda triple: (-triple[2].weight, triple[0].feature_key))
+    return [{"feature_key": finding.feature_key, "observed": finding.observed,
+             "best_option": option, "fit_category": fit.category.value}
+            for finding, option, fit in best]
 
 
 def build_report(

@@ -376,6 +376,19 @@ def _unique_candidate(word: str, candidates: tuple[str, ...] | list[str]) -> tup
     return matches[0], best
 
 
+def _respell(
+    text: str, position: int, word: str, candidates: tuple[str, ...] | list[str],
+) -> tuple[str, RepairAction] | None:
+    """``word`` at ``position`` replaced by its unique near match among
+    ``candidates``, as a ``keyword_fix``; None when there is none."""
+    found = _unique_candidate(word, candidates)
+    if found is None:
+        return None
+    spelling, distance = found
+    fixed = text[:position] + spelling + text[position + len(word):]
+    return fixed, RepairAction("keyword_fix", word, spelling, distance)
+
+
 def _try_keyword_fix(text: str, error: SqlSyntaxError) -> tuple[str, RepairAction] | None:
     token = error.token
     if not token or not WORD_RE.fullmatch(token):
@@ -385,12 +398,7 @@ def _try_keyword_fix(text: str, error: SqlSyntaxError) -> tuple[str, RepairActio
     # Prefer the keywords the parser actually expected at the failure point;
     # fall back to the whole keyword set when the error is not keyword-shaped.
     expected = tuple(w for w in error.expected if w in _REPAIR_KEYWORD_SET)
-    found = _unique_candidate(token, expected or _REPAIR_KEYWORD_SET)
-    if found is None:
-        return None
-    keyword, distance = found
-    fixed = text[:error.position] + keyword + text[error.position + len(token):]
-    return fixed, RepairAction("keyword_fix", token, keyword, distance)
+    return _respell(text, error.position, token, expected or _REPAIR_KEYWORD_SET)
 
 
 def _try_function_fix(text: str, error: UnsupportedFeature) -> tuple[str, RepairAction] | None:
@@ -400,12 +408,7 @@ def _try_function_fix(text: str, error: UnsupportedFeature) -> tuple[str, Repair
         return None
     # the feature names the upper-cased word, which can be longer (ß -> SS)
     original = WORD_RE.match(text, error.position).group(0)
-    found = _unique_candidate(original, (*AGGREGATE_FUNCTIONS, *SCALAR_FUNCTIONS))
-    if found is None:
-        return None
-    fn, distance = found
-    fixed = text[:error.position] + fn + text[error.position + len(original):]
-    return fixed, RepairAction("keyword_fix", original, fn, distance)
+    return _respell(text, error.position, original, (*AGGREGATE_FUNCTIONS, *SCALAR_FUNCTIONS))
 
 
 def _try_quote_fix(text: str) -> tuple[str, RepairAction] | None:
@@ -443,17 +446,16 @@ def _try_clause_drop(text: str, position: int) -> tuple[str, RepairAction] | Non
 def _try_identifier_fix(
     text: str, violations: list[SchemaViolation], manifest: SchemaManifest,
 ) -> tuple[str, RepairAction] | None:
+    # a name violation always names the parsed identifier and, for a column,
+    # the manifest table it was looked up in
     for violation in violations:
         if violation.kind == "unknown_column":
-            table = manifest.table(violation.table) if violation.table else None
-            candidates = list(table.column_names) if table else []
-            wrong = violation.column or ""
+            candidates = manifest.table(violation.table).column_names
+            wrong = violation.column
         elif violation.kind == "unknown_table":
             candidates = [t.name for t in manifest.tables]
-            wrong = violation.table or ""
+            wrong = violation.table
         else:
-            continue
-        if not wrong:
             continue
         found = _unique_candidate(wrong, candidates)
         if found is None:

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from evidencesql import agents
 from evidencesql.agents import (
     Question,
     extract_sql,
@@ -39,6 +40,32 @@ def test_extract_sql_tagged_and_untagged():
     assert extract_sql(response) == ["SELECT 1 FROM t", "select 2 from u"]
     assert extract_sql("no fences here") == []
     assert extract_sql("```\nnot a query\n```") == []
+
+
+def test_extract_sql_skips_an_empty_fence():
+    assert extract_sql("```sql\n  \n```\n```sql\nSELECT 1 FROM t\n```") == ["SELECT 1 FROM t"]
+
+
+@pytest.mark.parametrize("response", [
+    "no plan here\n```sql\nSELECT 1 FROM t\n```",
+    "```json\n{\"target_features\": [\n```",
+    "```json\n{\"targets\": []}\n```",
+    "```json\n{\"target_features\": [{\"table\": \"cells\"}]}\n```",
+    "```json\n[1, 2]\n```",
+], ids=["no-json-fence", "malformed-json", "no-target-features", "target-without-column",
+        "not-an-object"])
+def test_parse_plan_without_a_usable_plan_is_none(response):
+    assert agents._parse_plan(response) is None
+
+
+def test_parse_plan_reads_each_target():
+    response = ('```json\n{"target_features": [{"table": "cells", "column": "area"},'
+                ' {"table": "global_features", "column": "total_cells", "rationale": "size"}]}'
+                "\n```")
+    assert agents._parse_plan(response) == [
+        agents.PlanTarget("cells", "area", ""),
+        agents.PlanTarget("global_features", "total_cells", "size"),
+    ]
 
 
 def test_schema_dictionary_lists_all_columns(manifest):

@@ -16,11 +16,19 @@ from evidencesql.backends import (
     ENV_API_KEY,
     ENV_BASE_URL,
     ENV_MODEL,
+    TASK_LOCAL,
     BackendConfig,
     RemoteBackend,
+    ScriptedBackend,
+    TemplateBackend,
+    make_backend,
     memoized,
+    render_schema_dictionary,
+    system_prompt,
 )
 from evidencesql.errors import BackendError, ConfigError
+from evidencesql.feature_store import ColumnSchema, Level, SchemaManifest, TableSchema
+from evidencesql.values import Dtype
 
 
 def test_pipeline_import_leaves_out_requests_and_click():
@@ -209,3 +217,35 @@ def test_remote_sends_authorization_only_with_a_key(remote_env, monkeypatch, pos
     _complete(RemoteBackend())
     (_, kwargs), = post.calls
     assert kwargs["headers"].get("Authorization") == expected
+
+
+@pytest.mark.parametrize("unset", [[ENV_BASE_URL], [ENV_MODEL], [ENV_BASE_URL, ENV_MODEL]])
+def test_make_backend_remote_without_its_environment_is_config_error(remote_env, monkeypatch,
+                                                                     unset):
+    for name in unset:
+        monkeypatch.delenv(name)
+    with pytest.raises(ConfigError, match="remote backend requires"):
+        make_backend(BackendConfig(kind="remote"))
+
+
+def test_scripted_backend_without_responses_is_backend_error():
+    backend = ScriptedBackend([])
+    with pytest.raises(BackendError, match="scripted backend has no responses"):
+        _complete(backend)
+    assert backend.calls == [("sys", "user")]
+
+
+def test_template_local_stage_averages_a_table_without_categorical_column():
+    """A cellular table with reals but no categorical column (free text is
+    not one) gets one query averaging every real column."""
+    nuclei = TableSchema("nuclei", Level.LOCAL_CELLULAR, (
+        ColumnSchema("nucleus_id", Dtype.INTEGER),
+        ColumnSchema("note", Dtype.TEXT),
+        ColumnSchema("area", Dtype.REAL),
+        ColumnSchema("perimeter", Dtype.REAL),
+    ))
+    prompt = system_prompt(TASK_LOCAL, render_schema_dictionary(SchemaManifest("t", (nuclei,))))
+    assert TemplateBackend().complete(prompt, "", 0.0, 5.0) == (
+        "```sql\nSELECT AVG(area) AS mean_area, AVG(perimeter) AS mean_perimeter "
+        "FROM nuclei\n```"
+    )

@@ -46,6 +46,18 @@ def test_ingest_failure_exits_1(runner, manifest_path, tmp_path):
     assert "error" in result.output or result.stderr
 
 
+def test_ingest_of_a_list_sidecar_is_a_structured_ingest_error(runner, manifest_path,
+                                                               demo_case_dir, tmp_path):
+    case = Path(shutil.copytree(demo_case_dir, tmp_path / "list_sidecar"))
+    (case / "sidecar.json").write_text("[]", encoding="utf-8")
+    result = runner.invoke(main, ["ingest", "--manifest", str(manifest_path),
+                                  "--case", str(case), "--json"])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)["error"]
+    assert (error["stage"], error["type"]) == ("ingest", "SidecarError")
+    assert error["message"].endswith("sidecar root must be a JSON object")
+
+
 def test_validate_success_and_rejection(runner, manifest_path, tmp_path):
     good = tmp_path / "good.sql"
     good.write_text("select avg(are) from cells", encoding="utf-8")

@@ -24,6 +24,7 @@ from evidencesql.knowledge import (
     ReferenceRange,
     build_hypothesis,
     calibrate_confidence,
+    case_feature_value,
     compute_empirical_ranges,
     extract_observations,
     fetch_llm_ranges,
@@ -123,6 +124,23 @@ def test_interpolated_quantile_matches_numpy():
         assert math.isclose(ours, theirs, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_interpolated_quantile_of_one_sample_and_of_none():
+    assert interpolated_quantile([4.5], 0.1) == 4.5
+    with pytest.raises(ValueError, match="empty sample set"):
+        interpolated_quantile([], 0.5)
+
+
+def test_case_feature_value_of_a_missing_or_all_null_column(demo_bundle):
+    cells = demo_bundle.tables["cells"]
+    nulls = cells.__class__(cells.schema, {**cells.columns, "area": (None,) * cells.row_count},
+                            cells.row_count)
+    bundle = demo_bundle.__class__("nulls", {**demo_bundle.tables, "cells": nulls})
+    assert case_feature_value(demo_bundle, "cells", "no_such_column") is None
+    assert case_feature_value(demo_bundle, "no_such_table", "area") is None
+    assert case_feature_value(bundle, "cells", "area") is None
+    assert case_feature_value(demo_bundle, "cells", "area") == 400.0
+
+
 def test_compute_empirical_ranges(manifest, training_split):
     training = load_training_split(manifest, training_split)
     keys = ["global_features.neoplastic_ratio", "global_features.gland_area_ratio"]
@@ -155,6 +173,13 @@ def test_empirical_ranges_validate_inputs(manifest, training_split):
     )
     with pytest.raises(MissingLabel):
         compute_empirical_ranges([unlabeled], [], list(OPTIONS))
+
+
+def test_empirical_ranges_note_an_alias_key(manifest, training_split):
+    training = load_training_split(manifest, training_split)
+    ranges, notes = compute_empirical_ranges(training, ["mean_area"], list(OPTIONS))
+    assert ranges == []
+    assert notes == ["feature 'mean_area' is not a stored column; no empirical range"]
 
 
 def test_empirical_range_uses_case_mean_for_local_columns(manifest, demo_bundle):
@@ -322,6 +347,20 @@ def test_range_reply_beyond_float_range_is_unusable():
     )
 
 
+def test_range_reply_with_a_non_finite_bound_is_unusable():
+    backend = ScriptedBackend(['{"low": 0.5, "high": 1e999}'])
+    assert fetch_llm_ranges(["f"], ["A"], backend) == (
+        [], ["unusable range reply for 'f'/'A'"],
+    )
+
+
+def test_fetch_llm_ranges_without_pairs_asks_nothing():
+    backend = ScriptedBackend(['{"low": 0.3, "high": 0.6}'])
+    assert fetch_llm_ranges([], ["A", "B"], backend) == ([], [])
+    assert fetch_llm_ranges(["f"], [], backend) == ([], [])
+    assert backend.calls == []
+
+
 def test_fetch_llm_ranges_memo_hits_start_no_thread(monkeypatch):
     replies: dict = {}
     expected = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], SlowRangeBackend(), replies=replies)
@@ -466,6 +505,12 @@ def test_hypothesis_rank_and_tiebreak():
     assert [label for label, _ in h.ranked_options] == ["B", "A"]
     tie = build_hypothesis(q, [], [("A", 0.5), ("B", 0.5)], [])
     assert [label for label, _ in tie.ranked_options] == ["A", "B"]
+
+
+def test_hypothesis_refuses_confidences_missing_an_option():
+    q = Question("c", "?", ("A", "B"))
+    with pytest.raises(ValueError, match=r"confidences missing option\(s\): \['B'\]"):
+        build_hypothesis(q, [], [("A", 1.0)], [])
 
 
 def test_hypothesis_serialization_roundtrip():

@@ -5,6 +5,7 @@ import shutil
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -810,6 +811,56 @@ def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_p
     assert summary.n_cases == 20 and summary.failures == []
     assert len(set(ingest_threads[:4])) == 4
     assert threading.get_ident() in ingest_threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path, eval_dataset,
+                                                         three_cases, tmp_path, monkeypatch):
+    """Once a case's files are written the batch keeps only its outcome: no
+    case's ``CaseResult``, with its report and transcripts, is still alive
+    when the summary is built."""
+    made = []
+    alive_at_summary = []
+    real_run_case, real_summary = pipeline.run_case, pipeline.EvalSummary
+
+    def tracked_run_case(*args):
+        result = real_run_case(*args)
+        made.append(weakref.ref(result))
+        return result
+
+    def checked_summary(**fields):
+        alive_at_summary.extend(ref() is not None for ref in made)
+        return real_summary(**fields)
+
+    monkeypatch.setattr(pipeline, "run_case", tracked_run_case)
+    monkeypatch.setattr(pipeline, "EvalSummary", checked_summary)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=workers,
+                       backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=CountingBackend())
+    assert summary.n_cases == 3 and summary.failures == []
+    assert alive_at_summary == [False, False, False]
+
+
+def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_dataset,
+                                                           three_cases, tmp_path, monkeypatch):
+    """At eight workers over three cases the pool gets two worker loops,
+    which run beside the calling thread's."""
+    submitted_loops = []
+    real_pool = pipeline.ThreadPoolExecutor
+
+    class CountingPool(real_pool):
+        def submit(self, fn, *args, **kwargs):
+            if getattr(fn, "__name__", None) == "work":
+                submitted_loops.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=8)
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=TemplateBackend())
+    assert summary.n_cases == 3 and summary.failures == []
+    assert len(submitted_loops) == 2
 
 
 def test_narrative_backend_error_leaves_the_narrative_out(manifest_path, eval_dataset,
