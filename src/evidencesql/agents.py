@@ -16,11 +16,9 @@ from dataclasses import asdict, dataclass, field
 from evidencesql.backends import (
     BackendConfig,
     LlmBackendPort,
-    ReplyMemo,
     TASK_GLOBAL,
     TASK_LOCAL,
     ask_backend,
-    memoized,
     render_schema_dictionary,
     system_prompt,
 )
@@ -31,8 +29,7 @@ from evidencesql.sql.guard import FENCE_RE, GuardRejection, ValidatedQuery, vali
 
 _FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
 
-# Guard outcomes by (agent, raw SQL text), for one manifest; an entry in
-# flight is a Future (see ``backends.memoized``).
+# Guard outcomes by (agent, raw SQL text), for one manifest.
 GuardMemo = dict[tuple[str, str], ValidatedQuery | GuardRejection]
 
 
@@ -187,15 +184,14 @@ def _run_agent(
     config: BackendConfig,
     context: list[str],
     verdicts: GuardMemo | None = None,
-    replies: ReplyMemo | None = None,
 ) -> tuple[list[PlanTarget] | None, list[ValidatedQuery], AgentTranscript]:
     """One agent stage: prompt, retry while no query is kept, guard each query.
 
     The prompt is ``stage``'s system prompt over ``manifest``, and a user
     prompt of the question, its options and then the ``context`` lines.
-    Every attempt goes through ``ask_backend`` with the run's reply memo
-    ``replies``; a memoized reply is recorded in the transcript exactly like
-    a fresh one, and a retry's prompt differs from the first attempt's.
+    Every attempt goes through ``ask_backend``, and a retry's prompt differs
+    from the first attempt's. A reply the run's reply book already held is
+    recorded in the transcript exactly like a fresh one.
     Guard outcomes are memoized by (agent, raw SQL text), within this stage
     or, when ``verdicts`` is given, across calls (``batch_eval`` keeps one
     per run, over one manifest). A hit is recorded in the transcript
@@ -219,13 +215,14 @@ def _run_agent(
             user + f"\n\nRetry {attempt}: the previous response contained no "
                    f"usable SQL. Follow the output format exactly."
         )
-        response = ask_backend(backend, config, system, prompt_user, replies)
+        response = ask_backend(backend, config, system, prompt_user)
         transcript.attempts.append(Exchange(system, prompt_user, response))
         if stage.plans and plan_targets is None:
             plan_targets = _parse_plan(response)
         for raw in extract_sql(response):
-            outcome = memoized(memo, (agent, raw),
-                               lambda: validate_pipeline(raw, manifest, source_agent=agent))
+            outcome = memo.get((agent, raw))
+            if outcome is None:
+                outcome = memo[agent, raw] = validate_pipeline(raw, manifest, source_agent=agent)
             transcript.extracted_queries.append(raw)
             transcript.guard_outcomes.append(outcome)
             if isinstance(outcome, GuardRejection):
@@ -252,20 +249,19 @@ def plan_global(
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
     verdicts: GuardMemo | None = None,
-    replies: ReplyMemo | None = None,
 ) -> tuple[ReasoningPlan, list[ValidatedQuery], AgentTranscript]:
     """Run the whole-image reasoning stage.
 
     Validated queries against non-global tables are dropped and logged in
     the transcript; the plan keeps only targets that resolve to global-level
-    columns in the manifest. ``verdicts`` and ``replies`` are the run's
-    guard and reply memos (see ``_run_agent``).
+    columns in the manifest. ``verdicts`` is the run's guard memo (see
+    ``_run_agent``).
     """
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
         raise ConfigError("manifest declares no global-level table")
     targets, kept, transcript = _run_agent(
-        GLOBAL_STAGE, question, manifest, backend, config, [], verdicts, replies,
+        GLOBAL_STAGE, question, manifest, backend, config, [], verdicts,
     )
     valid_targets = []
     for target in targets or []:
@@ -287,16 +283,15 @@ def plan_local(
     config: BackendConfig | None = None,
     global_results_text: str = "",
     verdicts: GuardMemo | None = None,
-    replies: ReplyMemo | None = None,
 ) -> tuple[list[ValidatedQuery], AgentTranscript]:
     """Run the cellular/architectural reasoning stage over the global plan;
-    ``verdicts`` and ``replies`` are the run's memos, as for ``plan_global``."""
+    ``verdicts`` is the run's guard memo, as for ``plan_global``."""
     config = config or BackendConfig()
     context = ["Global plan:",
                *(f"- {t.table}.{t.column}: {t.rationale}" for t in plan.target_features)]
     if global_results_text:
         context += ["Global measurements:", global_results_text]
     _, kept, transcript = _run_agent(
-        LOCAL_STAGE, question, manifest, backend, config, context, verdicts, replies,
+        LOCAL_STAGE, question, manifest, backend, config, context, verdicts,
     )
     return kept, transcript

@@ -3,7 +3,9 @@
 Three implementations: a deterministic template backend for fully offline,
 reproducible runs; a scripted backend that replays canned responses (used in
 tests and for record/replay debugging); and a remote chat-completion client
-configured through environment variables.
+configured through environment variables. A fourth, ``ReplyBook``, does no
+I/O: it answers a pipeline stage from its run's replies, or names the
+prompts still to be asked.
 
 The template backend never sees package internals — it reads the schema
 dictionary straight out of the prompt it receives, exactly like a hosted
@@ -20,9 +22,7 @@ import math
 import os
 import re
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
-from typing import Callable, TypeVar
 
 from evidencesql.errors import BackendError, ConfigError
 from evidencesql.feature_store import Level, SchemaManifest
@@ -230,13 +230,14 @@ class TemplateBackend(LlmBackendPort):
 class ScriptedBackend(LlmBackendPort):
     """Replays a fixed list of responses; repeats the last one when drained.
 
-    Responses go out in call order, so concurrent callers (batch workers,
-    a range fetch's fanned-out prompts) get them in arrival order. Under
-    ``batch_eval`` a repeated prompt is answered from the run's reply memo
-    (see ``ask_backend``), so the script advances only on new prompts. A
-    remote-kind ``batch_eval`` asks each case's narrative while the next
-    case is analysed, so which prompt gets which response is not fixed
-    there, even at one worker.
+    Responses go out in call order, one lock over each position, since the
+    pipeline's driver calls backends from its I/O threads. The driver asks
+    a range fetch's misses at once, and in a batch the prompts of several
+    cases at once: above one worker, or a remote-kind case's narrative
+    beside the next case's agents. So which prompt gets which response is
+    fixed only where prompts are asked one at a time. A repeated prompt is
+    answered from the run's reply memo, so the script advances only on new
+    prompts.
     """
 
     responses: list[str]
@@ -309,54 +310,60 @@ class RemoteBackend(LlmBackendPort):
         return content
 
 
-_ABSENT = object()
-_V = TypeVar("_V")
-
-
-def memoized(memo: dict, key, compute: Callable[[], _V]) -> _V:
-    """``memo[key]``, computed by ``compute()`` on the first ask for ``key``.
-
-    The one rule of the per-run memos (replies, guard outcomes), which
-    batch workers share: the first asker computes while the key holds a
-    ``Future``; a concurrent ask for the same key waits for that result.
-    An exception reaches every waiter and is stored for none, so a later
-    ask computes afresh. A finished entry holds the plain value.
-    """
-    entry = memo.get(key, _ABSENT)
-    if entry is _ABSENT:
-        future = Future()
-        entry = memo.setdefault(key, future)
-        if entry is future:
-            try:
-                value = compute()
-            except BaseException as exc:
-                del memo[key]
-                future.set_exception(exc)
-                raise
-            memo[key] = value
-            future.set_result(value)
-            return value
-    return entry.result() if isinstance(entry, Future) else entry
-
-
-# Backend replies by (system, user) prompt pair, for one run; an entry in
-# flight is a Future (see ``memoized``).
+# Backend replies by (system, user) prompt pair, for one run.
 ReplyMemo = dict[tuple[str, str], str]
 
 
-def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, user: str,
-                replies: ReplyMemo | None = None) -> str:
-    """The one place a backend is asked: ``backend``'s reply to the prompt
-    pair under ``config``'s temperature and timeout.
+class Unanswered(Exception):
+    """Raised by a ``ReplyBook`` for the prompt pairs its run has no reply
+    to yet; the pipeline's driver asks them and runs the stage again."""
 
-    ``replies``, when given, memoizes replies by prompt pair (``batch_eval``
-    keeps one per run) through ``memoized``: each distinct pair is asked
-    once, however many workers ask it, and every caller sharing the memo
-    reads the same reply. A ``BackendError`` propagates and is never stored.
-    """
-    if replies is not None:
-        return memoized(replies, (system, user), lambda: ask_backend(backend, config, system, user))
+    def __init__(self, prompts: list[tuple[str, str]]):
+        super().__init__(f"{len(prompts)} prompt(s) not answered yet")
+        self.prompts = prompts
+
+
+class ReplyBook(LlmBackendPort):
+    """One case's port onto its run's replies, which does no I/O: a prompt
+    pair's reply from the run's memo ``replies``, else the exception its ask
+    raised for this case (``failures``), else ``Unanswered``.
+
+    It carries the name of the backend the driver asks, so transcripts
+    read as they would from that backend."""
+
+    def __init__(self, name: str, replies: ReplyMemo):
+        self.name = name
+        self.replies = replies
+        self.failures: dict[tuple[str, str], Exception] = {}
+
+    def complete(self, system_prompt: str, user_prompt: str,
+                 temperature: float, timeout: float) -> str:
+        prompt = (system_prompt, user_prompt)
+        if prompt in self.replies and prompt not in self.failures:
+            return self.replies[prompt]
+        raise self.failures.get(prompt) or Unanswered([prompt])
+
+
+def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, user: str) -> str:
+    """The one place a backend is asked: ``backend``'s reply to the prompt
+    pair under ``config``'s temperature and timeout."""
     return backend.complete(system, user, config.temperature, config.timeout_seconds)
+
+
+def ask_each(backend: LlmBackendPort, config: BackendConfig,
+             prompts: list[tuple[str, str]]) -> list[str]:
+    """Each prompt pair's reply, in order, asked in turn. A ``ReplyBook``'s
+    misses are gathered into one ``Unanswered``, so its driver asks them
+    all at once. Any other exception propagates where it is met."""
+    replies, unanswered = [], []
+    for system, user in prompts:
+        try:
+            replies.append(ask_backend(backend, config, system, user))
+        except Unanswered as exc:
+            unanswered += exc.prompts
+    if unanswered:
+        raise Unanswered(unanswered)
+    return replies
 
 
 def make_backend(config: BackendConfig) -> LlmBackendPort:

@@ -15,7 +15,6 @@ import enum
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from evidencesql.agents import Question
@@ -23,9 +22,9 @@ from evidencesql.backends import (
     BackendConfig,
     DECLINE_RESPONSE,
     LlmBackendPort,
-    ReplyMemo,
     TASK_RANGES,
     ask_backend,
+    ask_each,
     system_prompt,
 )
 from evidencesql.errors import MissingLabel, NoEvidence, NonFiniteObservation
@@ -222,10 +221,6 @@ def _range_prompt(feature_key: str, option: str) -> tuple[str, str]:
 
 
 _JSON_OBJECT_RE = re.compile(r"\{.*?\}", re.DOTALL)
-# Most threads one fetch starts for its memo misses. Eleven features by two
-# options leave 21 prompts after the probe, which one wave covers; the cap
-# keeps a wide question from starting one thread per pair.
-_RANGE_FANOUT_CAP = 32
 
 
 def fetch_llm_ranges(
@@ -233,49 +228,37 @@ def fetch_llm_ranges(
     options: list[str],
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
-    replies: ReplyMemo | None = None,
 ) -> tuple[list[ReferenceRange], list[str]]:
     """Ask the backend for one [low, high] interval per (feature, option).
 
-    The first (feature, option) prompt is a probe, resolved on the calling
-    thread: a DECLINE there means the backend does not do range generation
-    (the template backend never does), and the stage returns empty-handed
-    without noise and without asking anything else. The remaining prompts
-    the memo cannot answer are then sent together, one thread each up to
-    ``_RANGE_FANOUT_CAP``, and the replies are read back in (feature,
-    option) order, so ranges and notes keep that order. A later DECLINE
-    skips only its own pair, with a note; unparseable or inverted intervals
-    are dropped with a note.
+    The first (feature, option) prompt is a probe, asked alone: a DECLINE
+    there means the backend does not do range generation (the template
+    backend never does), and the stage returns empty-handed without noise
+    and without asking anything else. The remaining prompts are asked
+    through ``ask_each``, and the replies are read in (feature, option)
+    order, so ranges and notes keep that order. A later DECLINE skips only
+    its own pair, with a note; unparseable or inverted intervals are
+    dropped with a note.
 
-    Every prompt goes through ``ask_backend`` with ``replies``, the run's
-    reply memo when given (``batch_eval`` keeps one per run): a hit skips
-    the backend and is read exactly like a fresh reply, a prompt another
-    batch worker is asking is waited for, and a fully memoized fetch starts
-    no thread. A ``BackendError`` is never memoized; when several
-    fanned-out prompts fail, the first in (feature, option) order is raised
-    once every prompt has finished.
+    Called with a backend that does I/O, the prompts are asked in turn.
+    The pipeline calls it with a ``ReplyBook``: each run of the stage then
+    raises ``Unanswered`` once for the probe and once for all the other
+    prompts it has no reply to, and the driver asks those together. A
+    ``BackendError`` propagates, the first in (feature, option) order.
     """
     config = config or BackendConfig()
     pairs = [(feature_key, option) for feature_key in feature_keys for option in options]
     if not pairs:
         return [], []
-    memo = {} if replies is None else replies
-    if ask_backend(backend, config, *_range_prompt(*pairs[0]), memo).strip() == DECLINE_RESPONSE:
-        return [], []
     prompts = [_range_prompt(*pair) for pair in pairs]
-    misses = list(dict.fromkeys(p for p in prompts[1:] if p not in memo))
-    if misses:
-        with ThreadPoolExecutor(max_workers=min(len(misses), _RANGE_FANOUT_CAP)) as pool:
-            futures = [pool.submit(ask_backend, backend, config, *prompt, memo)
-                       for prompt in misses]
-        error = next(filter(None, (future.exception() for future in futures)), None)
-        if error is not None:
-            raise error
+    probe = ask_backend(backend, config, *prompts[0])
+    if probe.strip() == DECLINE_RESPONSE:
+        return [], []
+    replies = [probe, *ask_each(backend, config, prompts[1:])]
 
     ranges: list[ReferenceRange] = []
     notes: list[str] = []
-    for (feature_key, option), prompt in zip(pairs, prompts):
-        reply = ask_backend(backend, config, *prompt, memo)
+    for (feature_key, option), reply in zip(pairs, replies):
         if reply.strip() == DECLINE_RESPONSE:
             notes.append(f"backend declined range for {feature_key!r}/{option!r}")
             continue
@@ -285,17 +268,9 @@ def fetch_llm_ranges(
             continue
         low, high = parsed
         if low > high:
-            notes.append(
-                f"range for {feature_key!r}/{option!r} has low {low} > high {high}; dropped"
-            )
+            notes.append(f"range for {feature_key!r}/{option!r} has low {low} > high {high}; dropped")
             continue
-        ranges.append(ReferenceRange(
-            feature_key=feature_key,
-            option_label=option,
-            low=low,
-            high=high,
-            source="llm_knowledge",
-        ))
+        ranges.append(ReferenceRange(feature_key, option, low, high, source="llm_knowledge"))
     return ranges, notes
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import Counter
-from concurrent.futures import Executor, ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Generator, Iterable
 
 from evidencesql import __version__
 from evidencesql.agents import AgentTranscript, GuardMemo, Question, plan_global, plan_local
@@ -25,7 +24,9 @@ from evidencesql.backends import (
     TASK_NARRATIVE,
     BackendConfig,
     LlmBackendPort,
+    ReplyBook,
     ReplyMemo,
+    Unanswered,
     ask_backend,
     make_backend,
     system_prompt,
@@ -71,6 +72,10 @@ from evidencesql.sql.guard import ValidatedQuery
 
 MODES = ("full", "sql_only", "cnn_only")
 DEFAULT_ALPHA = 0.7
+# The most backend calls a run has in flight at once: the size of the
+# driver's one I/O pool. Eleven features by two options leave 21 range
+# prompts after the probe, which one wave covers.
+_CALLS_IN_FLIGHT = 32
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,11 @@ class RunConfig:
 class CaseResult:
     case_id: str
     report: dict
-    markdown: str | None  # None until ``finish_case`` renders it
+    markdown: str
     transcripts: list[AgentTranscript]
     decision_label: str
     review_flag: bool
     ground_truth: str | None
-    # the narrative reply, waited for or asked when called; None for a
-    # backend kind that writes no narrative
-    narrative: Callable[[], str] | None = field(default=None, repr=False, compare=False)
 
 
 def load_ranges_file(path: str | Path) -> list[ReferenceRange]:
@@ -147,21 +149,44 @@ def run_case(
     config: RunConfig,
     backend: LlmBackendPort,
     file_ranges: list[ReferenceRange] | None = None,
-    replies: ReplyMemo | None = None,
-    guard_verdicts: GuardMemo | None = None,
-    narrator: Executor | None = None,
 ) -> CaseResult:
-    """Process one ingested case under the configured mode.
+    """Process one ingested case under the configured mode, with its
+    markdown rendered; ``write_case_outputs`` writes its files.
 
-    ``replies`` is the run's memo of backend replies by prompt pair, passed
-    on to both agents, ``fetch_llm_ranges`` and the narrative; ``None`` asks
-    the backend afresh.
+    The case runs under ``_drive``, as a batch of one: each distinct prompt
+    is asked once, and a range fetch's misses are asked together, at most
+    ``_CALLS_IN_FLIGHT`` at once. An exception the case raises propagates.
+    """
+    outcomes: dict[str, object] = {}
+    _drive(backend, config.backend, 1, [(bundle.case_id, partial(
+        _case_steps, manifest, bundle, question, config, file_ranges, {}))], outcomes.__setitem__)
+    if isinstance(outcomes[bundle.case_id], Exception):
+        raise outcomes[bundle.case_id]
+    return outcomes[bundle.case_id]
+
+
+def _answered(stage: Callable, *args, **kwargs) -> Generator:
+    """``stage(*args, **kwargs)`` once its driver has answered every prompt
+    it asks: a call that raises ``Unanswered`` yields that exception's
+    prompts, and the stage then runs again from the start."""
+    while True:
+        try:
+            return stage(*args, **kwargs)
+        except Unanswered as exc:
+            yield exc.prompts
+
+
+def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question,
+                config: RunConfig, file_ranges: list[ReferenceRange] | None,
+                guard_verdicts: GuardMemo, book: ReplyBook) -> Generator:
+    """``run_case``'s steps, for ``_drive``: every stage asks ``book``, and
+    the prompts it leaves unanswered are yielded (see ``_answered``). Yields
+    None once the case is analysed, and returns its ``CaseResult``.
+
     ``guard_verdicts`` is the run's memo of guard outcomes, passed on to
-    the agents; ``None`` shares none across cases.
-    ``narrator``, when given, asks the report narrative on that executor
-    and returns at once with ``markdown`` None; the caller renders it with
-    ``finish_case`` when it wants the reply. ``None`` asks it here and
-    returns the rendered markdown.
+    the agents. The narrative, remote backends only, is never load-bearing:
+    it summarizes fields already in the structured report, and a
+    ``BackendError``, an empty reply or ``DECLINE`` just omits it.
     """
     options = question.options
     transcripts: list[AgentTranscript] = []
@@ -170,25 +195,20 @@ def run_case(
     extra_notes: list[str] = []
 
     if config.mode != "cnn_only":
-        plan, global_queries, global_tx = plan_global(
-            question, manifest, backend, config.backend, verdicts=guard_verdicts,
-            replies=replies,
-        )
+        plan, global_queries, global_tx = yield from _answered(
+            plan_global, question, manifest, book, config.backend, verdicts=guard_verdicts)
         transcripts.append(global_tx)
         trace = [_execute_into_trace(i, "global", query, bundle)
                  for i, query in enumerate(global_queries)]
-        local_queries, local_tx = plan_local(
-            question, plan, manifest, backend, config.backend,
-            global_results_text=_format_results_text(trace), verdicts=guard_verdicts,
-            replies=replies,
-        )
+        local_queries, local_tx = yield from _answered(
+            plan_local, question, plan, manifest, book, config.backend,
+            global_results_text=_format_results_text(trace), verdicts=guard_verdicts)
         transcripts.append(local_tx)
         trace += [_execute_into_trace(i, "local", query, bundle)
                   for i, query in enumerate(local_queries, len(trace))]
 
         observations = extract_observations(
-            [(e.query_id, e.query, e.result) for e in trace if e.result is not None]
-        )
+            [(e.query_id, e.query, e.result) for e in trace if e.result is not None])
         ranges = list(file_ranges or [])
         known = {(r.feature_key, r.option_label) for r in ranges}
         missing_keys = sorted({
@@ -198,9 +218,8 @@ def run_case(
         fetched: list[ReferenceRange] = []
         if missing_keys:
             try:
-                fetched, fetch_notes = fetch_llm_ranges(
-                    missing_keys, list(options), backend, config.backend, replies,
-                )
+                fetched, fetch_notes = yield from _answered(
+                    fetch_llm_ranges, missing_keys, list(options), book, config.backend)
                 extra_notes += fetch_notes
             except BackendError as exc:
                 extra_notes.append(f"range generation unavailable: {exc}")
@@ -212,8 +231,7 @@ def run_case(
             confidences = uniform_confidences(options)
             calibration_notes = ["no scorable evidence; confidence set to uniform"]
         hypothesis = build_hypothesis(
-            question, findings, confidences, finding_notes + calibration_notes,
-        )
+            question, findings, confidences, finding_notes + calibration_notes)
 
     if config.mode == "full":
         decision = fuse(_require_cnn(bundle, "full"), hypothesis, config.alpha, options)
@@ -223,60 +241,103 @@ def run_case(
         decision = cnn_only_decision(_require_cnn(bundle, "cnn_only"), options)
 
     transcripts_ref = f"transcripts/{bundle.case_id}.json" if transcripts else None
-    report = build_report(
-        question, decision, hypothesis, trace,
-        transcripts_ref=transcripts_ref, extra_notes=extra_notes,
-    )
-    result = CaseResult(
-        case_id=bundle.case_id,
-        report=report,
-        markdown=None,
-        transcripts=transcripts,
-        decision_label=decision.label,
-        review_flag=decision.review_flag,
-        ground_truth=bundle.ground_truth,
-        narrative=_ask_narrative(report, backend, config, replies, narrator),
-    )
-    return result if narrator is not None else finish_case(result)
-
-
-def _ask_narrative(report: dict, backend: LlmBackendPort, config: RunConfig,
-                   replies: ReplyMemo | None,
-                   narrator: Executor | None) -> Callable[[], str] | None:
-    """The reply to the report's narrative prompt, remote backends only:
-    asked on ``narrator`` now, the returned callable waiting for it, or
-    without one asked when the returned callable is called."""
-    if config.backend.kind != "remote":
-        return None
-    system = system_prompt(
-        TASK_NARRATIVE, "Write one short paragraph summarizing the structured diagnostic "
-        "report you are given. State only facts present in the report.")
-    user = canonical_json({
-        "diagnosis": report["diagnosis"],
-        "contributing_features": report["contributing_features"],
-        "review_flag": report["decision"]["review_flag"],
-    })
-    ask = partial(ask_backend, backend, config.backend, system, user, replies)
-    return narrator.submit(ask).result if narrator is not None else ask
-
-
-def finish_case(result: CaseResult) -> CaseResult:
-    """Render ``result``'s markdown, with its narrative reply as a prose
-    summary when it has one.
-
-    The narrative is never load-bearing: it summarizes fields already in the
-    structured report, and a ``BackendError``, an empty reply or ``DECLINE``
-    just omits it.
-    """
-    reply = ""
-    if result.narrative is not None:
+    report = build_report(question, decision, hypothesis, trace,
+                          transcripts_ref=transcripts_ref, extra_notes=extra_notes)
+    yield  # analysed: the case gives up its worker slot (see ``_drive``)
+    narrative = ""
+    if config.backend.kind == "remote":
+        system = system_prompt(
+            TASK_NARRATIVE, "Write one short paragraph summarizing the structured diagnostic "
+            "report you are given. State only facts present in the report.")
+        user = canonical_json({"diagnosis": report["diagnosis"],
+                               "contributing_features": report["contributing_features"],
+                               "review_flag": report["decision"]["review_flag"]})
         try:
-            reply = result.narrative().strip()
+            narrative = (yield from _answered(ask_backend, book, config.backend, system, user)).strip()
         except BackendError:
             pass
-    narrative = reply if reply and reply != DECLINE_RESPONSE else None
-    result.markdown = render_report_markdown(result.report, narrative=narrative)
-    return result
+    markdown = render_report_markdown(
+        report, narrative=narrative if narrative not in ("", DECLINE_RESPONSE) else None)
+    return CaseResult(case_id=bundle.case_id, report=report, markdown=markdown,
+                      transcripts=transcripts, decision_label=decision.label,
+                      review_flag=decision.review_flag, ground_truth=bundle.ground_truth)
+
+
+class _Case:
+    """A case under ``_drive``: its id, its reply book, its steps, how many
+    of the prompts it waits on are still being asked, and whether it holds
+    a worker slot."""
+
+    def __init__(self, case_id: str, start: Callable[[ReplyBook], Generator], book: ReplyBook):
+        self.case_id, self.book, self.steps = case_id, book, start(book)
+        self.waiting, self.analysing = 0, True
+
+
+def _drive(
+    backend: LlmBackendPort, config: BackendConfig, workers: int,
+    cases: Iterable[tuple[str, Callable[[ReplyBook], Generator]]],
+    ended: Callable[[str, object], None],
+) -> None:
+    """Run cases on the calling thread, and ask the backend the prompts
+    they yield on one I/O pool; as each case ends, pass ``ended`` its id
+    and the value it returned or the exception it raised.
+
+    ``cases`` gives each case's id and a function from a ``ReplyBook`` to
+    the case's steps, a generator that yields lists of prompt pairs and
+    returns a value. A case is admitted, and its steps started, while fewer
+    than ``workers`` cases are analysed and fewer than twice ``workers``
+    are in flight. A case stops counting as analysed when it yields None.
+
+    The driver owns the run's reply memo, a plain dict that only the
+    calling thread touches. Each prompt pair a case yields is asked once
+    while it is in flight, on the pool of ``_CALLS_IN_FLIGHT`` threads, for
+    every case waiting on it. A reply goes into the memo. An exception goes
+    only into the books of the cases that waited on it, so a later case
+    asks that prompt afresh. A case runs on once every prompt it waits on
+    has been answered.
+    """
+    replies: ReplyMemo = {}
+    asking: dict[tuple[str, str], tuple[Future, list[_Case]]] = {}
+    ready: deque[_Case] = deque()
+    live: list[_Case] = []
+    pending = iter(cases)
+    with ThreadPoolExecutor(max_workers=_CALLS_IN_FLIGHT) as pool:
+        while True:
+            while (sum(case.analysing for case in live) < workers and len(live) < 2 * workers
+                   and (admitted := next(pending, None))):
+                live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
+                ready.append(live[-1])
+            if ready:
+                case = ready.popleft()
+                try:
+                    asked = next(case.steps)
+                except Exception as exc:  # it returned, or it broke: it ends, and only it
+                    live.remove(case)
+                    ended(case.case_id, exc.value if isinstance(exc, StopIteration) else exc)
+                    continue
+                if asked is None:  # analysed: its slot goes to the next case
+                    case.analysing = False
+                    ready.append(case)
+                for prompt in dict.fromkeys(asked or ()):
+                    if prompt not in asking:
+                        asking[prompt] = (pool.submit(ask_backend, backend, config, *prompt), [])
+                    asking[prompt][1].append(case)
+                    case.waiting += 1
+            elif not asking:
+                return
+            else:
+                wait([future for future, _ in asking.values()], return_when=FIRST_COMPLETED)
+                for prompt, (future, waiting) in list(asking.items()):
+                    if future.done():
+                        del asking[prompt]
+                        if future.exception() is None:
+                            replies[prompt] = future.result()
+                        for case in waiting:
+                            if future.exception() is not None:
+                                case.book.failures[prompt] = future.exception()
+                            case.waiting -= 1
+                            if not case.waiting:
+                                ready.append(case)
 
 
 def _execute_into_trace(
@@ -370,26 +431,25 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
-    ``config.workers`` workers, or one per case when there are fewer cases,
-    the calling thread one of them, pull cases from one shared list and run
-    one case behind: a worker analyses a case (ingest, agents, ranges,
-    report), which submits its narrative to the run's narrator pool, then
-    waits for the previous case's narrative and renders and writes that
-    case. The pool has ``config.workers`` threads, so at most that many
-    narratives are asked at once. A case's files land after the next case's
-    analysis and before ``summary.json``; from then on the batch keeps only
-    the case's ground truth, decision and review flag. A narrative
-    can reach the backend while the next case's agents do, so a
-    ``ScriptedBackend``'s responses do not go to fixed prompts in a
-    remote-kind run, even at one worker.
+    Cases run under ``_drive`` on the calling thread, which starts no
+    thread of its own per worker. ``config.workers`` bounds the cases
+    analysed at once (ingest, agents, ranges, report); a case gives up its
+    slot when it asks its narrative, and at most twice ``config.workers``
+    cases are in flight. The backend is asked on one pool of
+    ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in flight
+    at any worker count. A case's files land once its narrative reply is
+    in, or once it is analysed for a backend kind with no narrative, and
+    all before ``summary.json``; from then on the batch keeps only the
+    case's ground truth, decision and review flag.
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
     or the narrative, is asked once at any worker count, and every other
-    case that sends it reads the same reply. The backend config is fixed for the run, so at
-    the default temperature 0 a fresh call would give that reply too; above
-    0 the run reuses one sample per prompt. A ``BackendError`` is not
-    memoized.
+    case that sends it reads the same reply. The backend config is fixed
+    for the run, so at the default temperature 0 a fresh call would give
+    that reply too; above 0 the run reuses one sample per prompt. An
+    exception from the backend is not memoized: it reaches the cases that
+    waited on that prompt, and a later case asks it again.
     Guard outcomes are memoized for the run too, keyed on (agent, raw SQL
     text): the manifest is fixed for the run, so a text is validated once
     and every later case records the same outcome in its transcript.
@@ -399,61 +459,32 @@ def batch_eval(
     file_ranges = load_ranges_file(config.ranges_path) if config.ranges_path else []
     case_dirs = sorted(p for p in Path(dataset_dir).iterdir() if p.is_dir())
     write_run_metadata(config)
-    replies: ReplyMemo = {}
     guard_verdicts: GuardMemo = {}
-    # (ground truth, decision, review flag) per written case: all the summary reads
-    outcomes: list[tuple[str | None, str, bool]] = []
-    failures: dict[str, str] = {}
 
-    def attempt(case_id: str, step: Callable[[], CaseResult | None]) -> CaseResult | None:
-        """``step()``, or None with its failure recorded as ``case_id``'s."""
-        try:
-            return step()
-        except Exception as exc:  # one broken case must not end the batch
-            failures[case_id] = (str(exc) if isinstance(exc, EvidenceSqlError)
-                                 else f"{type(exc).__name__}: {exc}")
-        return None
-
-    def analyse(case_dir: Path) -> CaseResult:
+    def case_steps(case_dir: Path, book: ReplyBook) -> Generator:
+        """One case's steps, ingest first, then its files written; returns
+        (ground truth, decision, review flag), all the summary reads."""
         bundle = ingest_case_dir(manifest, case_dir)
         if bundle.ground_truth is None:
             raise ConfigError(f"case {case_dir.name!r} has no ground_truth label")
         question = select_question(questions, case_dir.name)
-        return run_case(manifest, bundle, question, config, backend,
-                        file_ranges, replies, guard_verdicts, narrator)
+        result = yield from _case_steps(manifest, bundle, question, config, file_ranges,
+                                        guard_verdicts, book)
+        write_case_outputs(config.out_dir, result)
+        return result.ground_truth, result.decision_label, result.review_flag
 
-    def finish(result: CaseResult) -> None:
-        """Render and write an analysed case, which then counts in the summary."""
-        write_case_outputs(config.out_dir, finish_case(result))
-        outcomes.append((result.ground_truth, result.decision_label, result.review_flag))
+    outcomes: list[tuple[str | None, str, bool]] = []
+    failures: dict[str, str] = {}
 
-    pending = iter(case_dirs)
-    pending_lock = threading.Lock()
+    def ended(case_id: str, outcome: object) -> None:
+        if not isinstance(outcome, Exception):
+            outcomes.append(outcome)
+        else:
+            failures[case_id] = (str(outcome) if isinstance(outcome, EvidenceSqlError)
+                                 else f"{type(outcome).__name__}: {outcome}")
 
-    def next_case() -> Path | None:
-        with pending_lock:
-            return next(pending, None)
-
-    def work() -> None:
-        """Analyse each case this worker pulls, then finish the one before it."""
-        behind: CaseResult | None = None
-        for case_dir in iter(next_case, None):
-            analysed = attempt(case_dir.name, partial(analyse, case_dir))
-            if behind is not None:
-                attempt(behind.case_id, partial(finish, behind))
-            behind = analysed
-        if behind is not None:
-            attempt(behind.case_id, partial(finish, behind))
-
-    # the calling thread is one worker and the pool runs the others, one loop per
-    # case at most; a pool refuses a size of 0, and starts no thread before its
-    # first submit
-    with (ThreadPoolExecutor(max_workers=config.workers) as narrator,
-          ThreadPoolExecutor(max_workers=max(config.workers - 1, 1)) as pool):
-        others = [pool.submit(work) for _ in range(min(config.workers, len(case_dirs)) - 1)]
-        work()
-        for other in others:
-            other.result()
+    _drive(backend, config.backend, config.workers,
+           [(d.name, partial(case_steps, d)) for d in case_dirs], ended)
 
     per_class_total = Counter(truth for truth, _, _ in outcomes)
     per_class_correct = Counter(truth for truth, label, _ in outcomes if label == truth)

@@ -1,10 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,10 +15,13 @@ from evidencesql.backends import (
     TASK_LOCAL,
     BackendConfig,
     RemoteBackend,
+    ReplyBook,
     ScriptedBackend,
     TemplateBackend,
+    Unanswered,
+    ask_backend,
+    ask_each,
     make_backend,
-    memoized,
     render_schema_dictionary,
     system_prompt,
 )
@@ -66,66 +65,37 @@ def test_backend_config_refuses_unknown_keys(doc, message):
     assert str(raised.value) == message
 
 
-# -- the per-run memo rule -------------------------------------------------
+# -- the reply book a pipeline stage asks ----------------------------------
 
 
-def test_memoized_computes_each_key_once_under_contention():
-    """More threads than cores ask overlapping keys at once: each key is
-    computed once and every thread reads that value."""
-    memo: dict = {}
-    computed: Counter = Counter()
-    lock = threading.Lock()
-    barrier = threading.Barrier(16)
-
-    def compute(key):
-        with lock:
-            computed[key] += 1
-        time.sleep(0.002)
-        return f"value {key}"
-
-    def ask_all(worker):
-        barrier.wait(timeout=10)
-        keys = [(worker + k) % 20 for k in range(20)]
-        return {key: memoized(memo, key, lambda: compute(key)) for key in keys}
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            results = list(pool.map(ask_all, range(16), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    expected = {key: f"value {key}" for key in range(20)}
-    assert computed == Counter(range(20))
-    assert results == [expected] * 16
-    assert memo == expected  # finished entries hold the plain value
+def test_reply_book_answers_from_the_memo_or_names_what_is_unanswered():
+    failure = BackendError("down")
+    book = ReplyBook("remote", {("s", "a"): "reply a"})
+    book.failures[("s", "f")] = failure
+    assert book.name == "remote"
+    assert ask_backend(book, BackendConfig(), "s", "a") == "reply a"
+    with pytest.raises(BackendError) as raised:
+        ask_backend(book, BackendConfig(), "s", "f")
+    assert raised.value is failure
+    with pytest.raises(Unanswered) as unanswered:
+        ask_backend(book, BackendConfig(), "s", "b")
+    assert unanswered.value.prompts == [("s", "b")]
 
 
-def test_memoized_exception_reaches_waiters_and_is_not_stored():
-    memo: dict = {}
-    started, release = threading.Event(), threading.Event()
+def test_ask_each_gathers_every_unanswered_prompt_into_one():
+    book = ReplyBook("remote", {("s", "a"): "reply a"})
+    prompts = [("s", "b"), ("s", "a"), ("s", "c")]
+    with pytest.raises(Unanswered) as unanswered:
+        ask_each(book, BackendConfig(), prompts)
+    assert unanswered.value.prompts == [("s", "b"), ("s", "c")]
+    book.replies.update({("s", "b"): "reply b", ("s", "c"): "reply c"})
+    assert ask_each(book, BackendConfig(), prompts) == ["reply b", "reply a", "reply c"]
 
-    def failing():
-        started.set()
-        release.wait(timeout=10)
-        raise RuntimeError("backend down")
 
-    def ask(compute):
-        try:
-            return memoized(memo, "k", compute)
-        except RuntimeError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        first = pool.submit(ask, failing)
-        assert started.wait(timeout=10)
-        waiter = pool.submit(ask, lambda: "computed by the waiter")
-        time.sleep(0.1)  # the waiter finds the key in flight
-        release.set()
-        outcomes = [first.result(timeout=10), waiter.result(timeout=10)]
-    assert [str(o) for o in outcomes] == ["backend down", "backend down"]
-    assert memo == {}
-    assert memoized(memo, "k", lambda: "fresh") == "fresh" and memo == {"k": "fresh"}
+def test_ask_each_asks_a_backend_that_does_io_in_turn():
+    backend = ScriptedBackend(["r0", "r1"])
+    assert ask_each(backend, BackendConfig(), [("s", "x"), ("s", "y")]) == ["r0", "r1"]
+    assert backend.calls == [("s", "x"), ("s", "y")]
 
 
 # -- RemoteBackend against a stand-in for requests.post (no network) ------

@@ -2,17 +2,23 @@ import itertools
 import json
 import math
 import random
-import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
-from evidencesql import knowledge
+from evidencesql import knowledge, pipeline
 from evidencesql.agents import Question
-from evidencesql.backends import LlmBackendPort, ScriptedBackend, TemplateBackend
+from evidencesql.backends import (
+    TASK_RANGES,
+    BackendConfig,
+    LlmBackendPort,
+    ReplyBook,
+    ScriptedBackend,
+    TemplateBackend,
+)
 from evidencesql.errors import BackendError, MissingLabel, NoEvidence, NonFiniteObservation
 from evidencesql.feature_store import load_training_split
 from evidencesql.knowledge import (
@@ -35,6 +41,7 @@ from evidencesql.knowledge import (
     score_fit,
     score_observations,
 )
+from evidencesql.pipeline import RunConfig, run_case
 from evidencesql.report import contributing_features
 from evidencesql.serialize import canonical_json
 from evidencesql.sql.executor import execute
@@ -237,38 +244,29 @@ def test_fetch_llm_ranges_unparseable_noted():
 
 
 def test_fetch_llm_ranges_racing_misses_share_one_reply():
-    """Concurrent misses on one memo ask the backend once per prompt, and
-    every caller reads that reply."""
+    """Four cases in flight under one driver fetch the same ranges: the
+    backend is asked once per prompt, and every case reads that reply."""
 
     class NumberedBackend(LlmBackendPort):
+        name = "numbered"
+
         def __init__(self):
             self.numbers = itertools.count(1)
 
         def complete(self, system_prompt, user_prompt, temperature, timeout):
             number = next(self.numbers)
-            time.sleep(0.02)  # every caller asks before a reply is stored
+            time.sleep(0.02)  # every case asks before a reply is in
             return json.dumps({"low": 0.0, "high": float(number)})
 
     backend = NumberedBackend()
-    replies: dict = {}
-    barrier = threading.Barrier(4)
-
-    def fetch(_):
-        barrier.wait(timeout=10)
-        return fetch_llm_ranges(["f"], ["A", "B"], backend, replies=replies)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(fetch, range(4), timeout=30))
-    finally:
-        sys.setswitchinterval(interval)
+    fetch = partial(pipeline._answered, fetch_llm_ranges, ["f"], ["A", "B"])
+    results = {}
+    pipeline._drive(backend, BackendConfig(), 4, [(f"case {i}", fetch) for i in range(4)],
+                    results.__setitem__)
     assert next(backend.numbers) == 3  # one call per prompt: the probe and one more
-    assert all(result == results[0] for result in results)
-    assert [r.high for r in results[0][0]] == [
-        json.loads(reply)["high"] for reply in replies.values()
-    ]
+    assert len(results) == 4
+    assert all(result == results["case 0"] for result in results.values())
+    assert sorted(r.high for r in results["case 0"][0]) == [1.0, 2.0]
 
 
 def test_fetch_llm_ranges_later_decline_skips_only_that_pair():
@@ -283,34 +281,47 @@ def _pair(user_prompt):
     return feature, option
 
 
-class SlowRangeBackend(LlmBackendPort):
-    """Answers each range prompt after 50 ms from a per-pair table, recording
-    the prompts it saw and the most calls it had in flight at once."""
+# The two features the demo case observes that get no range from a file,
+# so its range fetch asks six prompts, over three options.
+F, G = "mean_area", "n_structures"
+THREE_OPTIONS = ("A", "B", "C")
 
+
+class SlowRangeBackend(LlmBackendPort):
+    """Answers the agents at once with the template backend's replies, and
+    each range prompt after ``delay`` seconds from a per-pair table,
+    recording the pairs it saw and the most range calls it had in flight
+    at once."""
+
+    name = "slow"
     REPLIES = {
-        ("f", "A"): '{"low": 0, "high": 1}',
-        ("f", "B"): "DECLINE",
-        ("f", "C"): '{"low": 2, "high": 3}',
-        ("g", "A"): "cannot say",
-        ("g", "B"): '{"low": 4, "high": 5}',
-        ("g", "C"): '{"low": 7, "high": 6}',
+        (F, "A"): '{"low": 0, "high": 1}',
+        (F, "B"): "DECLINE",
+        (F, "C"): '{"low": 2, "high": 3}',
+        (G, "A"): "cannot say",
+        (G, "B"): '{"low": 4, "high": 5}',
+        (G, "C"): '{"low": 7, "high": 6}',
     }
 
-    def __init__(self, fail=()):
+    def __init__(self, fail=(), delay=0.05):
         self.fail = set(fail)
+        self.delay = delay
         self.seen: list[tuple[str, str]] = []
         self.in_flight = 0
         self.peak = 0
+        self._template = TemplateBackend()
         self._lock = threading.Lock()
 
     def complete(self, system_prompt, user_prompt, temperature, timeout):
+        if not system_prompt.startswith(f"Task: {TASK_RANGES}"):
+            return self._template.complete(system_prompt, user_prompt, temperature, timeout)
         pair = _pair(user_prompt)
         with self._lock:
             self.seen.append(pair)
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
-            time.sleep(0.05)
+            time.sleep(self.delay)
             if pair in self.fail:
                 raise BackendError(f"no reply for {pair}")
             return self.REPLIES[pair]
@@ -319,22 +330,67 @@ class SlowRangeBackend(LlmBackendPort):
                 self.in_flight -= 1
 
 
-def test_fetch_llm_ranges_fans_out_and_keeps_pair_order():
-    backend = SlowRangeBackend()
+def _run_demo_case(manifest, demo_bundle, backend):
+    """``run_case``, as ``ask`` calls it, on the demo case under a
+    three-option question, with a file range for every feature it observes
+    but F and G; the report, and the seconds ``run_case`` took."""
+    question = Question(demo_bundle.case_id, "Which option?", THREE_OPTIONS)
+    config = RunConfig("unused", "unused", mode="sql_only")
+    offline = run_case(manifest, demo_bundle, question, config, TemplateBackend())
+    observed = {f["feature_key"] for f in offline.report["hypothesis"]["findings"]}
+    assert {F, G} <= observed
+    file_ranges = [ReferenceRange(key, option, 0.0, 1.0, "empirical")
+                   for key in sorted(observed - {F, G}) for option in THREE_OPTIONS]
     started = time.perf_counter()
-    ranges, notes = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend)
-    elapsed = time.perf_counter() - started
+    report = run_case(manifest, demo_bundle, question, config, backend, file_ranges).report
+    return report, time.perf_counter() - started
+
+
+def test_fetch_llm_ranges_fans_out_and_keeps_pair_order(manifest, demo_bundle):
+    """Under ``run_case`` the probe is asked alone and the other five range
+    prompts in one wave; the replies are read in (feature, option) order."""
+    backend = SlowRangeBackend()
+    report, elapsed = _run_demo_case(manifest, demo_bundle, backend)
     assert backend.peak > 1
     assert elapsed < 4 * 0.05  # the probe, then one wave; serial is 6 × 50 ms
     assert sorted(backend.seen) == sorted(SlowRangeBackend.REPLIES)
-    assert [(r.feature_key, r.option_label, r.low, r.high) for r in ranges] == [
-        ("f", "A", 0.0, 1.0), ("f", "C", 2.0, 3.0), ("g", "B", 4.0, 5.0),
+    assert {f["feature_key"]: sorted(f["fits"]) for f in report["hypothesis"]["findings"]
+            if f["feature_key"] in (F, G)} == {F: ["A", "C"], G: ["B"]}
+    assert report["data_quality_notes"][-3:] == [
+        f"backend declined range for {F!r}/'B'",
+        f"unusable range reply for {G!r}/'A'",
+        f"range for {G!r}/'C' has low 7.0 > high 6.0; dropped",
     ]
-    assert notes == [
-        "backend declined range for 'f'/'B'",
-        "unusable range reply for 'g'/'A'",
-        "range for 'g'/'C' has low 7.0 > high 6.0; dropped",
-    ]
+
+
+def test_fetch_llm_ranges_memo_hits_start_no_thread(monkeypatch):
+    """Called directly, the fetch asks its prompts in turn; through a reply
+    book that holds every reply it reads the same ranges, asks nothing and
+    starts no thread."""
+    backend = SlowRangeBackend(delay=0.001)
+    expected = fetch_llm_ranges([F, G], list(THREE_OPTIONS), backend)
+    assert backend.peak == 1 and len(backend.seen) == 6
+
+    def no_thread(self):
+        raise AssertionError("a fully memoized fetch started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    book = ReplyBook("slow", {knowledge._range_prompt(*pair): reply
+                              for pair, reply in SlowRangeBackend.REPLIES.items()})
+    assert fetch_llm_ranges([F, G], list(THREE_OPTIONS), book) == expected
+
+
+def test_fetch_llm_ranges_reports_the_first_fanned_out_error_in_pair_order(
+        manifest, demo_bundle):
+    """When two prompts of the wave fail, the whole wave is still asked, and
+    the case notes the first failure in (feature, option) order."""
+    backend = SlowRangeBackend(fail={(G, "B"), (F, "C")})
+    report, _ = _run_demo_case(manifest, demo_bundle, backend)
+    assert sorted(backend.seen) == sorted(SlowRangeBackend.REPLIES)  # the wave drained
+    assert report["data_quality_notes"][-1] == (
+        f"range generation unavailable: no reply for ({F!r}, 'C')")
+    assert not any(f["fits"] for f in report["hypothesis"]["findings"]
+                   if f["feature_key"] in (F, G))
 
 
 def test_range_reply_beyond_float_range_is_unusable():
@@ -359,32 +415,6 @@ def test_fetch_llm_ranges_without_pairs_asks_nothing():
     assert fetch_llm_ranges([], ["A", "B"], backend) == ([], [])
     assert fetch_llm_ranges(["f"], [], backend) == ([], [])
     assert backend.calls == []
-
-
-def test_fetch_llm_ranges_memo_hits_start_no_thread(monkeypatch):
-    replies: dict = {}
-    expected = fetch_llm_ranges(["f", "g"], ["A", "B", "C"], SlowRangeBackend(), replies=replies)
-    assert len(replies) == 6
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a fully memoized fetch started a thread pool")
-
-    monkeypatch.setattr(knowledge, "ThreadPoolExecutor", no_pool)
-    backend = SlowRangeBackend()
-    assert fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend, replies=replies) == expected
-    assert backend.seen == []
-
-
-def test_fetch_llm_ranges_fanned_out_error_propagates_uncached():
-    backend = SlowRangeBackend(fail={("g", "B"), ("f", "C")})
-    replies: dict = {}
-    with pytest.raises(BackendError, match=r"\('f', 'C'\)"):  # first in pair order
-        fetch_llm_ranges(["f", "g"], ["A", "B", "C"], backend, replies=replies)
-    assert sorted(backend.seen) == sorted(SlowRangeBackend.REPLIES)  # the pool drained
-    assert sorted(_pair(user) for _, user in replies) == [
-        ("f", "A"), ("f", "B"), ("g", "A"), ("g", "C"),
-    ]
-    assert all(isinstance(reply, str) for reply in replies.values())
 
 
 def test_merge_prefers_empirical():

@@ -23,6 +23,7 @@ from evidencesql.backends import (
     LlmBackendPort,
     ScriptedBackend,
     TemplateBackend,
+    ask_each,
 )
 from evidencesql.errors import BackendError, ConfigError
 from evidencesql.feature_store import ingest_case_dir
@@ -346,6 +347,67 @@ def test_eval_dataset_cnn_only_summary_bytes_are_pinned(manifest_path, eval_data
     assert digest == EVAL_CNN_ONLY_SUMMARY_DIGEST
 
 
+# -- the driver: one memo, one I/O pool ---------------------------------------------
+
+
+class EchoBackend(LlmBackendPort):
+    """Replies ``reply to <user prompt>`` after ``delay`` seconds, counting
+    calls by prompt pair; ``fail_first`` names user prompts whose first
+    call raises ``BackendError``."""
+
+    name = "echo"
+
+    def __init__(self, delay=0.0, fail_first=()):
+        self.delay = delay
+        self.fail_first = set(fail_first)
+        self.calls: Counter[tuple[str, str]] = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, system_prompt, user_prompt, temperature, timeout):
+        with self._lock:
+            self.calls[system_prompt, user_prompt] += 1
+            first = self.calls[system_prompt, user_prompt] == 1
+        time.sleep(self.delay)
+        if first and user_prompt in self.fail_first:
+            raise BackendError(f"no reply to {user_prompt}")
+        return f"reply to {user_prompt}"
+
+
+def _asking(prompts):
+    """A case's steps for ``_drive`` that ask ``prompts`` in one wave and
+    return their replies."""
+    return lambda book: pipeline._answered(ask_each, book, BackendConfig(), prompts)
+
+
+def test_driver_asks_each_prompt_once_across_cases_in_flight():
+    """Sixteen cases, four analysed at once, ask overlapping prompts: each
+    distinct prompt goes to the backend once, whether another case is
+    asking it or has had its reply, and every case reads that reply."""
+    backend = EchoBackend(delay=0.002)
+    prompts = [("Task: t", f"p{k}") for k in range(20)]
+    cases = [(f"case {w}", _asking([prompts[(w + k) % 20] for k in range(20)]))
+             for w in range(16)]
+    outcomes = {}
+    pipeline._drive(backend, BackendConfig(), 4, cases, outcomes.__setitem__)
+    assert backend.calls == Counter(prompts)
+    assert outcomes == {f"case {w}": [f"reply to p{(w + k) % 20}" for k in range(20)]
+                        for w in range(16)}
+
+
+def test_driver_failure_reaches_every_waiting_case_and_is_not_stored():
+    """A prompt that fails fails every case waiting on it, each with that
+    error; a case admitted later asks it afresh and reads the reply."""
+    backend = EchoBackend(delay=0.05, fail_first={"k"})
+    cases = [(name, _asking([("Task: t", "k")])) for name in ("first", "second", "later")]
+    outcomes = {}
+    pipeline._drive(backend, BackendConfig(), 2, cases, outcomes.__setitem__)
+    assert isinstance(outcomes["first"], BackendError)
+    assert outcomes["second"] is outcomes["first"]
+    assert str(outcomes["first"]) == "no reply to k"
+    assert outcomes["later"] == ["reply to k"]
+    assert backend.calls == Counter({("Task: t", "k"): 2})
+
+
 # -- per-run reply memo and per-case fault isolation --------------------------------
 
 
@@ -356,7 +418,8 @@ class CountingBackend(LlmBackendPort):
     of that task that raise ``error`` (``BackendError`` by default)
     instead; each call first waits ``delay`` seconds, like a hosted model.
     ``peak`` holds the most calls of each task in flight at once, and
-    ``met`` the tasks in flight when a call of each task began."""
+    under ``"all"`` of any task; ``met`` holds the tasks in flight when a
+    call of each task began."""
 
     name = "counting"
 
@@ -381,6 +444,7 @@ class CountingBackend(LlmBackendPort):
             self.met.setdefault(task, set()).update(+self._in_flight)
             self._in_flight[task] += 1
             self.peak[task] = max(self.peak[task], self._in_flight[task])
+            self.peak["all"] = max(self.peak["all"], self._in_flight.total())
         try:
             time.sleep(self.delay)
         finally:
@@ -548,14 +612,14 @@ def test_batch_eval_memo_output_does_not_depend_on_workers(manifest_path, eval_d
 def test_batch_eval_records_any_exception_per_case(manifest_path, eval_dataset,
                                                    three_cases, tmp_path, monkeypatch):
     broken = sorted(three_cases.iterdir())[1].name
-    real_run_case = pipeline.run_case
+    real_plan_global = pipeline.plan_global
 
-    def run_case_or_raise(manifest, bundle, *args):
-        if bundle.case_id == broken:
+    def plan_global_or_raise(question, *args, **kwargs):
+        if question.case_id == broken:
             raise RuntimeError("unexpected fault")
-        return real_run_case(manifest, bundle, *args)
+        return real_plan_global(question, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "run_case", run_case_or_raise)
+    monkeypatch.setattr(pipeline, "plan_global", plan_global_or_raise)
     config = RunConfig(str(manifest_path), str(tmp_path / "out"))
     summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
                          backend=TemplateBackend())
@@ -788,29 +852,29 @@ def test_remote_batch_workers_share_one_case_list(
 
 def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_path,
                                               monkeypatch):
-    """At four workers the calling thread analyses cases beside three pool
-    threads: the first four ingests wait for one another, so four threads
-    run them, and the calling thread is one."""
-    meeting = threading.Barrier(4, timeout=10)
-    ingest_threads = []
-    lock = threading.Lock()
-    real_ingest = pipeline.ingest_case_dir
+    """At four workers the calling thread is the one that runs cases: every
+    ingest runs on it, and four cases are ingested before any is written."""
+    events = []
+    ingest_threads = set()
+    real_ingest, real_write = pipeline.ingest_case_dir, pipeline.write_case_outputs
 
-    def ingest_after_meeting(manifest, case_dir):
-        with lock:
-            ingest_threads.append(threading.get_ident())
-            early = len(ingest_threads) <= 4
-        if early:
-            meeting.wait()
+    def logged_ingest(manifest, case_dir):
+        ingest_threads.add(threading.get_ident())
+        events.append("ingest")
         return real_ingest(manifest, case_dir)
 
-    monkeypatch.setattr(pipeline, "ingest_case_dir", ingest_after_meeting)
+    def logged_write(out_dir, result):
+        events.append("write")
+        real_write(out_dir, result)
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", logged_ingest)
+    monkeypatch.setattr(pipeline, "write_case_outputs", logged_write)
     config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=4)
     summary = batch_eval(config, eval_dataset["dataset"],
                          load_questions(eval_dataset["questions"]), backend=TemplateBackend())
     assert summary.n_cases == 20 and summary.failures == []
-    assert len(set(ingest_threads[:4])) == 4
-    assert threading.get_ident() in ingest_threads
+    assert ingest_threads == {threading.get_ident()}
+    assert events[:4] == ["ingest"] * 4 and events.count("write") == 20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -821,10 +885,10 @@ def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path,
     when the summary is built."""
     made = []
     alive_at_summary = []
-    real_run_case, real_summary = pipeline.run_case, pipeline.EvalSummary
+    real_result, real_summary = pipeline.CaseResult, pipeline.EvalSummary
 
-    def tracked_run_case(*args):
-        result = real_run_case(*args)
+    def tracked_result(**fields):
+        result = real_result(**fields)
         made.append(weakref.ref(result))
         return result
 
@@ -832,7 +896,7 @@ def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path,
         alive_at_summary.extend(ref() is not None for ref in made)
         return real_summary(**fields)
 
-    monkeypatch.setattr(pipeline, "run_case", tracked_run_case)
+    monkeypatch.setattr(pipeline, "CaseResult", tracked_result)
     monkeypatch.setattr(pipeline, "EvalSummary", checked_summary)
     config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=workers,
                        backend=BackendConfig(kind="remote"))
@@ -844,15 +908,18 @@ def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path,
 
 def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_dataset,
                                                            three_cases, tmp_path, monkeypatch):
-    """At eight workers over three cases the pool gets two worker loops,
-    which run beside the calling thread's."""
-    submitted_loops = []
+    """At eight workers over three cases the batch starts no worker loop at
+    all: it makes one pool, and only asks the backend on it."""
+    pools, submitted = [], []
     real_pool = pipeline.ThreadPoolExecutor
 
     class CountingPool(real_pool):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
         def submit(self, fn, *args, **kwargs):
-            if getattr(fn, "__name__", None) == "work":
-                submitted_loops.append(fn)
+            submitted.append(fn.__name__)
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
@@ -860,7 +927,32 @@ def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_d
     summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
                          backend=TemplateBackend())
     assert summary.n_cases == 3 and summary.failures == []
-    assert len(submitted_loops) == 2
+    assert len(pools) == 1
+    assert submitted and set(submitted) == {"ask_backend"}
+
+
+def test_batch_eval_at_a_huge_worker_count_starts_few_threads(
+        manifest_path, eval_dataset, three_cases, tmp_path, monkeypatch):
+    """``workers=10**6`` over three cases starts no thread per worker: the
+    threads started and the backend calls in flight both stay within the
+    run's cap on calls in flight."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    backend = CountingBackend(delay=0.005)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=10**6,
+                       backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                         backend=backend)
+    assert summary.n_cases == 3 and summary.failures == []
+    assert backend.peak["all"] > 1
+    assert len(started) <= pipeline._CALLS_IN_FLIGHT
+    assert backend.peak["all"] <= pipeline._CALLS_IN_FLIGHT
 
 
 def test_narrative_backend_error_leaves_the_narrative_out(manifest_path, eval_dataset,

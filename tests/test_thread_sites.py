@@ -32,15 +32,14 @@ def thread_sites(source: str) -> list[str]:
     return sites
 
 
-def test_thread_sites_are_the_batch_pools_and_the_range_fanout():
+def test_thread_site_is_the_drivers_io_pool():
     found = {
         path.relative_to(SRC).as_posix(): sites
         for path in sorted(SRC.rglob("*.py"))
         if (sites := thread_sites(path.read_text(encoding="utf-8")))
     }
     assert {module: [s.split(" ")[0] for s in sites] for module, sites in found.items()} == {
-        "evidencesql/knowledge.py": ["fetch_llm_ranges"],
-        "evidencesql/pipeline.py": ["batch_eval", "batch_eval"],
+        "evidencesql/pipeline.py": ["_drive"],
     }
 
 
