@@ -152,7 +152,7 @@ def test_batch_outcomes_under_seeded_faults_match_each_case_run_alone(
     clean = {name: _case_files(clean_out, name) for name in names}
     assert all(len(files) == 3 for files in clean.values())
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.05, 0.2, 0.5]),
            workers=st.sampled_from([1, 2, 3]))
     def check(seed, share, workers):
