@@ -315,12 +315,9 @@ ReplyMemo = dict[tuple[str, str], str]
 
 
 class Unanswered(Exception):
-    """Raised by a ``ReplyBook`` for the prompt pairs its run has no reply
-    to yet; the pipeline's driver asks them and runs the stage again."""
-
-    def __init__(self, prompts: list[tuple[str, str]]):
-        super().__init__(f"{len(prompts)} prompt(s) not answered yet")
-        self.prompts = prompts
+    """Raised by a ``ReplyBook``; its ``args`` are the prompt pairs its run
+    has no reply to yet. The pipeline's driver asks them and runs the stage
+    again."""
 
 
 class ReplyBook(LlmBackendPort):
@@ -341,12 +338,18 @@ class ReplyBook(LlmBackendPort):
         prompt = (system_prompt, user_prompt)
         if prompt in self.replies and prompt not in self.failures:
             return self.replies[prompt]
-        raise self.failures.get(prompt) or Unanswered([prompt])
+        raise self.failures.get(prompt) or Unanswered(prompt)
 
 
 def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, user: str) -> str:
     """The one place a backend is asked: ``backend``'s reply to the prompt
-    pair under ``config``'s temperature and timeout."""
+    pair under ``config``'s temperature and timeout.
+
+    The pipeline's stages call it with a ``ReplyBook``; the pipeline's
+    driver calls it with the run's backend, on its one I/O pool of 32
+    threads (``pipeline._CALLS_IN_FLIGHT``), so a run has at most 32 calls
+    in flight at any ``--workers``.
+    """
     return backend.complete(system, user, config.temperature, config.timeout_seconds)
 
 
@@ -360,9 +363,9 @@ def ask_each(backend: LlmBackendPort, config: BackendConfig,
         try:
             replies.append(ask_backend(backend, config, system, user))
         except Unanswered as exc:
-            unanswered += exc.prompts
+            unanswered += exc.args
     if unanswered:
-        raise Unanswered(unanswered)
+        raise Unanswered(*unanswered)
     return replies
 
 

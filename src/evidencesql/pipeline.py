@@ -173,7 +173,7 @@ def _answered(stage: Callable, *args, **kwargs) -> Generator:
         try:
             return stage(*args, **kwargs)
         except Unanswered as exc:
-            yield exc.prompts
+            yield exc.args
 
 
 def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question,
@@ -283,24 +283,40 @@ def _drive(
     and the value it returned or the exception it raised.
 
     ``cases`` gives each case's id and a function from a ``ReplyBook`` to
-    the case's steps, a generator that yields lists of prompt pairs and
-    returns a value. A case is admitted, and its steps started, while fewer
+    the case's steps, a generator that yields the prompt pairs it waits on
+    and returns a value. A case is admitted, and its steps started, while fewer
     than ``workers`` cases are analysed and fewer than twice ``workers``
     are in flight. A case stops counting as analysed when it yields None.
 
     The driver owns the run's reply memo, a plain dict that only the
     calling thread touches. Each prompt pair a case yields is asked once
     while it is in flight, on the pool of ``_CALLS_IN_FLIGHT`` threads, for
-    every case waiting on it. A reply goes into the memo. An exception goes
-    only into the books of the cases that waited on it, so a later case
-    asks that prompt afresh. A case runs on once every prompt it waits on
-    has been answered.
+    every case waiting on it; a lone prompt that nothing could overlap (no
+    other case ready, no call in flight) is asked on the calling thread
+    instead, which spares a thread handoff per case where the backend does
+    no I/O. A reply goes into the memo. An exception goes only into the
+    books of the cases that waited on it, so a later case asks that prompt
+    afresh. A case runs on once every prompt it waits on has been answered.
     """
     replies: ReplyMemo = {}
     asking: dict[tuple[str, str], tuple[Future, list[_Case]]] = {}
     ready: deque[_Case] = deque()
     live: list[_Case] = []
     pending = iter(cases)
+
+    def settle(prompt: tuple[str, str], reply: Callable[[], str], waiting: list[_Case]) -> None:
+        """Store ``reply()`` in the memo, or give the exception it raises to
+        ``waiting``; each of those cases that waits on nothing else is ready."""
+        try:
+            replies[prompt] = reply()
+        except Exception as exc:
+            for case in waiting:
+                case.book.failures[prompt] = exc
+        for case in waiting:
+            case.waiting -= 1
+            if not case.waiting:
+                ready.append(case)
+
     with ThreadPoolExecutor(max_workers=_CALLS_IN_FLIGHT) as pool:
         while True:
             while (sum(case.analysing for case in live) < workers and len(live) < 2 * workers
@@ -318,11 +334,14 @@ def _drive(
                 if asked is None:  # analysed: its slot goes to the next case
                     case.analysing = False
                     ready.append(case)
-                for prompt in dict.fromkeys(asked or ()):
-                    if prompt not in asking:
-                        asking[prompt] = (pool.submit(ask_backend, backend, config, *prompt), [])
-                    asking[prompt][1].append(case)
+                for prompt in asked or ():
                     case.waiting += 1
+                    if prompt in asking:
+                        asking[prompt][1].append(case)
+                    elif len(asked) == 1 and not ready and not asking:  # nothing to overlap
+                        settle(prompt, partial(ask_backend, backend, config, *prompt), [case])
+                    else:
+                        asking[prompt] = (pool.submit(ask_backend, backend, config, *prompt), [case])
             elif not asking:
                 return
             else:
@@ -330,14 +349,7 @@ def _drive(
                 for prompt, (future, waiting) in list(asking.items()):
                     if future.done():
                         del asking[prompt]
-                        if future.exception() is None:
-                            replies[prompt] = future.result()
-                        for case in waiting:
-                            if future.exception() is not None:
-                                case.book.failures[prompt] = future.exception()
-                            case.waiting -= 1
-                            if not case.waiting:
-                                ready.append(case)
+                        settle(prompt, future.result, waiting)
 
 
 def _execute_into_trace(

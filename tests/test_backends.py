@@ -79,7 +79,7 @@ def test_reply_book_answers_from_the_memo_or_names_what_is_unanswered():
     assert raised.value is failure
     with pytest.raises(Unanswered) as unanswered:
         ask_backend(book, BackendConfig(), "s", "b")
-    assert unanswered.value.prompts == [("s", "b")]
+    assert unanswered.value.args == (("s", "b"),)
 
 
 def test_ask_each_gathers_every_unanswered_prompt_into_one():
@@ -87,7 +87,7 @@ def test_ask_each_gathers_every_unanswered_prompt_into_one():
     prompts = [("s", "b"), ("s", "a"), ("s", "c")]
     with pytest.raises(Unanswered) as unanswered:
         ask_each(book, BackendConfig(), prompts)
-    assert unanswered.value.prompts == [("s", "b"), ("s", "c")]
+    assert unanswered.value.args == (("s", "b"), ("s", "c"))
     book.replies.update({("s", "b"): "reply b", ("s", "c"): "reply c"})
     assert ask_each(book, BackendConfig(), prompts) == ["reply b", "reply a", "reply c"]
 
