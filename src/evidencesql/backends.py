@@ -336,7 +336,7 @@ class ReplyBook(LlmBackendPort):
     def complete(self, system_prompt: str, user_prompt: str,
                  temperature: float, timeout: float) -> str:
         prompt = (system_prompt, user_prompt)
-        if prompt in self.replies and prompt not in self.failures:
+        if prompt in self.replies:
             return self.replies[prompt]
         raise self.failures.get(prompt) or Unanswered(prompt)
 
@@ -347,7 +347,8 @@ def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, use
 
     The pipeline's stages call it with a ``ReplyBook``; the pipeline's
     driver calls it with the run's backend, on its one I/O pool of 32
-    threads (``pipeline._CALLS_IN_FLIGHT``), so a run has at most 32 calls
+    threads (``pipeline._CALLS_IN_FLIGHT``), or on the calling thread for
+    a lone prompt that nothing could overlap, so a run has at most 32 calls
     in flight at any ``--workers``.
     """
     return backend.complete(system, user, config.temperature, config.timeout_seconds)

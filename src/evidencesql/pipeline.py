@@ -284,9 +284,10 @@ def _drive(
 
     ``cases`` gives each case's id and a function from a ``ReplyBook`` to
     the case's steps, a generator that yields the prompt pairs it waits on
-    and returns a value. A case is admitted, and its steps started, while fewer
-    than ``workers`` cases are analysed and fewer than twice ``workers``
-    are in flight. A case stops counting as analysed when it yields None.
+    and returns a value. A case is admitted, and its steps started, while
+    fewer than ``workers`` cases are analysed and fewer than twice
+    ``workers`` are in flight. A case stops counting as analysed when it
+    yields None.
 
     The driver owns the run's reply memo, a plain dict that only the
     calling thread touches. Each prompt pair a case yields is asked once
@@ -449,7 +450,8 @@ def batch_eval(
     slot when it asks its narrative, and at most twice ``config.workers``
     cases are in flight. The backend is asked on one pool of
     ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in flight
-    at any worker count. A case's files land once its narrative reply is
+    at any worker count; a lone prompt that nothing could overlap is asked
+    on the calling thread. A case's files land once its narrative reply is
     in, or once it is analysed for a backend kind with no narrative, and
     all before ``summary.json``; from then on the batch keeps only the
     case's ground truth, decision and review flag.
