@@ -323,7 +323,9 @@ class Unanswered(Exception):
 class ReplyBook(LlmBackendPort):
     """One case's port onto its run's replies, which does no I/O: a prompt
     pair's reply from the run's memo ``replies``, else the exception its ask
-    raised for this case (``failures``), else ``Unanswered``.
+    raised for this case (``failures``), given up as it is raised so the
+    book and the exception's traceback do not keep each other, else
+    ``Unanswered``.
 
     It carries the name of the backend the driver asks, so transcripts
     read as they would from that backend."""
@@ -338,7 +340,7 @@ class ReplyBook(LlmBackendPort):
         prompt = (system_prompt, user_prompt)
         if prompt in self.replies:
             return self.replies[prompt]
-        raise self.failures.get(prompt) or Unanswered(prompt)
+        raise self.failures.pop(prompt, None) or Unanswered(prompt)
 
 
 def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, user: str) -> str:

@@ -248,7 +248,10 @@ def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str
             # the column to the left
             fault = _first_bad_cell(schema, col, texts[:fault[0] if fault else None]) or fault
     if fault:
-        raise fault[1]
+        try:
+            raise fault[1]
+        finally:  # kept, the error would keep itself and the rows through its traceback
+            fault = None
     return columns
 
 

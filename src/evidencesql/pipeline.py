@@ -161,7 +161,7 @@ def run_case(
     _drive(backend, config.backend, 1, [(bundle.case_id, partial(
         _case_steps, manifest, bundle, question, config, file_ranges, {}))], outcomes.__setitem__)
     if isinstance(outcomes[bundle.case_id], Exception):
-        raise outcomes[bundle.case_id]
+        raise outcomes.pop(bundle.case_id)  # kept, it would keep itself through its traceback
     return outcomes[bundle.case_id]
 
 

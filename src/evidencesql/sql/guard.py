@@ -192,6 +192,73 @@ def _literal_type(value) -> str:
     return "integer"
 
 
+def _comparable(a: str, b: str) -> bool:
+    if "null" in (a, b):
+        return True
+    if a in _NUMERIC and b in _NUMERIC:
+        return True
+    return a == "text" and b == "text"
+
+
+class _Mismatch(str):
+    """A type rule's verdict that the operand types do not fit: its message."""
+
+
+# One pure rule per operator node kind (``_TYPE_RULES``): the node's type
+# from its children's types, none of them "error", or its mismatch.
+
+
+def _unary_type(expr: Unary, inner: str) -> str:
+    if expr.op == "NOT":
+        if inner not in ("bool", "null"):
+            return _Mismatch("NOT applied to a non-boolean expression")
+        return "bool"
+    if inner in ("text", "bool"):
+        return _Mismatch("unary minus on a non-numeric expression")
+    return inner
+
+
+def _binary_type(expr: Binary, left: str, right: str) -> str:
+    if expr.op in ("AND", "OR"):
+        if left in ("bool", "null") and right in ("bool", "null"):
+            return "bool"
+        return _Mismatch(f"{expr.op} requires boolean operands")
+    if expr.op not in ("+", "-", "*", "/"):  # comparison
+        if _comparable(left, right):
+            return "bool"
+        return _Mismatch(f"cannot compare {left} with {right} using {expr.op!r}")
+    if left in ("text", "bool") or right in ("text", "bool"):
+        return _Mismatch(f"arithmetic {expr.op!r} on non-numeric operand")
+    if expr.op == "/":
+        return "real"
+    if "real" in (left, right):
+        return "real"
+    return "integer" if "null" not in (left, right) else "null"
+
+
+def _scalar_type(expr: ScalarFn, first: str, *rest: str) -> str:
+    if first in ("text", "bool"):
+        return _Mismatch(f"{expr.name} on {first} expression")
+    if expr.name == "ROUND" and len(rest) == 1 and rest[0] not in ("integer", "null"):
+        return _Mismatch("ROUND digit count must be an integer")
+    return first if expr.name == "ABS" else "real"
+
+
+def _aggregate_type(expr: AggFn, inner: str) -> str:
+    if expr.name in ("COUNT", "MIN", "MAX"):
+        if inner == "bool":
+            return _Mismatch(f"{expr.name} of a boolean expression")
+        return "integer" if expr.name == "COUNT" else inner
+    if inner in ("text", "bool"):
+        return _Mismatch(f"{expr.name} on {inner} expression")
+    return inner if expr.name == "SUM" else "real"
+
+
+_TYPE_RULES = {
+    Unary: _unary_type, Binary: _binary_type, ScalarFn: _scalar_type, AggFn: _aggregate_type,
+}
+
+
 class _TypeChecker:
     """Infers expression dtypes and records violations instead of raising."""
 
@@ -217,89 +284,21 @@ class _TypeChecker:
             return col.dtype.value
         if isinstance(expr, Literal):
             return _literal_type(expr.value)
-        if isinstance(expr, Unary):
-            inner = self.check(expr.operand)
-            if inner == "error":
-                return "error"
-            if expr.op == "NOT":
-                if inner not in ("bool", "null"):
-                    return self.flag("type_mismatch", "NOT applied to a non-boolean expression")
-                return "bool"
-            if inner in ("text", "bool"):
-                return self.flag("type_mismatch", "unary minus on a non-numeric expression")
-            return inner
-        if isinstance(expr, Binary):
-            left = self.check(expr.left)
-            right = self.check(expr.right)
-            if left == "error" or right == "error":
-                return "error"
-            if expr.op in ("AND", "OR"):
-                if left not in ("bool", "null") or right not in ("bool", "null"):
-                    return self.flag("type_mismatch", f"{expr.op} requires boolean operands")
-                return "bool"
-            if expr.op in ("+", "-", "*", "/"):
-                if left in ("text", "bool") or right in ("text", "bool"):
-                    return self.flag("type_mismatch", f"arithmetic {expr.op!r} on non-numeric operand")
-                if expr.op == "/":
-                    return "real"
-                if "real" in (left, right):
-                    return "real"
-                return "integer" if "null" not in (left, right) else "null"
-            # comparison
-            if not self._comparable(left, right):
-                return self.flag(
-                    "type_mismatch", f"cannot compare {left} with {right} using {expr.op!r}"
-                )
-            return "bool"
         if isinstance(expr, (InList, Between)):
             operand = self.check(expr.expr)
-            what, literals = (
-                ("IN list item", expr.items) if isinstance(expr, InList)
-                else ("BETWEEN bound", (expr.low, expr.high))
-            )
-            for literal in literals:
+            what = "IN list item" if isinstance(expr, InList) else "BETWEEN bound"
+            for literal in children(expr)[1:]:
                 literal_type = _literal_type(literal.value)
-                if operand != "error" and not self._comparable(operand, literal_type):
+                if operand != "error" and not _comparable(operand, literal_type):
                     return self.flag("type_mismatch", f"{what} type {literal_type} does not match {operand}")
             return "bool"
-        if isinstance(expr, ScalarFn):
-            arg_types = [self.check(a) for a in expr.args]
-            if "error" in arg_types:
-                return "error"
-            first = arg_types[0]
-            if first in ("text", "bool"):
-                return self.flag("type_mismatch", f"{expr.name} on {first} expression")
-            if expr.name == "ROUND" and len(arg_types) == 2 and arg_types[1] not in ("integer", "null"):
-                return self.flag("type_mismatch", "ROUND digit count must be an integer")
-            if expr.name == "ABS":
-                return first
-            return "real"
-        if isinstance(expr, AggFn):
-            if isinstance(expr.arg, Star):
-                return "integer"
-            inner = self.check(expr.arg)
-            if inner == "error":
-                return "error"
-            if expr.name == "COUNT":
-                if inner == "bool":
-                    return self.flag("type_mismatch", "COUNT of a boolean expression")
-                return "integer"
-            if expr.name in ("MIN", "MAX"):
-                if inner == "bool":
-                    return self.flag("type_mismatch", f"{expr.name} of a boolean expression")
-                return inner
-            if inner in ("text", "bool"):
-                return self.flag("type_mismatch", f"{expr.name} on {inner} expression")
-            return inner if expr.name == "SUM" else "real"
-        raise TypeError(f"unexpected node {expr!r}")
-
-    @staticmethod
-    def _comparable(a: str, b: str) -> bool:
-        if "null" in (a, b):
-            return True
-        if a in _NUMERIC and b in _NUMERIC:
-            return True
-        return a == "text" and b == "text"
+        if isinstance(expr, AggFn) and isinstance(expr.arg, Star):
+            return "integer"
+        types = [self.check(child) for child in children(expr)]
+        if "error" in types:
+            return "error"
+        result = _TYPE_RULES[type(expr)](expr, *types)
+        return self.flag("type_mismatch", str(result)) if isinstance(result, _Mismatch) else result
 
 
 def _group_valid(expr: Expr, group_exprs: tuple[Expr, ...]) -> bool:
@@ -325,6 +324,12 @@ def check_schema(ast: QueryAst, manifest: SchemaManifest) -> list[SchemaViolatio
     executable against any bundle conforming to the manifest. Every clause
     but WHERE is evaluated per group in a grouped query, which a parsed query
     with HAVING always is.
+
+    Expressions are typed bottom-up. A unary or binary operator, a scalar
+    function or an aggregate types each operand once and is itself
+    "error", with no violation of its own, when any operand is; otherwise
+    its kind's rule gives its type or its mismatch. An IN or BETWEEN is
+    boolean even when its operand failed, and then checks no item.
     """
     ast = resolve_order_aliases(ast)
     table = manifest.table(ast.from_table)

@@ -38,6 +38,16 @@ def render_literal(value: Value) -> str:
     return str(value)
 
 
+def _operand(child: Expr, prec: int, associates: bool = False) -> str:
+    """``child`` rendered as an operand of an operator of precedence ``prec``,
+    in parentheses when it binds looser, or as loosely on a side where the
+    operator does not associate."""
+    text, child_prec = _render(child)
+    if child_prec < prec or (child_prec == prec and not associates):
+        return f"({text})"
+    return text
+
+
 def _render(expr: Expr) -> tuple[str, int]:
     """Render ``expr``; returns (text, precedence of the topmost operator)."""
     if isinstance(expr, ColumnRef):
@@ -46,35 +56,25 @@ def _render(expr: Expr) -> tuple[str, int]:
         return render_literal(expr.value), _ATOM
     if isinstance(expr, Unary):
         prec = PRECEDENCE["NOT" if expr.op == "NOT" else "NEG"]
-        text, child_prec = _render(expr.operand)
+        text = _operand(expr.operand, prec, associates=True)
         # '-(-3)', since '--3' would lex as a comment
-        if child_prec < prec or (expr.op == "-" and text.startswith("-")):
+        if expr.op == "-" and text.startswith("-"):
             text = f"({text})"
         return ("NOT " if expr.op == "NOT" else "-") + text, prec
     if isinstance(expr, Binary):
         prec = PRECEDENCE[expr.op]
-        left, left_prec = _render(expr.left)
-        right, right_prec = _render(expr.right)
-        if left_prec < prec or (left_prec == prec and expr.op not in LEFT_ASSOCIATIVE):
-            left = f"({left})"
-        if right_prec <= prec:
-            right = f"({right})"
+        left = _operand(expr.left, prec, associates=expr.op in LEFT_ASSOCIATIVE)
+        right = _operand(expr.right, prec)
         return f"{left} {expr.op} {right}", prec
     if isinstance(expr, InList):
         prec = PRECEDENCE["IN"]
-        operand, operand_prec = _render(expr.expr)
-        if operand_prec <= prec:
-            operand = f"({operand})"
         items = ", ".join(render_literal(item.value) for item in expr.items)
-        return f"{operand} IN ({items})", prec
+        return f"{_operand(expr.expr, prec)} IN ({items})", prec
     if isinstance(expr, Between):
         prec = PRECEDENCE["BETWEEN"]
-        operand, operand_prec = _render(expr.expr)
-        if operand_prec <= prec:
-            operand = f"({operand})"
         low = render_literal(expr.low.value)
         high = render_literal(expr.high.value)
-        return f"{operand} BETWEEN {low} AND {high}", prec
+        return f"{_operand(expr.expr, prec)} BETWEEN {low} AND {high}", prec
     if isinstance(expr, ScalarFn):
         args = ", ".join(_render(a)[0] for a in expr.args)
         return f"{expr.name}({args})", _ATOM

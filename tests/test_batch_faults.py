@@ -9,11 +9,13 @@ arrive in, so every schedule meets the same faults, and each case's
 outcome must be the one it has when run alone.
 """
 
+import gc
 import hashlib
 import json
 import shutil
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from evidencesql.backends import (
     LlmBackendPort,
     TemplateBackend,
 )
+from evidencesql import pipeline
 from evidencesql.errors import BackendError, EvidenceSqlError
 from evidencesql.feature_store import ingest_case_dir
 from evidencesql.pipeline import (
@@ -186,3 +189,59 @@ def test_batch_outcomes_under_seeded_faults_match_each_case_run_alone(
                 p: sent[p] for p in sent if p not in replied and _task(p[0]) != TASK_NARRATIVE}
 
     check()
+
+
+class DownBackend(LlmBackendPort):
+    """A remote backend that fails every call."""
+
+    name = "down"
+
+    def complete(self, system_prompt, user_prompt, temperature, timeout):
+        raise BackendError("backend unreachable")
+
+
+def test_failed_cases_free_their_bundles_without_the_cyclic_collector(
+        manifest_path, eval_dataset, cases, tmp_path, monkeypatch):
+    """A case that fails on its backend leaves no reference cycle through
+    its exception: with the cyclic collector off, every ingested bundle is
+    freed by the time ``batch_eval`` returns."""
+    bundles = []
+
+    def ingest(manifest, case_dir):
+        bundle = ingest_case_dir(manifest, case_dir)
+        bundles.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", ingest)
+    config = RunConfig(str(manifest_path), str(tmp_path), backend=BackendConfig(kind="remote"))
+    questions = load_questions(eval_dataset["questions"])
+    gc.collect()
+    gc.disable()
+    try:
+        summary = batch_eval(config, cases, questions, backend=DownBackend())
+        assert len(summary.failures) == len(bundles) == 3
+        assert [i for i, ref in enumerate(bundles) if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_failed_run_case_leaves_no_garbage_cycle(manifest, manifest_path, eval_dataset, cases,
+                                                 tmp_path):
+    """``run_case`` re-raises a case's exception without keeping it, so
+    the cyclic collector has nothing to find once the caller drops it."""
+    case_dir = sorted(cases.iterdir())[0]
+    bundle = ingest_case_dir(manifest, case_dir)
+    question = select_question(load_questions(eval_dataset["questions"]), case_dir.name)
+    config = RunConfig(str(manifest_path), str(tmp_path), backend=BackendConfig(kind="remote"))
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            run_case(manifest, bundle, question, config, DownBackend())
+        except BackendError:
+            pass
+        else:
+            pytest.fail("run_case returned on a backend that fails every call")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import random
@@ -143,6 +144,28 @@ def test_domain_violation(demo_case_dir, manifest, tmp_path):
     (case / "cells.csv").write_text(text.replace("epithelial", "unknownX"), encoding="utf-8")
     with pytest.raises(DomainViolation, match="unknownX"):
         ingest_case_dir(manifest, case)
+
+
+def test_rejected_ingest_leaves_no_garbage_cycle(demo_case_dir, manifest, tmp_path):
+    """A rejected table's rows are freed once its error is dropped, with
+    the cyclic collector off. A plain try/except catches the error, since
+    ``pytest.raises`` keeps its traceback."""
+    case = tmp_path / "one_bad_cell_type"
+    _copy_case(demo_case_dir, case)
+    text = (case / "cells.csv").read_text(encoding="utf-8")
+    (case / "cells.csv").write_text(text.replace("epithelial", "unknownX", 1), encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            ingest_case_dir(manifest, case)
+        except DomainViolation:
+            pass
+        else:
+            pytest.fail("an out-of-domain cell_type was ingested")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_global_cardinality(demo_case_dir, manifest, tmp_path):
