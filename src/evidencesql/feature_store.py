@@ -161,32 +161,6 @@ def manifest_from_dict(doc: object, source: str = "manifest") -> SchemaManifest:
     return _check_manifest(manifest, source)
 
 
-def manifest_to_dict(manifest: SchemaManifest) -> dict:
-    return {
-        "version": manifest.version,
-        "tables": [
-            {
-                "name": t.name,
-                "level": t.level.value,
-                "columns": [
-                    {
-                        "name": c.name,
-                        "dtype": c.dtype.value,
-                        **({"unit": c.unit} if c.unit is not None else {}),
-                        **(
-                            {"categorical_domain": list(c.categorical_domain)}
-                            if c.categorical_domain is not None
-                            else {}
-                        ),
-                    }
-                    for c in t.columns
-                ],
-            }
-            for t in manifest.tables
-        ],
-    }
-
-
 def load_manifest(path: str | Path) -> SchemaManifest:
     """Load and validate a schema manifest from a JSON file.
 

@@ -183,12 +183,15 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
     the prompts it leaves unanswered are yielded (see ``_answered``). Yields
     None once the case is analysed, and returns its ``CaseResult``.
 
-    ``guard_verdicts`` is the run's memo of guard outcomes, passed on to
-    the agents. The narrative, remote backends only, is never load-bearing:
-    it summarizes fields already in the structured report, and a
+    A mode that reads the classifier output fails on a case without it
+    before any prompt is asked. ``guard_verdicts`` is the run's memo of
+    guard outcomes, passed on to the agents. The narrative, remote backends
+    only, is never load-bearing: it summarizes fields already in the
+    structured report, and a
     ``BackendError``, an empty reply or ``DECLINE`` just omits it.
     """
     options = question.options
+    cnn = None if config.mode == "sql_only" else _require_cnn(bundle, config.mode)
     transcripts: list[AgentTranscript] = []
     trace: list[TraceEntry] = []
     hypothesis: Hypothesis | None = None
@@ -234,11 +237,11 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
             question, findings, confidences, finding_notes + calibration_notes)
 
     if config.mode == "full":
-        decision = fuse(_require_cnn(bundle, "full"), hypothesis, config.alpha, options)
+        decision = fuse(cnn, hypothesis, config.alpha, options)
     elif config.mode == "sql_only":
         decision = fuse_sql_only(hypothesis, options)
     else:
-        decision = cnn_only_decision(_require_cnn(bundle, "cnn_only"), options)
+        decision = cnn_only_decision(cnn, options)
 
     transcripts_ref = f"transcripts/{bundle.case_id}.json" if transcripts else None
     report = build_report(question, decision, hypothesis, trace,

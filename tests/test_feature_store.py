@@ -26,7 +26,6 @@ from evidencesql.feature_store import (
     load_manifest,
     load_training_split,
     manifest_from_dict,
-    manifest_to_dict,
 )
 from evidencesql.values import Dtype, coerce, render_value
 
@@ -45,34 +44,34 @@ def test_canonical_manifest_shape(manifest):
     assert cells.column("cell_id").is_key
 
 
-def test_manifest_file_roundtrip(manifest, manifest_path, tmp_path):
+def test_manifest_file_roundtrip(manifest, manifest_path):
     assert load_manifest(manifest_path) == manifest
-    copy = tmp_path / "copy.json"
-    copy.write_text(json.dumps(manifest_to_dict(manifest)), encoding="utf-8")
-    assert load_manifest(copy) == manifest
 
 
-def test_manifest_duplicate_table_rejected(manifest):
-    doc = manifest_to_dict(manifest)
-    doc["tables"].append(doc["tables"][0])
+@pytest.fixture
+def manifest_doc(manifest_path):
+    """A fresh copy of the packaged manifest document, for a test to edit."""
+    return json.loads(manifest_path.read_text(encoding="utf-8"))
+
+
+def test_manifest_duplicate_table_rejected(manifest_doc):
+    manifest_doc["tables"].append(manifest_doc["tables"][0])
     with pytest.raises(ManifestError, match="duplicate table"):
-        manifest_from_dict(doc)
+        manifest_from_dict(manifest_doc)
 
 
-def test_manifest_duplicate_column_rejected(manifest):
-    doc = manifest_to_dict(manifest)
-    doc["tables"][0]["columns"].append(doc["tables"][0]["columns"][0])
+def test_manifest_duplicate_column_rejected(manifest_doc):
+    manifest_doc["tables"][0]["columns"].append(manifest_doc["tables"][0]["columns"][0])
     with pytest.raises(ManifestError, match="duplicate column"):
-        manifest_from_dict(doc)
+        manifest_from_dict(manifest_doc)
 
 
-def test_manifest_domain_on_real_column_rejected(manifest):
-    doc = manifest_to_dict(manifest)
-    for column in doc["tables"][0]["columns"]:
+def test_manifest_domain_on_real_column_rejected(manifest_doc):
+    for column in manifest_doc["tables"][0]["columns"]:
         if column["name"] == "area":
             column["categorical_domain"] = ["small", "large"]
     with pytest.raises(ManifestError, match="categorical_domain"):
-        manifest_from_dict(doc)
+        manifest_from_dict(manifest_doc)
 
 
 def _column(doc, table, name):
@@ -89,17 +88,15 @@ def _column(doc, table, name):
     lambda doc: _column(doc, 0, "area").update(unit=["um^2"]),
 ], ids=["table-name-list", "column-name-int", "domain-string", "domain-non-string-item",
         "domain-object", "unit-int", "unit-list"])
-def test_manifest_field_types_checked(manifest, edit):
-    doc = manifest_to_dict(manifest)
-    edit(doc)
+def test_manifest_field_types_checked(manifest_doc, edit):
+    edit(manifest_doc)
     with pytest.raises(ManifestParseError, match="malformed manifest: TypeError"):
-        manifest_from_dict(doc)
+        manifest_from_dict(manifest_doc)
 
 
-def test_manifest_null_unit_accepted(manifest):
-    doc = manifest_to_dict(manifest)
-    _column(doc, 0, "area")["unit"] = None
-    assert manifest_from_dict(doc).table("cells").column("area").unit is None
+def test_manifest_null_unit_accepted(manifest_doc):
+    _column(manifest_doc, 0, "area")["unit"] = None
+    assert manifest_from_dict(manifest_doc).table("cells").column("area").unit is None
 
 
 def test_malformed_manifest_file(tmp_path):

@@ -98,13 +98,17 @@ def test_cnn_only_skips_sql_branch(manifest, demo_bundle, question, tmp_path, sc
 
 def test_full_mode_without_cnn_probs_is_config_error(manifest, demo_bundle, question,
                                                      tmp_path):
+    """The missing classifier output is reported before any prompt is asked."""
     stripped = demo_bundle.__class__(
         case_id=demo_bundle.case_id, tables=demo_bundle.tables,
         cnn_probs=None, ground_truth=demo_bundle.ground_truth,
     )
-    config = make_config(tmp_path)
-    with pytest.raises(ConfigError):
-        run_case(manifest, stripped, question, config, TemplateBackend())
+    for backend_kind in ("template", "remote"):
+        backend = CountingBackend()
+        config = make_config(tmp_path, backend_kind=backend_kind)
+        with pytest.raises(ConfigError, match="mode 'full' requires classifier probabilities"):
+            run_case(manifest, stripped, question, config, backend)
+        assert backend.calls.total() == 0, backend_kind
 
 
 def test_template_backend_produces_no_narrative(manifest, demo_bundle, question,
@@ -193,15 +197,6 @@ def test_run_config_validation(tmp_path):
     assert config.config_hash() == (
         "943be768bc12e72d0535c73f681f05ba202f9296a86aea357b3a4006a8fa9cc5"
     )
-
-
-def test_public_exports_resolve():
-    import evidencesql
-    import evidencesql.sql
-
-    for module in (evidencesql, evidencesql.sql):
-        missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert missing == [], module.__name__
 
 
 def test_execution_error_lands_in_trace_not_findings(manifest, demo_bundle,

@@ -1,5 +1,6 @@
-"""Every name an import binds in ``src/`` is read somewhere in its module or
-listed in the module's ``__all__``. Uses only the stdlib ``ast`` module."""
+"""Every name an import binds in ``src/`` is read somewhere in its module; an
+import kept only to re-export a name counts as unused. Uses only the stdlib
+``ast`` module."""
 
 import ast
 from pathlib import Path
@@ -29,14 +30,6 @@ def _annotation_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return set()
-
-
 def unused_imports(source: str) -> list[str]:
     """The imported names ``source`` never reads, as ``name (line n)``."""
     tree = ast.parse(source)
@@ -49,7 +42,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    used = read | _annotation_names(tree) | _exported(tree)
+    used = read | _annotation_names(tree)
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -64,7 +57,7 @@ def test_checker_flags_unused_and_accepts_used_imports():
     ]
     assert unused_imports(
         "from __future__ import annotations\n"
-        "import os.path\nfrom a import B, C, D\n"
-        "__all__ = ['D']\n"
+        "import os.path\nfrom a import B, C\n"
         "def f(x: B) -> 'C':\n    return os.path.join(x)\n"
     ) == []
+    assert unused_imports("from a import D\n__all__ = ['D']\n") == ["D (line 1)"]
