@@ -153,6 +153,21 @@ def _parse_prompt_schema(system_prompt: str) -> _PromptSchema:
     return _PromptSchema(tables)
 
 
+def _indented_json(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts and lists of them and of
+    strings, built without the stdlib's pure-Python encoder, whose closures
+    refer to each other and leave garbage for the cyclic collector on every
+    call."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{\n" + ",\n".join(f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
+                                   for key, item in value.items()) + f"\n{indent}}}"
+    if isinstance(value, list) and value:
+        return "[\n" + ",\n".join(inner + _indented_json(item, inner)
+                                   for item in value) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 class TemplateBackend(LlmBackendPort):
     """Deterministic stand-in for a hosted model.
 
@@ -184,7 +199,7 @@ class TemplateBackend(LlmBackendPort):
                     "rationale": "whole-image summary metric",
                 })
             queries.append(f"SELECT * FROM {name}")
-        plan = json.dumps({"target_features": targets}, indent=2)
+        plan = _indented_json({"target_features": targets})
         parts = ["```json", plan, "```"]
         for q in queries:
             parts += ["```sql", q, "```"]
@@ -230,14 +245,15 @@ class TemplateBackend(LlmBackendPort):
 class ScriptedBackend(LlmBackendPort):
     """Replays a fixed list of responses; repeats the last one when drained.
 
-    Responses go out in call order, one lock over each position, since the
-    pipeline's driver calls backends from its I/O threads. The driver asks
-    a range fetch's misses at once, and in a batch the prompts of several
-    cases at once: above one worker, or a remote-kind case's narrative
-    beside the next case's agents. So which prompt gets which response is
-    fixed only where prompts are asked one at a time. A repeated prompt is
-    answered from the run's reply memo, so the script advances only on new
-    prompts.
+    Responses go out in call order, one lock over each position. Under a
+    template-kind config the pipeline's driver asks every prompt on the
+    calling thread, one case after another, so the script is answered in
+    the order the pipeline asks. Under a remote-kind config the driver asks
+    from its I/O threads: a range fetch's misses at once, and in a batch
+    the prompts of several cases at once, even at one worker. So which
+    prompt gets which response is then fixed only where prompts are asked
+    one at a time. A repeated prompt is answered from the run's reply memo,
+    so the script advances only on new prompts.
     """
 
     responses: list[str]
@@ -348,10 +364,10 @@ def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, use
     pair under ``config``'s temperature and timeout.
 
     The pipeline's stages call it with a ``ReplyBook``; the pipeline's
-    driver calls it with the run's backend, on its one I/O pool of 32
-    threads (``pipeline._CALLS_IN_FLIGHT``), or on the calling thread for
-    a lone prompt that nothing could overlap, so a run has at most 32 calls
-    in flight at any ``--workers``.
+    driver calls it with the run's backend: a remote-kind one on its one
+    I/O pool of 32 threads (``pipeline._CALLS_IN_FLIGHT``), so a run has at
+    most 32 calls in flight at any ``--workers``, and any other kind on the
+    calling thread.
     """
     return backend.complete(system, user, config.temperature, config.timeout_seconds)
 

@@ -154,8 +154,9 @@ def run_case(
     markdown rendered; ``write_case_outputs`` writes its files.
 
     The case runs under ``_drive``, as a batch of one: each distinct prompt
-    is asked once, and a range fetch's misses are asked together, at most
-    ``_CALLS_IN_FLIGHT`` at once. An exception the case raises propagates.
+    is asked once, and, for a remote-kind backend, a range fetch's misses
+    are asked together, at most ``_CALLS_IN_FLIGHT`` at once. An exception
+    the case raises propagates.
     """
     outcomes: dict[str, object] = {}
     _drive(backend, config.backend, 1, [(bundle.case_id, partial(
@@ -181,7 +182,8 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
                 guard_verdicts: GuardMemo, book: ReplyBook) -> Generator:
     """``run_case``'s steps, for ``_drive``: every stage asks ``book``, and
     the prompts it leaves unanswered are yielded (see ``_answered``). Yields
-    None once the case is analysed, and returns its ``CaseResult``.
+    None once the case is analysed, from then on refers to ``bundle`` no
+    more, and returns its ``CaseResult``.
 
     A mode that reads the classifier output fails on a case without it
     before any prompt is asked. ``guard_verdicts`` is the run's memo of
@@ -243,10 +245,12 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
     else:
         decision = cnn_only_decision(cnn, options)
 
-    transcripts_ref = f"transcripts/{bundle.case_id}.json" if transcripts else None
+    case_id, ground_truth = bundle.case_id, bundle.ground_truth
+    del bundle  # analysed: the case keeps no table while its narrative is asked
+    transcripts_ref = f"transcripts/{case_id}.json" if transcripts else None
     report = build_report(question, decision, hypothesis, trace,
                           transcripts_ref=transcripts_ref, extra_notes=extra_notes)
-    yield  # analysed: the case gives up its worker slot (see ``_drive``)
+    yield  # analysed: the next case may start (see ``_drive``)
     narrative = ""
     if config.backend.kind == "remote":
         system = system_prompt(
@@ -261,15 +265,15 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
             pass
     markdown = render_report_markdown(
         report, narrative=narrative if narrative not in ("", DECLINE_RESPONSE) else None)
-    return CaseResult(case_id=bundle.case_id, report=report, markdown=markdown,
+    return CaseResult(case_id=case_id, report=report, markdown=markdown,
                       transcripts=transcripts, decision_label=decision.label,
-                      review_flag=decision.review_flag, ground_truth=bundle.ground_truth)
+                      review_flag=decision.review_flag, ground_truth=ground_truth)
 
 
 class _Case:
     """A case under ``_drive``: its id, its reply book, its steps, how many
-    of the prompts it waits on are still being asked, and whether it holds
-    a worker slot."""
+    of the prompts it waits on are still being asked, and whether it is
+    still being analysed."""
 
     def __init__(self, case_id: str, start: Callable[[ReplyBook], Generator], book: ReplyBook):
         self.case_id, self.book, self.steps = case_id, book, start(book)
@@ -282,48 +286,56 @@ def _drive(
     ended: Callable[[str, object], None],
 ) -> None:
     """Run cases on the calling thread, and ask the backend the prompts
-    they yield on one I/O pool; as each case ends, pass ``ended`` its id
-    and the value it returned or the exception it raised.
+    they yield; as each case ends, pass ``ended`` its id and the value it
+    returned or the exception it raised.
 
     ``cases`` gives each case's id and a function from a ``ReplyBook`` to
     the case's steps, a generator that yields the prompt pairs it waits on
-    and returns a value. A case is admitted, and its steps started, while
-    fewer than ``workers`` cases are analysed and fewer than twice
-    ``workers`` are in flight. A case stops counting as analysed when it
-    yields None.
+    and returns a value. A case stops counting as analysed when it yields
+    None. Each worker keeps two cases being analysed, so that one computes
+    while the other waits on the backend: a case is admitted, and its steps
+    started, while fewer than twice ``workers`` cases are analysed and
+    fewer than four times ``workers`` are in flight. The rest of those in
+    flight are analysed cases waiting on their narrative.
+
+    A ``remote``-kind backend is asked on one I/O pool of
+    ``_CALLS_IN_FLIGHT`` threads, and each prompt pair is asked once while
+    it is in flight, for every case waiting on it. Any other kind runs in
+    process: it is asked on the calling thread, and the case runs on at
+    once, so cases are analysed one after another.
 
     The driver owns the run's reply memo, a plain dict that only the
-    calling thread touches. Each prompt pair a case yields is asked once
-    while it is in flight, on the pool of ``_CALLS_IN_FLIGHT`` threads, for
-    every case waiting on it; a lone prompt that nothing could overlap (no
-    other case ready, no call in flight) is asked on the calling thread
-    instead, which spares a thread handoff per case where the backend does
-    no I/O. A reply goes into the memo. An exception goes only into the
-    books of the cases that waited on it, so a later case asks that prompt
-    afresh. A case runs on once every prompt it waits on has been answered.
+    calling thread touches. A reply goes into the memo. An exception goes
+    only into the books of the cases that waited on it, so a later case
+    asks that prompt afresh. A case runs on once every prompt it waits on
+    has been answered.
     """
     replies: ReplyMemo = {}
     asking: dict[tuple[str, str], tuple[Future, list[_Case]]] = {}
     ready: deque[_Case] = deque()
     live: list[_Case] = []
     pending = iter(cases)
+    remote = config.kind == "remote"
 
-    def settle(prompt: tuple[str, str], reply: Callable[[], str], waiting: list[_Case]) -> None:
-        """Store ``reply()`` in the memo, or give the exception it raises to
-        ``waiting``; each of those cases that waits on nothing else is ready."""
-        try:
-            replies[prompt] = reply()
-        except Exception as exc:
+    def settle() -> None:
+        """Store each reply that is in, or give the exception its ask raised
+        to the cases waiting on it; each case that waits on nothing else is
+        ready. A function of its own, so that no future stays in the frame
+        of ``_drive``, which a case's exception carries in its traceback."""
+        for prompt in [prompt for prompt, (future, _) in asking.items() if future.done()]:
+            future, waiting = asking.pop(prompt)
+            if (error := future.exception()) is None:
+                replies[prompt] = future.result()
             for case in waiting:
-                case.book.failures[prompt] = exc
-        for case in waiting:
-            case.waiting -= 1
-            if not case.waiting:
-                ready.append(case)
+                if error is not None:
+                    case.book.failures[prompt] = error
+                case.waiting -= 1
+                if not case.waiting:
+                    ready.append(case)
 
     with ThreadPoolExecutor(max_workers=_CALLS_IN_FLIGHT) as pool:
         while True:
-            while (sum(case.analysing for case in live) < workers and len(live) < 2 * workers
+            while (sum(case.analysing for case in live) < 2 * workers and len(live) < 4 * workers
                    and (admitted := next(pending, None))):
                 live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
                 ready.append(live[-1])
@@ -331,29 +343,32 @@ def _drive(
                 case = ready.popleft()
                 try:
                     asked = next(case.steps)
+                    while asked and not remote:  # in process: ask here, and run on at once
+                        for prompt in asked:
+                            try:
+                                replies[prompt] = ask_backend(backend, config, *prompt)
+                            except Exception as exc:
+                                case.book.failures[prompt] = exc
+                        asked = next(case.steps)
                 except Exception as exc:  # it returned, or it broke: it ends, and only it
                     live.remove(case)
+                    case.book.failures.clear()  # one never read keeps itself via this frame
                     ended(case.case_id, exc.value if isinstance(exc, StopIteration) else exc)
                     continue
-                if asked is None:  # analysed: its slot goes to the next case
+                if asked is None:  # analysed: the next case may start
                     case.analysing = False
                     ready.append(case)
                 for prompt in asked or ():
                     case.waiting += 1
                     if prompt in asking:
                         asking[prompt][1].append(case)
-                    elif len(asked) == 1 and not ready and not asking:  # nothing to overlap
-                        settle(prompt, partial(ask_backend, backend, config, *prompt), [case])
                     else:
                         asking[prompt] = (pool.submit(ask_backend, backend, config, *prompt), [case])
             elif not asking:
                 return
             else:
                 wait([future for future, _ in asking.values()], return_when=FIRST_COMPLETED)
-                for prompt, (future, waiting) in list(asking.items()):
-                    if future.done():
-                        del asking[prompt]
-                        settle(prompt, future.result, waiting)
+                settle()
 
 
 def _execute_into_trace(
@@ -448,16 +463,19 @@ def batch_eval(
     so worker count does not affect any output byte.
 
     Cases run under ``_drive`` on the calling thread, which starts no
-    thread of its own per worker. ``config.workers`` bounds the cases
-    analysed at once (ingest, agents, ranges, report); a case gives up its
-    slot when it asks its narrative, and at most twice ``config.workers``
-    cases are in flight. The backend is asked on one pool of
-    ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in flight
-    at any worker count; a lone prompt that nothing could overlap is asked
-    on the calling thread. A case's files land once its narrative reply is
-    in, or once it is analysed for a backend kind with no narrative, and
-    all before ``summary.json``; from then on the batch keeps only the
-    case's ground truth, decision and review flag.
+    thread of its own per worker. A remote-kind backend is asked on one
+    pool of ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in
+    flight at any worker count, and ``config.workers`` bounds the cases in
+    flight: each worker has two cases analysed at once (ingest, agents,
+    ranges, report), so that one computes while the other waits on the
+    backend, and two more analysed cases waiting on their narrative. A case
+    drops its ingested tables once it is analysed, so at most twice
+    ``config.workers`` bundles are alive. Any other backend kind is asked
+    on the calling thread, so cases are analysed one after another. A
+    case's files land once its narrative reply is in, or once it is
+    analysed for a backend kind with no narrative, and all before
+    ``summary.json``; from then on the batch keeps only the case's ground
+    truth, decision and review flag.
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
@@ -484,9 +502,10 @@ def batch_eval(
         bundle = ingest_case_dir(manifest, case_dir)
         if bundle.ground_truth is None:
             raise ConfigError(f"case {case_dir.name!r} has no ground_truth label")
-        question = select_question(questions, case_dir.name)
-        result = yield from _case_steps(manifest, bundle, question, config, file_ranges,
-                                        guard_verdicts, book)
+        steps = _case_steps(manifest, bundle, select_question(questions, case_dir.name),
+                            config, file_ranges, guard_verdicts, book)
+        del bundle  # the steps own it, and drop it once the case is analysed
+        result = yield from steps
         write_case_outputs(config.out_dir, result)
         return result.ground_truth, result.decision_label, result.review_flag
 

@@ -1,3 +1,5 @@
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from evidencesql.backends import (
     ENV_API_KEY,
     ENV_BASE_URL,
     ENV_MODEL,
+    TASK_GLOBAL,
     TASK_LOCAL,
     BackendConfig,
     RemoteBackend,
@@ -219,3 +222,26 @@ def test_template_local_stage_averages_a_table_without_categorical_column():
         "```sql\nSELECT AVG(area) AS mean_area, AVG(perimeter) AS mean_perimeter "
         "FROM nuclei\n```"
     )
+
+
+def test_template_global_plan_is_indented_json_and_leaves_no_garbage_cycle():
+    """The global stage's plan reads as ``json.dumps(plan, indent=2)``
+    does, non-ASCII escapes included, and building it leaves nothing for the cyclic
+    collector."""
+    slides = TableSchema("slide", Level.GLOBAL, (
+        ColumnSchema("tumour_fraction", Dtype.REAL),
+        ColumnSchema("stain_é", Dtype.REAL),
+    ))
+    empty = TableSchema("empty", Level.GLOBAL, ())
+    for tables in ((slides,), (empty,), (slides, empty)):
+        prompt = system_prompt(TASK_GLOBAL, render_schema_dictionary(SchemaManifest("t", tables)))
+        plan = TemplateBackend().complete(prompt, "", 0.0, 5.0).split("```")[1]
+        assert plan.removeprefix("json\n").removesuffix("\n") == json.dumps(
+            json.loads(plan.removeprefix("json")), indent=2)
+    gc.collect()
+    gc.disable()
+    try:
+        TemplateBackend().complete(prompt, "", 0.0, 5.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

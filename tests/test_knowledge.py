@@ -333,9 +333,10 @@ class SlowRangeBackend(LlmBackendPort):
 def _run_demo_case(manifest, demo_bundle, backend):
     """``run_case``, as ``ask`` calls it, on the demo case under a
     three-option question, with a file range for every feature it observes
-    but F and G; the report, and the seconds ``run_case`` took."""
+    but F and G; the report, and the seconds ``run_case`` took. A backend
+    that waits is a remote one, so the run is remote-kind."""
     question = Question(demo_bundle.case_id, "Which option?", THREE_OPTIONS)
-    config = RunConfig("unused", "unused", mode="sql_only")
+    config = RunConfig("unused", "unused", mode="sql_only", backend=BackendConfig(kind="remote"))
     offline = run_case(manifest, demo_bundle, question, config, TemplateBackend())
     observed = {f["feature_key"] for f in offline.report["hypothesis"]["findings"]}
     assert {F, G} <= observed

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -23,6 +24,7 @@ from evidencesql.backends import (
     LlmBackendPort,
     ScriptedBackend,
     TemplateBackend,
+    Unanswered,
     ask_each,
 )
 from evidencesql.errors import BackendError, ConfigError
@@ -391,11 +393,12 @@ def test_driver_asks_each_prompt_once_across_cases_in_flight():
 
 def test_driver_failure_reaches_every_waiting_case_and_is_not_stored():
     """A prompt that fails fails every case waiting on it, each with that
-    error; a case admitted later asks it afresh and reads the reply."""
+    error; a case admitted later asks it afresh and reads the reply. At one
+    worker two cases are analysed at once, so the third waits for a slot."""
     backend = EchoBackend(delay=0.05, fail_first={"k"})
     cases = [(name, _asking([("Task: t", "k")])) for name in ("first", "second", "later")]
     outcomes = {}
-    pipeline._drive(backend, BackendConfig(), 2, cases, outcomes.__setitem__)
+    pipeline._drive(backend, BackendConfig(kind="remote"), 1, cases, outcomes.__setitem__)
     assert isinstance(outcomes["first"], BackendError)
     assert outcomes["second"] is outcomes["first"]
     assert str(outcomes["first"]) == "no reply to k"
@@ -411,17 +414,19 @@ class CountingBackend(LlmBackendPort):
     range prompts and a one-line narrative; counts calls by task and by
     prompt pair. ``fail_calls`` maps a task to the 1-based call numbers
     of that task that raise ``error`` (``BackendError`` by default)
-    instead; each call first waits ``delay`` seconds, like a hosted model.
+    instead, and so does every call of a prompt pair in ``fail_prompts``;
+    each call first waits ``delay`` seconds, like a hosted model.
     ``peak`` holds the most calls of each task in flight at once, and
     under ``"all"`` of any task; ``met`` holds the tasks in flight when a
     call of each task began."""
 
     name = "counting"
 
-    def __init__(self, fail_calls=None, delay=0.0, error=BackendError):
+    def __init__(self, fail_calls=None, delay=0.0, error=BackendError, fail_prompts=()):
         self.calls: Counter[str] = Counter()
         self.prompts: Counter[tuple[str, str]] = Counter()
         self.fail_calls = fail_calls or {}
+        self.fail_prompts = set(fail_prompts)
         self.delay = delay
         self.error = error
         self.peak: Counter[str] = Counter()
@@ -445,7 +450,8 @@ class CountingBackend(LlmBackendPort):
         finally:
             with self._lock:
                 self._in_flight[task] -= 1
-        if number in self.fail_calls.get(task, ()):
+        if (number in self.fail_calls.get(task, ())
+                or (system_prompt, user_prompt) in self.fail_prompts):
             raise self.error(f"{task} service unavailable")
         if task == TASK_NARRATIVE:
             return f"A narrative over {len(user_prompt)} characters of report."
@@ -748,10 +754,10 @@ def test_remote_batch_asks_each_prompt_once_at_any_worker_count(manifest_path, e
 
 def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
         manifest, manifest_path, eval_dataset, three_cases, tmp_path, monkeypatch):
-    """At one worker a case's narrative is in flight while the next case's
-    local agent is asked, and the case is written before the case after
-    that starts, so one narrative at most is in flight; the files and
-    prompts are those of each case run on its own."""
+    """At one worker two cases are analysed at once, and their narratives
+    are in flight while the next case's local agent is asked, so each case
+    is written after that agent is asked and two narratives at most are in
+    flight; the files and prompts are those of each case run on its own."""
     questions = load_questions(eval_dataset["questions"])
     backend = CountingBackend(delay=0.1)
     local_calls_at_write = []
@@ -767,8 +773,8 @@ def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
     summary = batch_eval(config, three_cases, questions, backend=backend)
     assert summary.n_cases == 3 and summary.failures == []
     assert TASK_NARRATIVE in backend.met[TASK_LOCAL]
-    assert local_calls_at_write == [2, 3, 3]
-    assert backend.peak[TASK_NARRATIVE] == 1
+    assert local_calls_at_write == [3, 3, 3]
+    assert backend.peak[TASK_LOCAL] == backend.peak[TASK_NARRATIVE] == 2
 
     plain_backend = CountingBackend()
     plain_out = tmp_path / "plain"
@@ -845,6 +851,137 @@ def test_remote_batch_workers_share_one_case_list(
     assert len(_output_bytes(Path(config.out_dir))) == 60
 
 
+def test_one_worker_ingests_a_case_while_another_waits_on_its_local_agent(
+        manifest_path, eval_dataset, tmp_path, monkeypatch):
+    """At one worker on a remote backend that waits, two cases are analysed
+    at once: for at least a quarter of the cases, the next case is
+    ingested after the case has asked its local agent and before that
+    agent's reply is read."""
+    events = []
+    real_ingest, real_local = pipeline.ingest_case_dir, pipeline.plan_local
+
+    def logged_ingest(manifest, case_dir):
+        events.append(("ingest", case_dir.name))
+        return real_ingest(manifest, case_dir)
+
+    def logged_local(question, *args, **kwargs):
+        try:
+            answer = real_local(question, *args, **kwargs)
+        except Unanswered:
+            events.append(("local asked", question.case_id))
+            raise
+        events.append(("local read", question.case_id))
+        return answer
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", logged_ingest)
+    monkeypatch.setattr(pipeline, "plan_local", logged_local)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"),
+                       backend=BackendConfig(kind="remote"))
+    summary = batch_eval(config, eval_dataset["dataset"],
+                         load_questions(eval_dataset["questions"]),
+                         backend=CountingBackend(delay=0.01))
+    assert summary.n_cases == 20 and summary.failures == []
+    names = sorted(d.name for d in eval_dataset["dataset"].iterdir())
+    overlapped = [name for name, later in zip(names, names[1:])
+                  if events.index(("local asked", name)) < events.index(("ingest", later))
+                  < events.index(("local read", name))]
+    assert len(overlapped) >= len(names) // 4, events
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_remote_batch_frees_each_bundle_once_its_case_is_analysed(
+        workers, manifest_path, eval_dataset, tmp_path, monkeypatch):
+    """A case's bundle is freed, with the cyclic collector off, by the time
+    its report is built, so before its narrative is asked; no more than two
+    bundles per worker are ever alive, at an ingest or at a backend call."""
+    bundles: dict[str, weakref.ref] = {}
+    alive_counts, alive_at_report = [], []
+    lock = threading.Lock()
+    real_ingest, real_report = pipeline.ingest_case_dir, pipeline.build_report
+
+    def count_alive():
+        with lock:
+            alive_counts.append(sum(ref() is not None for ref in bundles.values()))
+
+    def tracked_ingest(manifest, case_dir):
+        bundle = real_ingest(manifest, case_dir)
+        with lock:
+            bundles[case_dir.name] = weakref.ref(bundle)
+        count_alive()
+        return bundle
+
+    def checked_report(question, *args, **kwargs):
+        alive_at_report.append(bundles[question.case_id]() is not None)
+        return real_report(question, *args, **kwargs)
+
+    class TrackedBackend(CountingBackend):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            count_alive()
+            return super().complete(system_prompt, user_prompt, temperature, timeout)
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", tracked_ingest)
+    monkeypatch.setattr(pipeline, "build_report", checked_report)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=workers,
+                       backend=BackendConfig(kind="remote"))
+    questions = load_questions(eval_dataset["questions"])
+    gc.collect()
+    gc.disable()
+    try:
+        summary = batch_eval(config, eval_dataset["dataset"], questions,
+                             backend=TrackedBackend(delay=0.005))
+    finally:
+        gc.enable()
+    assert summary.n_cases == 20 and summary.failures == []
+    assert alive_at_report == [False] * 20
+    assert max(alive_counts) == 2 * workers
+
+
+def test_template_batch_starts_no_thread_and_analyses_one_case_at_a_time(
+        manifest_path, eval_dataset, tmp_path, monkeypatch):
+    """An in-process backend is asked on the calling thread, so a
+    template-kind batch at four workers starts no thread, and each case is
+    analysed, from its ingest to its report, before the next is ingested."""
+    events, started = [], []
+    real_ingest, real_report = pipeline.ingest_case_dir, pipeline.build_report
+
+    def logged_ingest(manifest, case_dir):
+        events.append(("ingest", case_dir.name))
+        return real_ingest(manifest, case_dir)
+
+    def logged_report(question, *args, **kwargs):
+        events.append(("report", question.case_id))
+        return real_report(question, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    monkeypatch.setattr(pipeline, "ingest_case_dir", logged_ingest)
+    monkeypatch.setattr(pipeline, "build_report", logged_report)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=4)
+    summary = batch_eval(config, eval_dataset["dataset"],
+                         load_questions(eval_dataset["questions"]), backend=TemplateBackend())
+    assert summary.n_cases == 20 and summary.failures == []
+    assert started == []
+    names = sorted(d.name for d in eval_dataset["dataset"].iterdir())
+    assert events == [(event, name) for name in names for event in ("ingest", "report")]
+
+
+def test_fault_free_template_batch_leaves_no_garbage_cycle(manifest_path, eval_dataset,
+                                                           tmp_path):
+    """A template-kind batch with no fault leaves nothing for the cyclic
+    collector: the template backend's JSON plan, among the rest, is built
+    without reference cycles."""
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=2)
+    questions = load_questions(eval_dataset["questions"])
+    gc.collect()
+    gc.disable()
+    try:
+        summary = batch_eval(config, eval_dataset["dataset"], questions,
+                             backend=TemplateBackend())
+        assert summary.n_cases == 20 and summary.failures == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_path,
                                               monkeypatch):
     """At four workers the calling thread is the one that runs cases: every
@@ -904,7 +1041,8 @@ def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path,
 def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_dataset,
                                                            three_cases, tmp_path, monkeypatch):
     """At eight workers over three cases the batch starts no worker loop at
-    all: it makes one pool, and only asks the backend on it."""
+    all: it makes one pool, and only asks the backend on it, in a
+    remote-kind run; a template-kind run submits nothing."""
     pools, submitted = [], []
     real_pool = pipeline.ThreadPoolExecutor
 
@@ -918,12 +1056,16 @@ def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_d
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
-    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=8)
-    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
-                         backend=TemplateBackend())
-    assert summary.n_cases == 3 and summary.failures == []
-    assert len(pools) == 1
-    assert submitted and set(submitted) == {"ask_backend"}
+    submitted_by_kind = {}
+    for kind, backend in (("template", TemplateBackend()), ("remote", CountingBackend())):
+        config = RunConfig(str(manifest_path), str(tmp_path / kind), workers=8,
+                           backend=BackendConfig(kind=kind))
+        summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
+                             backend=backend)
+        assert summary.n_cases == 3 and summary.failures == []
+        submitted_by_kind[kind], submitted[:] = set(submitted), []
+    assert len(pools) == 2
+    assert submitted_by_kind == {"template": set(), "remote": {"ask_backend"}}
 
 
 def test_batch_eval_at_a_huge_worker_count_starts_few_threads(
@@ -950,16 +1092,22 @@ def test_batch_eval_at_a_huge_worker_count_starts_few_threads(
     assert backend.peak["all"] <= pipeline._CALLS_IN_FLIGHT
 
 
-def test_narrative_backend_error_leaves_the_narrative_out(manifest_path, eval_dataset,
+def test_narrative_backend_error_leaves_the_narrative_out(manifest, manifest_path, eval_dataset,
                                                           three_cases, tmp_path):
     """A ``BackendError`` from the narrative is no failure: that case is
-    written without its narrative section."""
-    names = [d.name for d in sorted(three_cases.iterdir())]
-    backend = CountingBackend(fail_calls={TASK_NARRATIVE: {2}})
+    written without its narrative section. The error is drawn on the
+    second case's narrative prompt, as that case sends it when run alone."""
+    case_dirs = sorted(three_cases.iterdir())
+    names = [d.name for d in case_dirs]
+    questions = load_questions(eval_dataset["questions"])
     config = RunConfig(str(manifest_path), str(tmp_path / "out"),
                        backend=BackendConfig(kind="remote"))
-    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
-                         backend=backend)
+    alone = CountingBackend()
+    run_case(manifest, ingest_case_dir(manifest, case_dirs[1]),
+             select_question(questions, names[1]), config, alone)
+    [narrative] = [p for p in alone.prompts if p[0].startswith(f"Task: {TASK_NARRATIVE}\n")]
+    backend = CountingBackend(fail_prompts={narrative})
+    summary = batch_eval(config, three_cases, questions, backend=backend)
     assert summary.n_cases == 3 and summary.failures == []
     files = _output_bytes(Path(config.out_dir))
     assert ["## Generated narrative" in files[f"reports/{name}.md"].decode()
