@@ -93,8 +93,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= _CALLS_IN_FLIGHT:
+            raise ConfigError(f"workers must lie in [1, {_CALLS_IN_FLIGHT}], got {self.workers}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -182,8 +182,10 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
                 guard_verdicts: GuardMemo, book: ReplyBook) -> Generator:
     """``run_case``'s steps, for ``_drive``: every stage asks ``book``, and
     the prompts it leaves unanswered are yielded (see ``_answered``). Yields
-    None once the case is analysed, from then on refers to ``bundle`` no
-    more, and returns its ``CaseResult``.
+    None once its last query has run (in ``cnn_only`` mode, once the
+    classifier output is read): from then on it refers to ``bundle`` no
+    more, so the range fetch, scoring, fusion, the report and the narrative
+    hold no table. Returns the case's ``CaseResult``.
 
     A mode that reads the classifier output fails on a case without it
     before any prompt is asked. ``guard_verdicts`` is the run's memo of
@@ -212,6 +214,11 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
         trace += [_execute_into_trace(i, "local", query, bundle)
                   for i, query in enumerate(local_queries, len(trace))]
 
+    case_id, ground_truth = bundle.case_id, bundle.ground_truth
+    del bundle
+    yield  # holds no table: the next case may start (see ``_drive``)
+
+    if config.mode != "cnn_only":
         observations = extract_observations(
             [(e.query_id, e.query, e.result) for e in trace if e.result is not None])
         ranges = list(file_ranges or [])
@@ -245,12 +252,9 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
     else:
         decision = cnn_only_decision(cnn, options)
 
-    case_id, ground_truth = bundle.case_id, bundle.ground_truth
-    del bundle  # analysed: the case keeps no table while its narrative is asked
     transcripts_ref = f"transcripts/{case_id}.json" if transcripts else None
     report = build_report(question, decision, hypothesis, trace,
                           transcripts_ref=transcripts_ref, extra_notes=extra_notes)
-    yield  # analysed: the next case may start (see ``_drive``)
     narrative = ""
     if config.backend.kind == "remote":
         system = system_prompt(
@@ -272,12 +276,12 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
 
 class _Case:
     """A case under ``_drive``: its id, its reply book, its steps, how many
-    of the prompts it waits on are still being asked, and whether it is
-    still being analysed."""
+    of the prompts it waits on are still being asked, and whether it may
+    still hold its ingested tables."""
 
     def __init__(self, case_id: str, start: Callable[[ReplyBook], Generator], book: ReplyBook):
         self.case_id, self.book, self.steps = case_id, book, start(book)
-        self.waiting, self.analysing = 0, True
+        self.waiting, self.holding = 0, True
 
 
 def _drive(
@@ -291,18 +295,18 @@ def _drive(
 
     ``cases`` gives each case's id and a function from a ``ReplyBook`` to
     the case's steps, a generator that yields the prompt pairs it waits on
-    and returns a value. A case stops counting as analysed when it yields
-    None. Each worker keeps two cases being analysed, so that one computes
+    and returns a value. A case holds its ingested tables until it yields
+    None. Each worker keeps two cases holding tables, so that one computes
     while the other waits on the backend: a case is admitted, and its steps
-    started, while fewer than twice ``workers`` cases are analysed and
-    fewer than four times ``workers`` are in flight. The rest of those in
-    flight are analysed cases waiting on their narrative.
+    started, while fewer than twice ``workers`` cases hold tables and fewer
+    than eight times ``workers`` are in flight. The rest of those in flight
+    hold no table and wait on their range fetch or their narrative.
 
     A ``remote``-kind backend is asked on one I/O pool of
     ``_CALLS_IN_FLIGHT`` threads, and each prompt pair is asked once while
     it is in flight, for every case waiting on it. Any other kind runs in
     process: it is asked on the calling thread, and the case runs on at
-    once, so cases are analysed one after another.
+    once, past its None, to its end, so cases run one after another.
 
     The driver owns the run's reply memo, a plain dict that only the
     calling thread touches. A reply goes into the memo. An exception goes
@@ -335,7 +339,7 @@ def _drive(
 
     with ThreadPoolExecutor(max_workers=_CALLS_IN_FLIGHT) as pool:
         while True:
-            while (sum(case.analysing for case in live) < 2 * workers and len(live) < 4 * workers
+            while (sum(case.holding for case in live) < 2 * workers and len(live) < 8 * workers
                    and (admitted := next(pending, None))):
                 live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
                 ready.append(live[-1])
@@ -343,8 +347,8 @@ def _drive(
                 case = ready.popleft()
                 try:
                     asked = next(case.steps)
-                    while asked and not remote:  # in process: ask here, and run on at once
-                        for prompt in asked:
+                    while not remote:  # in process: ask here, and run on to the end at once
+                        for prompt in asked or ():
                             try:
                                 replies[prompt] = ask_backend(backend, config, *prompt)
                             except Exception as exc:
@@ -355,8 +359,8 @@ def _drive(
                     case.book.failures.clear()  # one never read keeps itself via this frame
                     ended(case.case_id, exc.value if isinstance(exc, StopIteration) else exc)
                     continue
-                if asked is None:  # analysed: the next case may start
-                    case.analysing = False
+                if asked is None:  # holds no table: the next case may start
+                    case.holding = False
                     ready.append(case)
                 for prompt in asked or ():
                     case.waiting += 1
@@ -466,16 +470,18 @@ def batch_eval(
     thread of its own per worker. A remote-kind backend is asked on one
     pool of ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in
     flight at any worker count, and ``config.workers`` bounds the cases in
-    flight: each worker has two cases analysed at once (ingest, agents,
-    ranges, report), so that one computes while the other waits on the
-    backend, and two more analysed cases waiting on their narrative. A case
-    drops its ingested tables once it is analysed, so at most twice
-    ``config.workers`` bundles are alive. Any other backend kind is asked
-    on the calling thread, so cases are analysed one after another. A
-    case's files land once its narrative reply is in, or once it is
-    analysed for a backend kind with no narrative, and all before
-    ``summary.json``; from then on the batch keeps only the case's ground
-    truth, decision and review flag.
+    flight. A case holds its ingested tables only while its SQL runs
+    (ingest, agents, queries), and drops them before its range fetch. Each
+    worker has two cases holding tables at once, so that one computes while
+    the other waits on the backend, so at most twice ``config.workers``
+    bundles are alive; and up to eight cases per worker are in flight, the
+    rest waiting on their range fetch or their narrative. Any other backend
+    kind is asked on the calling thread, so each case runs from its ingest
+    to its written files before the next starts. A case's files land once
+    its narrative reply is in, or once its report is built for a backend
+    kind with no narrative, and all before ``summary.json``; from then on
+    the batch keeps only the case's ground truth, decision and review
+    flag.
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch
@@ -504,7 +510,7 @@ def batch_eval(
             raise ConfigError(f"case {case_dir.name!r} has no ground_truth label")
         steps = _case_steps(manifest, bundle, select_question(questions, case_dir.name),
                             config, file_ranges, guard_verdicts, book)
-        del bundle  # the steps own it, and drop it once the case is analysed
+        del bundle  # the steps own it, and drop it once its last query has run
         result = yield from steps
         write_case_outputs(config.out_dir, result)
         return result.ground_truth, result.decision_label, result.review_flag

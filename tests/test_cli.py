@@ -484,6 +484,7 @@ ERROR_CONTRACT = [
     ("ask-unknown-backend", lambda p: _ask(p) + ["--config", p.nope], 2, "config"),
     ("batch-unknown-backend", lambda p: _batch(p) + ["--config", p.nope], 2, "config"),
     ("batch-workers-0", lambda p: _batch(p) + ["--workers", "0"], 2, "config"),
+    ("batch-workers-33", lambda p: _batch(p) + ["--workers", "33"], 2, "config"),
     ("ask-classifier-options-differ",
      lambda p: _ask(p, questions=p.other_options) + ["--mode", "cnn_only"], 1, "pipeline"),
     ("ask-out-under-file", lambda p: _ask(p, out=p.plain_file + "/run"), 1, "internal"),

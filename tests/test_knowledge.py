@@ -244,25 +244,29 @@ def test_fetch_llm_ranges_unparseable_noted():
 
 
 def test_fetch_llm_ranges_racing_misses_share_one_reply():
-    """Four cases in flight under one driver fetch the same ranges: the
-    backend is asked once per prompt, and every case reads that reply."""
+    """Four cases in flight under one driver fetch the same ranges from a
+    remote-kind backend, off the calling thread: the backend is asked once
+    per prompt, and every case reads that reply."""
 
     class NumberedBackend(LlmBackendPort):
         name = "numbered"
 
         def __init__(self):
             self.numbers = itertools.count(1)
+            self.threads = set()
 
         def complete(self, system_prompt, user_prompt, temperature, timeout):
             number = next(self.numbers)
+            self.threads.add(threading.get_ident())
             time.sleep(0.02)  # every case asks before a reply is in
             return json.dumps({"low": 0.0, "high": float(number)})
 
     backend = NumberedBackend()
     fetch = partial(pipeline._answered, fetch_llm_ranges, ["f"], ["A", "B"])
     results = {}
-    pipeline._drive(backend, BackendConfig(), 4, [(f"case {i}", fetch) for i in range(4)],
-                    results.__setitem__)
+    pipeline._drive(backend, BackendConfig(kind="remote"), 4,
+                    [(f"case {i}", fetch) for i in range(4)], results.__setitem__)
+    assert backend.threads and threading.get_ident() not in backend.threads
     assert next(backend.numbers) == 3  # one call per prompt: the probe and one more
     assert len(results) == 4
     assert all(result == results["case 0"] for result in results.values())

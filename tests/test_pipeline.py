@@ -177,6 +177,14 @@ def test_offline_runs_are_pure_functions_of_inputs(manifest, demo_bundle, questi
     ]
 
 
+def test_run_config_bounds_workers_by_calls_in_flight():
+    """``workers`` may not exceed the run's cap on calls in flight, so the
+    cases it admits stay bounded whatever a caller passes."""
+    assert RunConfig("m", "o", workers=pipeline._CALLS_IN_FLIGHT).workers == 32
+    with pytest.raises(ConfigError, match=r"workers must lie in \[1, 32\], got 33"):
+        RunConfig("m", "o", workers=pipeline._CALLS_IN_FLIGHT + 1)
+
+
 def test_run_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(manifest_path="m", out_dir="o", mode="nope")
@@ -349,8 +357,8 @@ def test_eval_dataset_cnn_only_summary_bytes_are_pinned(manifest_path, eval_data
 
 class EchoBackend(LlmBackendPort):
     """Replies ``reply to <user prompt>`` after ``delay`` seconds, counting
-    calls by prompt pair; ``fail_first`` names user prompts whose first
-    call raises ``BackendError``."""
+    calls by prompt pair and noting the threads they ran on; ``fail_first``
+    names user prompts whose first call raises ``BackendError``."""
 
     name = "echo"
 
@@ -358,11 +366,13 @@ class EchoBackend(LlmBackendPort):
         self.delay = delay
         self.fail_first = set(fail_first)
         self.calls: Counter[tuple[str, str]] = Counter()
+        self.threads: set[int] = set()
         self._lock = threading.Lock()
 
     def complete(self, system_prompt, user_prompt, temperature, timeout):
         with self._lock:
             self.calls[system_prompt, user_prompt] += 1
+            self.threads.add(threading.get_ident())
             first = self.calls[system_prompt, user_prompt] == 1
         time.sleep(self.delay)
         if first and user_prompt in self.fail_first:
@@ -377,15 +387,17 @@ def _asking(prompts):
 
 
 def test_driver_asks_each_prompt_once_across_cases_in_flight():
-    """Sixteen cases, four analysed at once, ask overlapping prompts: each
-    distinct prompt goes to the backend once, whether another case is
-    asking it or has had its reply, and every case reads that reply."""
+    """Sixteen cases, eight holding tables at once, ask overlapping prompts
+    of a remote-kind backend, off the calling thread: each distinct prompt
+    goes to the backend once, whether another case is asking it or has had
+    its reply, and every case reads that reply."""
     backend = EchoBackend(delay=0.002)
     prompts = [("Task: t", f"p{k}") for k in range(20)]
     cases = [(f"case {w}", _asking([prompts[(w + k) % 20] for k in range(20)]))
              for w in range(16)]
     outcomes = {}
-    pipeline._drive(backend, BackendConfig(), 4, cases, outcomes.__setitem__)
+    pipeline._drive(backend, BackendConfig(kind="remote"), 4, cases, outcomes.__setitem__)
+    assert backend.threads and threading.get_ident() not in backend.threads
     assert backend.calls == Counter(prompts)
     assert outcomes == {f"case {w}": [f"reply to p{(w + k) % 20}" for k in range(20)]
                         for w in range(16)}
@@ -754,10 +766,11 @@ def test_remote_batch_asks_each_prompt_once_at_any_worker_count(manifest_path, e
 
 def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
         manifest, manifest_path, eval_dataset, three_cases, tmp_path, monkeypatch):
-    """At one worker two cases are analysed at once, and their narratives
+    """At one worker two cases hold tables at once, and their range fetches
     are in flight while the next case's local agent is asked, so each case
-    is written after that agent is asked and two narratives at most are in
-    flight; the files and prompts are those of each case run on its own."""
+    is written after that agent is asked; the next case catches up on the
+    shared range wave, so all three narratives are in flight at once. The
+    files and prompts are those of each case run on its own."""
     questions = load_questions(eval_dataset["questions"])
     backend = CountingBackend(delay=0.1)
     local_calls_at_write = []
@@ -772,9 +785,9 @@ def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
                        backend=BackendConfig(kind="remote"))
     summary = batch_eval(config, three_cases, questions, backend=backend)
     assert summary.n_cases == 3 and summary.failures == []
-    assert TASK_NARRATIVE in backend.met[TASK_LOCAL]
+    assert TASK_RANGES in backend.met[TASK_LOCAL]
     assert local_calls_at_write == [3, 3, 3]
-    assert backend.peak[TASK_LOCAL] == backend.peak[TASK_NARRATIVE] == 2
+    assert backend.peak[TASK_LOCAL] == 2 and backend.peak[TASK_NARRATIVE] == 3
 
     plain_backend = CountingBackend()
     plain_out = tmp_path / "plain"
@@ -790,15 +803,24 @@ def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
 
 
 @pytest.mark.parametrize("fault", ["narrative-raises", "report-path-is-a-directory"])
-def test_deferred_case_failure_fails_only_that_case(fault, manifest_path, eval_dataset,
+def test_deferred_case_failure_fails_only_that_case(fault, manifest, manifest_path, eval_dataset,
                                                     three_cases, tmp_path, monkeypatch):
     """A fault in a case's narrative or in writing its files is that case's
-    summary entry; the other cases are written, and ``summary.json`` last."""
+    summary entry; the other cases are written, and ``summary.json`` last.
+    The narrative fault is drawn on the second case's narrative prompt, as
+    that case sends it when run alone: narratives in flight together reach
+    the backend in no fixed order."""
     names = [d.name for d in sorted(three_cases.iterdir())]
     broken = names[1]
     out = tmp_path / "out"
+    questions = load_questions(eval_dataset["questions"])
+    config = RunConfig(str(manifest_path), str(out), backend=BackendConfig(kind="remote"))
     if fault == "narrative-raises":
-        backend = CountingBackend(fail_calls={TASK_NARRATIVE: {2}}, error=RuntimeError)
+        alone = CountingBackend()
+        run_case(manifest, ingest_case_dir(manifest, three_cases / broken),
+                 select_question(questions, broken), config, alone)
+        [narrative] = [p for p in alone.prompts if p[0].startswith(f"Task: {TASK_NARRATIVE}\n")]
+        backend = CountingBackend(fail_prompts={narrative}, error=RuntimeError)
         expected = re.escape(f"RuntimeError: {TASK_NARRATIVE} service unavailable")
     else:
         backend = CountingBackend()
@@ -815,9 +837,7 @@ def test_deferred_case_failure_fails_only_that_case(fault, manifest_path, eval_d
 
     monkeypatch.setattr(serialize, "write_text_atomic", logged_write)
     monkeypatch.setattr(pipeline, "write_text_atomic", logged_write)
-    config = RunConfig(str(manifest_path), str(out), backend=BackendConfig(kind="remote"))
-    summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
-                         backend=backend)
+    summary = batch_eval(config, three_cases, questions, backend=backend)
     [failure] = summary.failures
     assert failure["case_id"] == broken
     assert re.fullmatch(expected, failure["error"])
@@ -936,6 +956,82 @@ def test_remote_batch_frees_each_bundle_once_its_case_is_analysed(
     assert max(alive_counts) == 2 * workers
 
 
+def test_remote_case_frees_its_tables_before_its_range_fetch(manifest_path, eval_dataset,
+                                                             tmp_path, monkeypatch):
+    """At one worker on a remote backend whose narratives are slow, a case
+    frees its bundle, with the cyclic collector off, before it asks for
+    ranges, so the range waves and the narratives are waited on by cases
+    that hold no table: more than two cases are in flight while a range
+    prompt is asked, yet no more than two bundles are ever alive, and no
+    more than eight cases are ever in flight, counted from each ingest to
+    its written files."""
+    bundles: dict[str, weakref.ref] = {}
+    alive_counts, in_flight_counts, in_flight_at_ranges, range_askers_alive = [], [], [], []
+    done = Counter()
+    lock = threading.Lock()
+    real_ingest, real_write, real_steps = (
+        pipeline.ingest_case_dir, pipeline.write_case_outputs, pipeline._case_steps)
+
+    def count(at_ranges=False):
+        with lock:
+            alive_counts.append(sum(ref() is not None for ref in bundles.values()))
+            in_flight_counts.append(done["ingest"] - done["write"])
+            if at_ranges:
+                in_flight_at_ranges.append(in_flight_counts[-1])
+
+    def tracked_ingest(manifest, case_dir):
+        bundle = real_ingest(manifest, case_dir)
+        with lock:
+            bundles[case_dir.name] = weakref.ref(bundle)
+            done["ingest"] += 1
+        count()
+        return bundle
+
+    def counted_write(out_dir, result):
+        real_write(out_dir, result)
+        with lock:
+            done["write"] += 1
+
+    def checked_steps(manifest, bundle, *args):
+        bundle_ref = weakref.ref(bundle)
+        steps = real_steps(manifest, bundle, *args)
+        del bundle
+        while True:
+            try:
+                asked = next(steps)
+            except StopIteration as stop:
+                return stop.value
+            if any(system.startswith(f"Task: {TASK_RANGES}\n") for system, _ in asked or ()):
+                range_askers_alive.append(bundle_ref() is not None)
+            yield asked
+
+    class SlowNarrativeBackend(CountingBackend):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            count(at_ranges=system_prompt.startswith(f"Task: {TASK_RANGES}\n"))
+            if system_prompt.startswith(f"Task: {TASK_NARRATIVE}\n"):
+                time.sleep(0.3)
+            return super().complete(system_prompt, user_prompt, temperature, timeout)
+
+    monkeypatch.setattr(pipeline, "ingest_case_dir", tracked_ingest)
+    monkeypatch.setattr(pipeline, "write_case_outputs", counted_write)
+    monkeypatch.setattr(pipeline, "_case_steps", checked_steps)
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"),
+                       backend=BackendConfig(kind="remote"))
+    gc.collect()
+    gc.disable()
+    try:
+        summary = batch_eval(config, eval_dataset["dataset"],
+                             load_questions(eval_dataset["questions"]),
+                             backend=SlowNarrativeBackend(delay=0.01))
+    finally:
+        gc.enable()
+    assert summary.n_cases == 20 and summary.failures == []
+    assert range_askers_alive and not any(range_askers_alive)
+    assert max(alive_counts) == 2
+    assert max(in_flight_at_ranges) > 2
+    assert max(in_flight_counts) == 8
+
+
 def test_template_batch_starts_no_thread_and_analyses_one_case_at_a_time(
         manifest_path, eval_dataset, tmp_path, monkeypatch):
     """An in-process backend is asked on the calling thread, so a
@@ -985,7 +1081,8 @@ def test_fault_free_template_batch_leaves_no_garbage_cycle(manifest_path, eval_d
 def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_path,
                                               monkeypatch):
     """At four workers the calling thread is the one that runs cases: every
-    ingest runs on it, and four cases are ingested before any is written."""
+    ingest runs on it, and each case is written before the next is
+    ingested, since an in-process case runs on to its files at once."""
     events = []
     ingest_threads = set()
     real_ingest, real_write = pipeline.ingest_case_dir, pipeline.write_case_outputs
@@ -1006,7 +1103,7 @@ def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_p
                          load_questions(eval_dataset["questions"]), backend=TemplateBackend())
     assert summary.n_cases == 20 and summary.failures == []
     assert ingest_threads == {threading.get_ident()}
-    assert events[:4] == ["ingest"] * 4 and events.count("write") == 20
+    assert events == ["ingest", "write"] * 20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1070,9 +1167,9 @@ def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_d
 
 def test_batch_eval_at_a_huge_worker_count_starts_few_threads(
         manifest_path, eval_dataset, three_cases, tmp_path, monkeypatch):
-    """``workers=10**6`` over three cases starts no thread per worker: the
-    threads started and the backend calls in flight both stay within the
-    run's cap on calls in flight."""
+    """The largest worker count, ``_CALLS_IN_FLIGHT``, over three cases
+    starts no thread per worker: the threads started and the backend calls
+    in flight both stay within the run's cap on calls in flight."""
     started = []
     real_start = threading.Thread.start
 
@@ -1082,8 +1179,8 @@ def test_batch_eval_at_a_huge_worker_count_starts_few_threads(
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     backend = CountingBackend(delay=0.005)
-    config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=10**6,
-                       backend=BackendConfig(kind="remote"))
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"),
+                       workers=pipeline._CALLS_IN_FLIGHT, backend=BackendConfig(kind="remote"))
     summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
                          backend=backend)
     assert summary.n_cases == 3 and summary.failures == []
