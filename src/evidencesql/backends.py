@@ -1,11 +1,10 @@
 """Text-generation backends behind one blocking port.
 
-Three implementations: a deterministic template backend for fully offline,
-reproducible runs; a scripted backend that replays canned responses (used in
-tests and for record/replay debugging); and a remote chat-completion client
-configured through environment variables. A fourth, ``ReplyBook``, does no
-I/O: it answers a pipeline stage from its run's replies, or names the
-prompts still to be asked.
+Two implementations: a deterministic template backend for fully offline,
+reproducible runs, and a remote chat-completion client configured through
+environment variables. A third, ``ReplyBook``, does no I/O: it answers a
+pipeline stage from its run's replies, or names the prompts still to be
+asked.
 
 The template backend never sees package internals — it reads the schema
 dictionary straight out of the prompt it receives, exactly like a hosted
@@ -21,8 +20,7 @@ import json
 import math
 import os
 import re
-import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from evidencesql.errors import BackendError, ConfigError
 from evidencesql.feature_store import Level, SchemaManifest
@@ -241,39 +239,6 @@ class TemplateBackend(LlmBackendPort):
         return "\n".join(out)
 
 
-@dataclass
-class ScriptedBackend(LlmBackendPort):
-    """Replays a fixed list of responses; repeats the last one when drained.
-
-    Responses go out in call order, one lock over each position. Under a
-    template-kind config the pipeline's driver asks every prompt on the
-    calling thread, one case after another, so the script is answered in
-    the order the pipeline asks. Under a remote-kind config the driver asks
-    from its I/O threads: a range fetch's misses at once, and in a batch
-    the prompts of several cases at once, even at one worker. So which
-    prompt gets which response is then fixed only where prompts are asked
-    one at a time. A repeated prompt is answered from the run's reply memo,
-    so the script advances only on new prompts.
-    """
-
-    responses: list[str]
-    name: str = "scripted"
-    calls: list[tuple[str, str]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False, compare=False)
-
-    def complete(self, system_prompt: str, user_prompt: str,
-                 temperature: float, timeout: float) -> str:
-        # one lock over the append and the index read, so concurrent callers
-        # (batch workers) each get their own position in the script
-        with self._lock:
-            self.calls.append((system_prompt, user_prompt))
-            index = min(len(self.calls), len(self.responses)) - 1
-        if not self.responses:
-            raise BackendError("scripted backend has no responses")
-        return self.responses[index]
-
-
 class RemoteBackend(LlmBackendPort):
     """Chat-completion HTTP client; endpoint and key come from environment."""
 
@@ -364,10 +329,8 @@ def ask_backend(backend: LlmBackendPort, config: BackendConfig, system: str, use
     pair under ``config``'s temperature and timeout.
 
     The pipeline's stages call it with a ``ReplyBook``; the pipeline's
-    driver calls it with the run's backend: a remote-kind one on its one
-    I/O pool of 32 threads (``pipeline._CALLS_IN_FLIGHT``), so a run has at
-    most 32 calls in flight at any ``--workers``, and any other kind on the
-    calling thread.
+    driver calls it with the run's backend, on the thread its scheduling
+    policy names (see ``pipeline._drive``).
     """
     return backend.complete(system, user, config.temperature, config.timeout_seconds)
 

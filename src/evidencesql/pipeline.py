@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter, deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Generator, Iterable
 
 from evidencesql import __version__
@@ -153,10 +154,8 @@ def run_case(
     """Process one ingested case under the configured mode, with its
     markdown rendered; ``write_case_outputs`` writes its files.
 
-    The case runs under ``_drive``, as a batch of one: each distinct prompt
-    is asked once, and, for a remote-kind backend, a range fetch's misses
-    are asked together, at most ``_CALLS_IN_FLIGHT`` at once. An exception
-    the case raises propagates.
+    The case runs under ``_drive`` as a batch of one, which says how its
+    prompts are asked. An exception the case raises propagates.
     """
     outcomes: dict[str, object] = {}
     _drive(backend, config.backend, 1, [(bundle.case_id, partial(
@@ -291,46 +290,62 @@ def _drive(
 ) -> None:
     """Run cases on the calling thread, and ask the backend the prompts
     they yield; as each case ends, pass ``ended`` its id and the value it
-    returned or the exception it raised.
+    returned or the exception it raised. This docstring is the one
+    statement in the code of how a run schedules its cases.
 
     ``cases`` gives each case's id and a function from a ``ReplyBook`` to
     the case's steps, a generator that yields the prompt pairs it waits on
     and returns a value. A case holds its ingested tables until it yields
-    None. Each worker keeps two cases holding tables, so that one computes
-    while the other waits on the backend: a case is admitted, and its steps
-    started, while fewer than twice ``workers`` cases hold tables and fewer
-    than eight times ``workers`` are in flight. The rest of those in flight
-    hold no table and wait on their range fetch or their narrative.
+    None. One loop steps every case, one step at a time, and admits a new
+    case, starting its steps, only when no admitted case is ready to run,
+    while fewer than twice ``workers`` cases hold tables and fewer than
+    eight times ``workers`` are in flight. So each worker keeps two cases
+    holding tables, one computing while the other waits on the backend,
+    and the rest of those in flight hold no table and wait on their range
+    fetch or their narrative. Ready cases run in the order they became
+    ready.
 
-    A ``remote``-kind backend is asked on one I/O pool of
-    ``_CALLS_IN_FLIGHT`` threads, and each prompt pair is asked once while
-    it is in flight, for every case waiting on it. Any other kind runs in
-    process: it is asked on the calling thread, and the case runs on at
-    once, past its None, to its end, so cases run one after another.
+    Each distinct prompt pair is asked once while it is in flight, for
+    every case waiting on it, and its answer is posted to one queue. A
+    ``remote``-kind backend is asked on one I/O pool of
+    ``_CALLS_IN_FLIGHT`` threads, so a run has at most that many calls in
+    flight at any ``workers``. Any other kind runs in process: it is asked
+    on the calling thread, so the case it answers is at once the one ready
+    case, and cases run one after another, each from its first step to its
+    end.
 
     The driver owns the run's reply memo, a plain dict that only the
     calling thread touches. A reply goes into the memo. An exception goes
     only into the books of the cases that waited on it, so a later case
-    asks that prompt afresh. A case runs on once every prompt it waits on
+    asks that prompt afresh. A case is ready once every prompt it waits on
     has been answered.
     """
     replies: ReplyMemo = {}
-    asking: dict[tuple[str, str], tuple[Future, list[_Case]]] = {}
+    answers: SimpleQueue = SimpleQueue()
+    asking: dict[tuple[str, str], list[_Case]] = {}
     ready: deque[_Case] = deque()
     live: list[_Case] = []
     pending = iter(cases)
-    remote = config.kind == "remote"
 
-    def settle() -> None:
-        """Store each reply that is in, or give the exception its ask raised
-        to the cases waiting on it; each case that waits on nothing else is
-        ready. A function of its own, so that no future stays in the frame
-        of ``_drive``, which a case's exception carries in its traceback."""
-        for prompt in [prompt for prompt, (future, _) in asking.items() if future.done()]:
-            future, waiting = asking.pop(prompt)
-            if (error := future.exception()) is None:
-                replies[prompt] = future.result()
-            for case in waiting:
+    def ask(prompt: tuple[str, str]) -> None:
+        """Ask the backend ``prompt``; post the reply, or the exception the
+        ask raised, to ``answers``."""
+        try:
+            answers.put((prompt, ask_backend(backend, config, *prompt), None))
+        except BaseException as exc:  # raised again in its cases; unposted, it would hang the run
+            answers.put((prompt, None, exc))
+
+    def settle(block: bool) -> None:
+        """Take each answer that is in, waiting for one first if ``block``:
+        store its reply, or give its exception to the cases waiting on it;
+        each case that waits on nothing else is ready. A function of its
+        own, so that no exception stays in the frame of ``_drive``, which a
+        case's exception carries in its traceback."""
+        while block or not answers.empty():
+            (prompt, reply, error), block = answers.get(), False
+            if error is None:
+                replies[prompt] = reply
+            for case in asking.pop(prompt):
                 if error is not None:
                     case.book.failures[prompt] = error
                 case.waiting -= 1
@@ -338,22 +353,17 @@ def _drive(
                     ready.append(case)
 
     with ThreadPoolExecutor(max_workers=_CALLS_IN_FLIGHT) as pool:
+        start = partial(pool.submit, ask) if config.kind == "remote" else ask
         while True:
-            while (sum(case.holding for case in live) < 2 * workers and len(live) < 8 * workers
-                   and (admitted := next(pending, None))):
+            settle(block=False)
+            if (not ready and sum(case.holding for case in live) < 2 * workers
+                    and len(live) < 8 * workers and (admitted := next(pending, None))):
                 live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
                 ready.append(live[-1])
             if ready:
                 case = ready.popleft()
                 try:
                     asked = next(case.steps)
-                    while not remote:  # in process: ask here, and run on to the end at once
-                        for prompt in asked or ():
-                            try:
-                                replies[prompt] = ask_backend(backend, config, *prompt)
-                            except Exception as exc:
-                                case.book.failures[prompt] = exc
-                        asked = next(case.steps)
                 except Exception as exc:  # it returned, or it broke: it ends, and only it
                     live.remove(case)
                     case.book.failures.clear()  # one never read keeps itself via this frame
@@ -364,15 +374,13 @@ def _drive(
                     ready.append(case)
                 for prompt in asked or ():
                     case.waiting += 1
-                    if prompt in asking:
-                        asking[prompt][1].append(case)
-                    else:
-                        asking[prompt] = (pool.submit(ask_backend, backend, config, *prompt), [case])
-            elif not asking:
-                return
+                    if prompt not in asking:
+                        start(prompt)
+                    asking.setdefault(prompt, []).append(case)
+            elif asking:
+                settle(block=True)
             else:
-                wait([future for future, _ in asking.values()], return_when=FIRST_COMPLETED)
-                settle()
+                return
 
 
 def _execute_into_trace(
@@ -466,22 +474,12 @@ def batch_eval(
     and never abort the batch. The summary reduction is sorted by case id,
     so worker count does not affect any output byte.
 
-    Cases run under ``_drive`` on the calling thread, which starts no
-    thread of its own per worker. A remote-kind backend is asked on one
-    pool of ``_CALLS_IN_FLIGHT`` threads, which bounds the run's calls in
-    flight at any worker count, and ``config.workers`` bounds the cases in
-    flight. A case holds its ingested tables only while its SQL runs
-    (ingest, agents, queries), and drops them before its range fetch. Each
-    worker has two cases holding tables at once, so that one computes while
-    the other waits on the backend, so at most twice ``config.workers``
-    bundles are alive; and up to eight cases per worker are in flight, the
-    rest waiting on their range fetch or their narrative. Any other backend
-    kind is asked on the calling thread, so each case runs from its ingest
-    to its written files before the next starts. A case's files land once
-    its narrative reply is in, or once its report is built for a backend
-    kind with no narrative, and all before ``summary.json``; from then on
-    the batch keeps only the case's ground truth, decision and review
-    flag.
+    Cases run under ``_drive``, whose docstring states the scheduling
+    policy: which cases ``config.workers`` lets in flight and holding
+    tables, and where the backend is asked. A case holds its ingested
+    tables only while its SQL runs (ingest, agents, queries). Its files
+    land as its steps end, all before ``summary.json``; from then on the
+    batch keeps only the case's ground truth, decision and review flag.
 
     Backend replies are memoized for the run, keyed on the (system, user)
     prompt pair: every distinct prompt, from either agent, the range fetch

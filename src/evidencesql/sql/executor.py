@@ -26,7 +26,9 @@ Semantics are pinned so the audit trail is reproducible bit for bit:
 - ORDER BY is one stable sort pass per key, from the last key to the first,
   keyed on (is null, value) so nulls come last in both directions; ties
   keep input order.
-- Division by zero and non-finite float results yield null. Square root of
+- Division by zero and non-finite float results yield null, and so do
+  float arithmetic, ROUND and SQRT on an integer beyond float range, and
+  an integer SUM whose exact total does not fit a float. Square root of
   a negative value is a hard error carrying the offending row index (None
   in a group context): a domain violation means the query is wrong and must
   surface.
@@ -58,7 +60,7 @@ from evidencesql.sql.ast import (
 )
 from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.sql.render import render_expr
-from evidencesql.values import Value, render_value
+from evidencesql.values import Value, fits_float, render_value
 
 # A compiled expression, called with a row index or a group context; a leaf
 # resolver compiles the context-dependent nodes and returns None for the rest.
@@ -105,11 +107,15 @@ def _finite_or_null(x: float) -> Value:
 
 
 def _strict(op: Callable[[Value, Value], Value]) -> Callable[[Value, Value], Value]:
-    """Null if either operand is null; a non-finite float result is null too."""
+    """Null if either operand is null; a non-finite float result is null too,
+    and so is one that needs an integer beyond float range as a float."""
     def apply(left: Value, right: Value) -> Value:
         if left is None or right is None:
             return None
-        result = op(left, right)
+        try:
+            result = op(left, right)
+        except OverflowError:
+            return None
         return _finite_or_null(result) if isinstance(result, float) else result
     return apply
 
@@ -157,16 +163,19 @@ def _scalar_fn(name: str, args: list[Value], ctx: object) -> Value:
     if any(a is None for a in args):
         return None
     x = args[0]
-    if name == "SQRT":
-        if x < 0:
-            # a row context is its row index; a group context is a tuple
-            row_index = ctx if isinstance(ctx, int) else None
-            raise ArithmeticDomain(f"SQRT of negative value {x}", row_index)
-        return math.sqrt(x)
-    if name == "ABS":
-        return abs(x)
-    digits = args[1] if len(args) == 2 else 0
-    return _finite_or_null(float(round(x, digits)))
+    try:
+        if name == "SQRT":
+            if x < 0:
+                # a row context is its row index; a group context is a tuple
+                row_index = ctx if isinstance(ctx, int) else None
+                raise ArithmeticDomain(f"SQRT of negative value {x}", row_index)
+            return math.sqrt(x)
+        if name == "ABS":
+            return abs(x)
+        digits = args[1] if len(args) == 2 else 0
+        return _finite_or_null(float(round(x, digits)))
+    except OverflowError:  # an integer beyond float range
+        return None
 
 
 def _compile(expr: Expr, leaf: Leaf) -> Compiled:
@@ -240,7 +249,8 @@ def _aggregate(fn: AggFn, arg: Compiled | None, rows: list[int]) -> Value:
     try:
         if fn.name == "SUM":
             if all(isinstance(v, int) for v in values):
-                return sum(values)
+                total = sum(values)  # exact, so null beyond float range
+                return total if fits_float(total) else None
             return math.fsum(values)
         if fn.name == "AVG":
             return math.fsum(values) / len(values)

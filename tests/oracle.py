@@ -73,11 +73,17 @@ def _scalar(expr, row):
         if expr.name == "SQRT":
             if args[0] < 0:
                 raise OracleDomainError(str(args[0]))
-            return math.sqrt(args[0])
+            try:
+                return math.sqrt(args[0])
+            except OverflowError:  # an integer beyond float range
+                return None
         if expr.name == "ABS":
             return abs(args[0])
         nd = args[1] if len(args) == 2 else 0
-        out = float(round(args[0], nd))
+        try:
+            out = float(round(args[0], nd))
+        except OverflowError:
+            return None
         return out if math.isfinite(out) else None
     raise TypeError(f"oracle cannot evaluate {expr!r}")
 
@@ -109,16 +115,19 @@ def _binary(expr, row):
         }[op]
     if a is None or b is None:
         return None
-    if op == "+":
-        out = a + b
-    elif op == "-":
-        out = a - b
-    elif op == "*":
-        out = a * b
-    else:
-        if b == 0:
-            return None
-        out = a / b
+    try:
+        if op == "+":
+            out = a + b
+        elif op == "-":
+            out = a - b
+        elif op == "*":
+            out = a * b
+        else:
+            if b == 0:
+                return None
+            out = a / b
+    except OverflowError:  # an integer operand beyond float range
+        return None
     if isinstance(out, float) and not math.isfinite(out):
         return None
     return out
@@ -145,7 +154,12 @@ def _agg(fn: AggFn, rows: list[dict]) -> object:
         return max(values)
     if name == "SUM":
         if all(isinstance(v, int) for v in values):
-            return sum(values)
+            total = sum(values)
+            try:
+                float(total)
+            except OverflowError:  # an exact total beyond float range
+                return None
+            return total
         out = math.fsum(values)
         return out if math.isfinite(out) else None
     if name == "AVG":
@@ -210,11 +224,17 @@ def _grouped_value(expr, group_rows: list[dict], key_values: list, group_by: tup
         if expr.name == "SQRT":
             if args[0] < 0:
                 raise OracleDomainError(str(args[0]))
-            return math.sqrt(args[0])
+            try:
+                return math.sqrt(args[0])
+            except OverflowError:  # an integer beyond float range
+                return None
         if expr.name == "ABS":
             return abs(args[0])
         nd = args[1] if len(args) == 2 else 0
-        out = float(round(args[0], nd))
+        try:
+            out = float(round(args[0], nd))
+        except OverflowError:
+            return None
         return out if math.isfinite(out) else None
     raise TypeError(f"oracle cannot evaluate {expr!r} per group")
 
@@ -241,16 +261,19 @@ def _binary_on_values(op, a, b):
         }[op]
     if a is None or b is None:
         return None
-    if op == "+":
-        out = a + b
-    elif op == "-":
-        out = a - b
-    elif op == "*":
-        out = a * b
-    else:
-        if b == 0:
-            return None
-        out = a / b
+    try:
+        if op == "+":
+            out = a + b
+        elif op == "-":
+            out = a - b
+        elif op == "*":
+            out = a * b
+        else:
+            if b == 0:
+                return None
+            out = a / b
+    except OverflowError:  # an integer operand beyond float range
+        return None
     if isinstance(out, float) and not math.isfinite(out):
         return None
     return out

@@ -13,10 +13,12 @@ from evidencesql.agents import (
     plan_local,
     render_schema_dictionary,
 )
-from evidencesql.backends import BackendConfig, ScriptedBackend, TemplateBackend
+from evidencesql.backends import BackendConfig, TemplateBackend
 from evidencesql.errors import EmptyGeneration
 from evidencesql.sql.ast import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
 from evidencesql.sql.guard import GuardRejection
+
+from scripted_backend import ScriptedBackend
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from evidencesql.backends import (
     BackendConfig,
     RemoteBackend,
     ReplyBook,
-    ScriptedBackend,
     TemplateBackend,
     Unanswered,
     ask_backend,
@@ -31,6 +30,8 @@ from evidencesql.backends import (
 from evidencesql.errors import BackendError, ConfigError
 from evidencesql.feature_store import ColumnSchema, Level, SchemaManifest, TableSchema
 from evidencesql.values import Dtype
+
+from scripted_backend import ScriptedBackend
 
 
 def test_pipeline_import_leaves_out_requests_and_click():

@@ -16,7 +16,6 @@ from evidencesql.backends import (
     BackendConfig,
     LlmBackendPort,
     ReplyBook,
-    ScriptedBackend,
     TemplateBackend,
 )
 from evidencesql.errors import BackendError, MissingLabel, NoEvidence, NonFiniteObservation
@@ -48,6 +47,7 @@ from evidencesql.sql.executor import execute
 from evidencesql.sql.guard import validate_pipeline
 
 from datasets import OPTIONS, TUBULAR, PAPILLARY
+from scripted_backend import ScriptedBackend
 
 
 def rng_range(low, high):

@@ -17,7 +17,6 @@ from evidencesql.backends import (
     TASK_GLOBAL,
     TASK_LOCAL,
     BackendConfig,
-    ScriptedBackend,
     TemplateBackend,
     render_schema_dictionary,
     system_prompt,
@@ -27,6 +26,7 @@ from evidencesql.errors import EvidenceSqlError
 from evidencesql.pipeline import RunConfig, run_case
 
 from datasets import OPTIONS, QUESTION_TEXT
+from scripted_backend import ScriptedBackend
 
 
 def _derandomized(check):

@@ -8,6 +8,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -22,9 +23,9 @@ from evidencesql.backends import (
     TASK_RANGES,
     BackendConfig,
     LlmBackendPort,
-    ScriptedBackend,
     TemplateBackend,
     Unanswered,
+    ask_backend,
     ask_each,
 )
 from evidencesql.errors import BackendError, ConfigError
@@ -41,6 +42,7 @@ from evidencesql.pipeline import (
 from evidencesql.sql.guard import GuardRejection
 
 from datasets import OPTIONS, PAPILLARY, QUESTION_TEXT, RANGE_FIXTURE
+from scripted_backend import ScriptedBackend
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +403,68 @@ def test_driver_asks_each_prompt_once_across_cases_in_flight():
     assert backend.calls == Counter(prompts)
     assert outcomes == {f"case {w}": [f"reply to p{(w + k) % 20}" for k in range(20)]
                         for w in range(16)}
+
+
+@pytest.mark.parametrize("kind", ["template", "remote"])
+def test_driver_passes_on_an_exception_outside_exception_from_an_ask(kind):
+    """An ask that raises ``SystemExit`` still posts its answer, so the
+    driver does not wait on it forever: the case waiting on it raises it
+    again, and it leaves the run as it would from the calling thread. The
+    run has its own thread here, so a driver that waits fails the test."""
+    raised = []
+
+    class ExitingBackend(EchoBackend):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            raise SystemExit(3)
+
+    def run():
+        try:
+            pipeline._drive(ExitingBackend(), BackendConfig(kind=kind), 1,
+                            [("case", _asking([("Task: t", "k")]))], {}.__setitem__)
+        except SystemExit as exc:
+            raised.append(exc.code)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(10)
+    assert raised == [3]
+
+
+def test_driver_runs_an_answered_case_before_it_admits_the_next(monkeypatch):
+    """On a remote-kind backend too, a case whose replies are in runs
+    before the next case is ingested: the driver admits a case only when no
+    admitted case is ready. Each case here drops its tables before it asks,
+    so neither cap on admission binds, and the first case's reply is posted
+    while the second case is being ingested."""
+    events, ingesting_b, posted = [], threading.Event(), threading.Event()
+
+    class PostingQueue(pipeline.SimpleQueue):
+        def put(self, item, block=True, timeout=None):
+            super().put(item, block, timeout)
+            posted.set()
+
+    class GatedBackend(EchoBackend):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            assert user_prompt != "a" or ingesting_b.wait(5)
+            return super().complete(system_prompt, user_prompt, temperature, timeout)
+
+    def steps(name, book):
+        events.append(("ingest", name))
+        if name == "b":
+            ingesting_b.set()
+            assert posted.wait(5)
+        yield  # holds no table
+        reply = yield from pipeline._answered(ask_backend, book, BackendConfig(), "Task: t", name)
+        events.append(("run", name))
+        return reply
+
+    monkeypatch.setattr(pipeline, "SimpleQueue", PostingQueue)
+    outcomes = {}
+    pipeline._drive(GatedBackend(), BackendConfig(kind="remote"), 1,
+                    [(name, partial(steps, name)) for name in "abc"], outcomes.__setitem__)
+    assert outcomes == {name: f"reply to {name}" for name in "abc"}
+    assert events[:3] == [("ingest", "a"), ("ingest", "b"), ("run", "a")]
+    assert events.index(("run", "a")) < events.index(("ingest", "c"))
 
 
 def test_driver_failure_reaches_every_waiting_case_and_is_not_stored():
@@ -1138,9 +1202,10 @@ def test_batch_eval_keeps_no_case_result_for_the_summary(workers, manifest_path,
 def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_dataset,
                                                            three_cases, tmp_path, monkeypatch):
     """At eight workers over three cases the batch starts no worker loop at
-    all: it makes one pool, and only asks the backend on it, in a
-    remote-kind run; a template-kind run submits nothing."""
-    pools, submitted = [], []
+    all: it makes one pool, and in a remote-kind run each task it submits
+    asks the backend once, off the calling thread; a template-kind run
+    submits nothing."""
+    pools, submitted, backend_threads = [], [], []
     real_pool = pipeline.ThreadPoolExecutor
 
     class CountingPool(real_pool):
@@ -1149,20 +1214,26 @@ def test_batch_eval_starts_no_more_worker_loops_than_cases(manifest_path, eval_d
             super().__init__(*args, **kwargs)
 
         def submit(self, fn, *args, **kwargs):
-            submitted.append(fn.__name__)
+            submitted.append(fn)
             return super().submit(fn, *args, **kwargs)
+
+    class ThreadRecordingBackend(CountingBackend):
+        def complete(self, system_prompt, user_prompt, temperature, timeout):
+            backend_threads.append(threading.get_ident())
+            return super().complete(system_prompt, user_prompt, temperature, timeout)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
     submitted_by_kind = {}
-    for kind, backend in (("template", TemplateBackend()), ("remote", CountingBackend())):
+    for kind, backend in (("template", TemplateBackend()), ("remote", ThreadRecordingBackend())):
         config = RunConfig(str(manifest_path), str(tmp_path / kind), workers=8,
                            backend=BackendConfig(kind=kind))
         summary = batch_eval(config, three_cases, load_questions(eval_dataset["questions"]),
                              backend=backend)
         assert summary.n_cases == 3 and summary.failures == []
-        submitted_by_kind[kind], submitted[:] = set(submitted), []
+        submitted_by_kind[kind], submitted[:] = len(submitted), []
     assert len(pools) == 2
-    assert submitted_by_kind == {"template": set(), "remote": {"ask_backend"}}
+    assert submitted_by_kind == {"template": 0, "remote": len(backend_threads)}
+    assert backend_threads and threading.get_ident() not in backend_threads
 
 
 def test_batch_eval_at_a_huge_worker_count_starts_few_threads(

@@ -13,6 +13,7 @@ from evidencesql.sql.guard import ValidatedQuery, validate_pipeline
 from evidencesql.sql.ast import AggFn, ColumnRef, Projection, QueryAst, Star, Unary
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
+from evidencesql.values import FLOAT_SAFE_LENGTH
 
 import oracle
 from generators import QueryGenerator, random_schema, random_table, schema_manifest, table_bundle
@@ -168,11 +169,11 @@ def test_execution_is_deterministic_and_pure(manifest, demo_bundle, demo_case_di
     assert demo_bundle == ingest_case_dir(manifest, demo_case_dir)
 
 
-def area_bundle(manifest, areas) -> CaseBundle:
-    """A ``cells`` table whose ``area`` column holds ``areas``, all else null."""
+def area_bundle(manifest, areas, column="area") -> CaseBundle:
+    """A ``cells`` table whose ``column`` holds ``areas``, all else null."""
     schema = manifest.table("cells")
     columns = {name: (None,) * len(areas) for name in schema.column_names}
-    columns["area"] = tuple(areas)
+    columns[column] = tuple(areas)
     return CaseBundle("areas", {"cells": FeatureTable(schema, columns, len(areas))})
 
 
@@ -191,6 +192,50 @@ def test_real_aggregates_beyond_float_range_are_null(manifest):
     # the sum is exact but the squared deviations overflow
     assert rows_of(execute(query, area_bundle(manifest, [1e200, -1e200]))) == [
         [0.0, 0.0, None]]
+
+
+# The largest integer of FLOAT_SAFE_LENGTH digits, which any integer cell holds.
+BIG = int("9" * FLOAT_SAFE_LENGTH)
+
+
+def big_id_rows(text, manifest, ids):
+    """``text``'s result rows over a ``cells`` table whose ``cell_id``
+    column holds ``ids``, checked against the oracle."""
+    query, bundle = q(text, manifest), area_bundle(manifest, ids, "cell_id")
+    engine_rows = rows_of(execute(query, bundle))
+    table = bundle.tables["cells"]
+    dict_rows = [{name: values[i] for name, values in table.columns.items()}
+                 for i in range(table.row_count)]
+    assert [list(r) for r in oracle.evaluate(
+        query.ast, dict_rows, list(table.schema.column_names))] == engine_rows
+    return engine_rows
+
+
+def test_integer_sum_beyond_float_range_is_null(manifest):
+    """The exact total of three FLOAT_SAFE_LENGTH-digit integers does not
+    fit a float, so SUM is null, and arithmetic over it is null rather than
+    an ``OverflowError``."""
+    for text in ("SELECT SUM(cell_id) * 1.5 AS s FROM cells",
+                 "SELECT SUM(cell_id) + 0.5 AS s FROM cells",
+                 "SELECT SUM(cell_id) AS s FROM cells",
+                 "SELECT ROUND(SUM(cell_id)) AS s FROM cells"):
+        assert big_id_rows(text, manifest, [BIG] * 3) == [[None]], text
+    # a total that fits stays an exact integer
+    assert big_id_rows("SELECT SUM(cell_id) AS s FROM cells", manifest,
+                       [10 ** 307, 10 ** 307, 1]) == [[2 * 10 ** 307 + 1]]
+
+
+def test_arithmetic_on_integers_beyond_float_range_is_null(manifest):
+    """An integer product beyond float range stays exact, but a float
+    operation on it, and ROUND or SQRT of it, is null."""
+    for text in ("SELECT cell_id * cell_id * 1.5 AS s FROM cells",
+                 "SELECT cell_id * cell_id + 0.5 AS s FROM cells",
+                 "SELECT cell_id * cell_id / 2 AS s FROM cells",
+                 "SELECT ROUND(cell_id * cell_id, 1) AS s FROM cells",
+                 "SELECT SQRT(cell_id * cell_id) AS s FROM cells"):
+        assert big_id_rows(text, manifest, [BIG, None]) == [[None], [None]], text
+    assert big_id_rows("SELECT cell_id * 1.5 AS s FROM cells", manifest, [BIG // 2]) == [
+        [BIG // 2 * 1.5]]
 
 
 def test_aggregate_identities(manifest, demo_bundle):
