@@ -160,7 +160,8 @@ class EmptyGeneration(EvidenceSqlError):
 
 
 class NonFiniteObservation(EvidenceSqlError):
-    """Observed value is null or non-finite; no fit can be scored."""
+    """Observed value is null, non-finite or beyond float range; no fit can be
+    scored."""
 
 
 class NoEvidence(EvidenceSqlError):

@@ -5,11 +5,14 @@ A case directory holds one CSV per manifest table plus an optional
 a ground-truth label. Everything loaded here is frozen; there is no write
 path once a bundle exists.
 
-A table is converted a column at a time, with ``values.coerce``'s builtins
-and empty-is-null rule, and each dtype's checks run over whole columns. A
-column that fails one is scanned again through ``coerce`` up to its first
-bad cell, so a bad file reports the cell that comes first in row-major
-order, with its table, column and row.
+A table is read and converted one chunk of ``_CHUNK_ROWS`` rows at a time,
+so only that chunk's raw fields are alive beside the columns built so far.
+Each chunk is converted a column at a time, with ``values.coerce``'s
+builtins and empty-is-null rule, and each dtype's checks run over the
+chunk's whole columns; the chunks' columns are joined at the end. A column
+that fails one is scanned again through ``coerce`` up to its first bad
+cell, so a bad file reports the cell that comes first in row-major order,
+with its table, column and row.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
 
 from evidencesql.errors import (
@@ -37,6 +41,9 @@ from evidencesql.values import FLOAT_SAFE_LENGTH, Dtype, Value, coerce, fits_flo
 
 SIDECAR_FILENAME = "sidecar.json"
 CNN_PROB_SUM_TOLERANCE = 1e-6
+# Rows read and converted at a time: a table's raw fields are held one chunk
+# at a time, not whole, while its columns are built.
+_CHUNK_ROWS = 256
 
 
 class Level(enum.Enum):
@@ -179,20 +186,24 @@ def canonical_manifest() -> SchemaManifest:
     return manifest_from_dict(json.loads(text))
 
 
-def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str, tuple]:
-    """The table's columns, converted one column at a time.
+def _convert_columns(schema: TableSchema, raw_rows: list[list[str]],
+                     first: int) -> tuple[dict[str, tuple], TypeMismatch | DomainViolation | None]:
+    """The columns of the rows numbered from ``first``, converted one
+    column at a time, and the error for their first bad row or cell in
+    row-major order, or None.
 
-    Raises for the table's first bad row or cell in row-major order: the
-    earliest row, then the leftmost column, and a row of the wrong width
-    before any cell at or after it.
+    The error names the earliest row, then the leftmost column, and a row
+    of the wrong width before any cell at or after it. With an error, the
+    columns are incomplete.
     """
     width = len(schema.columns)
     fault = None  # (row, error) of the earliest fault found so far
     if set(map(len, raw_rows)) - {width}:
-        row = next(i for i, raw in enumerate(raw_rows) if len(raw) != width)
-        fault = (row, TypeMismatch(f"row {row} has {len(raw_rows[row])} fields, expected {width}",
-                                   table=schema.name, row=row))
-        raw_rows = raw_rows[:row]
+        i = next(i for i, raw in enumerate(raw_rows) if len(raw) != width)
+        fault = (first + i, TypeMismatch(
+            f"row {first + i} has {len(raw_rows[i])} fields, expected {width}",
+            table=schema.name, row=first + i))
+        raw_rows = raw_rows[:i]
     columns = {}
     for col, texts in zip(schema.columns, list(zip(*raw_rows)) or [()] * width):
         has_null = "" in texts
@@ -220,20 +231,17 @@ def _convert_columns(schema: TableSchema, raw_rows: list[list[str]]) -> dict[str
         else:
             # only rows before the earliest fault so far can win; a tie keeps
             # the column to the left
-            fault = _first_bad_cell(schema, col, texts[:fault[0] if fault else None]) or fault
-    if fault:
-        try:
-            raise fault[1]
-        finally:  # kept, the error would keep itself and the rows through its traceback
-            fault = None
-    return columns
+            fault = _first_bad_cell(
+                schema, col, texts[:fault[0] - first if fault else None], first) or fault
+    return columns, fault and fault[1]
 
 
-def _first_bad_cell(schema: TableSchema, col: ColumnSchema,
-                    texts: tuple[str, ...]) -> tuple[int, TypeMismatch | DomainViolation] | None:
-    """The row of the first cell in ``texts`` that breaks a rule, and the
-    error naming it, converting each cell through ``coerce``."""
-    for row, text in enumerate(texts):
+def _first_bad_cell(schema: TableSchema, col: ColumnSchema, texts: tuple[str, ...],
+                    first: int) -> tuple[int, TypeMismatch | DomainViolation] | None:
+    """The row of the first cell in ``texts``, the rows numbered from
+    ``first``, that breaks a rule, and the error naming it, converting
+    each cell through ``coerce``."""
+    for row, text in enumerate(texts, first):
         where = dict(table=schema.name, column=col.name, row=row)
         try:
             value = coerce(text, col.dtype)
@@ -251,6 +259,7 @@ def _first_bad_cell(schema: TableSchema, col: ColumnSchema,
 
 
 def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
+    chunks, fault, row_count = [], None, 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -264,12 +273,26 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
                     f"{list(schema.column_names)!r}",
                     table=schema.name,
                 )
-            raw_rows = list(reader)
+            # after a fault the rest is read but not converted, so an error
+            # reading the file still wins wherever it lies
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if fault is None:
+                    columns, fault = _convert_columns(schema, chunk, row_count)
+                    chunks.append(columns)
+                row_count += len(chunk)
+                del chunk  # freed before the next chunk is read, which reuses its memory
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
+    if fault:
+        try:
+            raise fault
+        finally:  # kept, the error would keep itself and the rows through its traceback
+            fault = None
 
-    columns = _convert_columns(schema, raw_rows)
-    table = FeatureTable(schema=schema, columns=columns, row_count=len(raw_rows))
+    columns = chunks[0] if len(chunks) == 1 else {
+        name: tuple(chain.from_iterable(chunk[name] for chunk in chunks))
+        for name in schema.column_names}
+    table = FeatureTable(schema=schema, columns=columns, row_count=row_count)
     if schema.level is Level.GLOBAL and table.row_count != 1:
         raise CardinalityError(
             f"global table {schema.name!r} has {table.row_count} rows, expected exactly 1"

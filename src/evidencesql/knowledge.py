@@ -33,7 +33,7 @@ from evidencesql.serialize import json_field, quantize_float
 from evidencesql.sql.ast import ColumnRef, Star
 from evidencesql.sql.executor import ResultTable
 from evidencesql.sql.guard import ValidatedQuery
-from evidencesql.values import Value
+from evidencesql.values import Value, fits_float
 
 HYPOTHESIS_SCHEMA_VERSION = "1"
 MIN_RANGE_SUPPORT = 3
@@ -310,9 +310,11 @@ def score_fit(observed: float, reference: ReferenceRange) -> FitScore:
     FAIR (<= 0.75), POOR (<= 1.5) or NO_FIT.
 
     Raises:
-        NonFiniteObservation: observed is null or non-finite.
+        NonFiniteObservation: observed is null, non-finite, or an integer
+            beyond float range.
     """
-    if observed is None or isinstance(observed, str) or not math.isfinite(float(observed)):
+    if observed is None or isinstance(observed, str) or not (
+            fits_float(observed) and math.isfinite(float(observed))):
         raise NonFiniteObservation(f"cannot score observation {observed!r}")
     x = float(observed)
     if reference.low <= x <= reference.high:
@@ -381,6 +383,8 @@ def score_observations(
         quality_note = None
         if obs.observed is None:
             quality_note = "observed value is null"
+        elif not fits_float(obs.observed):
+            quality_note = "observed integer is beyond float range"
         else:
             missing = []
             for option in options:

@@ -298,12 +298,14 @@ def _drive(
     and returns a value. A case holds its ingested tables until it yields
     None. One loop steps every case, one step at a time, and admits a new
     case, starting its steps, only when no admitted case is ready to run,
-    while fewer than twice ``workers`` cases hold tables and fewer than
-    eight times ``workers`` are in flight. So each worker keeps two cases
-    holding tables, one computing while the other waits on the backend,
-    and the rest of those in flight hold no table and wait on their range
-    fetch or their narrative. Ready cases run in the order they became
-    ready.
+    while fewer than three times ``workers`` cases hold tables and fewer
+    than twelve times ``workers`` are in flight. So each worker keeps three
+    cases holding tables, one computing while the other two wait on the
+    backend: on a backend that answers in 20 ms, a case holding its tables
+    waits about 20 ms on its local agent and computes about 7 ms, so
+    1 + 20/7, about 3, holders keep one computing. The rest of those in
+    flight hold no table and wait on their range fetch or their narrative.
+    Ready cases run in the order they became ready.
 
     Each distinct prompt pair is asked once while it is in flight, for
     every case waiting on it, and its answer is posted to one queue. A
@@ -356,8 +358,8 @@ def _drive(
         start = partial(pool.submit, ask) if config.kind == "remote" else ask
         while True:
             settle(block=False)
-            if (not ready and sum(case.holding for case in live) < 2 * workers
-                    and len(live) < 8 * workers and (admitted := next(pending, None))):
+            if (not ready and sum(case.holding for case in live) < 3 * workers
+                    and len(live) < 12 * workers and (admitted := next(pending, None))):
                 live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
                 ready.append(live[-1])
             if ready:

@@ -142,11 +142,11 @@ def test_batch_outcomes_under_seeded_faults_match_each_case_run_alone(
     once, with the files or the failure message it has when run alone; a
     case no fault reached has its fault-free bytes; a prompt that got a
     reply is asked once; and a prompt that raised, narratives aside, is
-    asked at most once per case that sends it, and at least once per eight
+    asked at most once per case that sends it, and at least once per twelve
     such cases per worker, since no more cases are in flight at once; an
-    agent's prompt, at least once per two such cases per worker, since the
-    agents ask only while a case holds its tables, and no more cases hold
-    them at once."""
+    agent's prompt, at least once per three such cases per worker, since
+    the agents ask only while a case holds its tables, and no more cases
+    hold them at once."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -191,7 +191,7 @@ def test_batch_outcomes_under_seeded_faults_match_each_case_run_alone(
                                 if p not in replied and _task(p[0]) != TASK_NARRATIVE}
                                for asks in (backend.asks, sent))
         assert raised.keys() == raised_sent.keys()
-        sharing = {p: (8 if _task(p[0]) == TASK_RANGES else 2) * workers for p in raised}
+        sharing = {p: (12 if _task(p[0]) == TASK_RANGES else 3) * workers for p in raised}
         assert all(-(-raised_sent[p] // sharing[p]) <= n <= raised_sent[p]
                    for p, n in raised.items()), (raised, raised_sent)
 

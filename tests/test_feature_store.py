@@ -3,10 +3,12 @@ import gc
 import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from evidencesql import feature_store
 from evidencesql.errors import (
     CardinalityError,
     CaseLoadError,
@@ -432,18 +434,122 @@ PRECEDENCE = [
     ("global-cardinality", "global_features", [_global_row(), _global_row()],
      (CardinalityError, "global table 'global_features' has 2 rows, expected exactly 1",
       None, None, None)),
+    ("bad-cell-in-chunk-1-before-short-row-in-chunk-2", "cells",
+     _cells(10, r3={"area": "x"}, r7={"centroid_y": None}),
+     (TypeMismatch, "cells.area row 3: 'x' is not a real number", "cells", "area", 3)),
+    ("global-empty-body", "global_features", [],
+     (CardinalityError, "global table 'global_features' has 0 rows, expected exactly 1",
+      None, None, None)),
 ]
+
+# Chunk sizes the ingest tests also run under: each splits the tables above,
+# and the generated ones below, across chunks.
+CHUNK_SIZES = (1, 2, 5)
+
+
+def _chunked_outcomes(monkeypatch, load):
+    """``_outcome(load)`` with the default chunk size, then with each of
+    ``CHUNK_SIZES``."""
+    outcomes = [_outcome(load)]
+    for rows in CHUNK_SIZES:
+        with monkeypatch.context() as patched:
+            patched.setattr(feature_store, "_CHUNK_ROWS", rows)
+            outcomes.append(_outcome(load))
+    return outcomes
+
+
+def _write_table(path, schema, rows):
+    """``rows`` under ``schema``'s header, as CSV; a lone surrogate in a
+    field is written as the byte it escapes, so a row can hold invalid
+    UTF-8."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        csv.writer(fh).writerows([schema.column_names, *rows])
 
 
 @pytest.mark.parametrize("table, rows, expected", [row[1:] for row in PRECEDENCE],
                          ids=[row[0] for row in PRECEDENCE])
-def test_ingest_error_precedence(manifest, tmp_path, table, rows, expected):
+def test_ingest_error_precedence(manifest, tmp_path, monkeypatch, table, rows, expected):
     schema = manifest.table(table)
     path = tmp_path / f"{table}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([schema.column_names, *rows])
+    _write_table(path, schema, rows)
     manifest_one = SchemaManifest(version="t", tables=(schema,))
-    assert _outcome(lambda: ingest_case(manifest_one, {table: path})) == expected
+    assert _chunked_outcomes(monkeypatch, lambda: ingest_case(manifest_one, {table: path})) == [
+        expected] * (1 + len(CHUNK_SIZES))
+
+
+def test_read_error_in_a_late_chunk_beats_a_bad_cell_in_the_first(manifest, tmp_path,
+                                                                   monkeypatch):
+    """A file is read to its end after a bad cell, unconverted, so invalid
+    UTF-8 in its last row is still the error, under every chunk size: the
+    row lies past the first default chunk and past the two 8 KiB blocks
+    the decoder reads for it, so the chunk holding the bad cell is converted
+    before the bad byte is decoded."""
+    schema = manifest.table("cells")
+    path = tmp_path / "cells.csv"
+    rows = _cells(400, r0={"area": "x"}, r399={"cell_type": "\udcff"})
+    _write_table(path, schema, rows)
+    assert path.stat().st_size > 2 * 8192
+    manifest_one = SchemaManifest(version="t", tables=(schema,))
+    causes = []
+
+    def load():
+        try:
+            return ingest_case(manifest_one, {"cells": path})
+        except TypeMismatch as exc:
+            causes.append(type(exc.__cause__))
+            raise
+
+    for outcome in _chunked_outcomes(monkeypatch, load):
+        kind, message, *where = outcome
+        assert kind is TypeMismatch and where == ["cells", None, None]
+        assert message.startswith(
+            f"cannot read table file {path}: 'utf-8' codec can't decode byte 0xff"), message
+    assert causes == [UnicodeDecodeError] * (1 + len(CHUNK_SIZES))
+
+
+@pytest.mark.parametrize("rows", [0, 10, 2 * feature_store._CHUNK_ROWS],
+                         ids=["empty-body", "ten-rows", "two-default-chunks"])
+def test_chunked_ingest_of_whole_chunks_matches_row_major_reference(manifest, tmp_path,
+                                                                    monkeypatch, rows):
+    """A table with no body, or whose last chunk is exactly full under
+    every chunk size, ingests as the row-major reference reads it."""
+    schema = manifest.table("cells")
+    raw = [_cell_row(i, area=f"{400 + i}.5", cell_type=("dead", "")[i % 2]) for i in range(rows)]
+    path = tmp_path / "cells.csv"
+    _write_table(path, schema, raw)
+    manifest_one = SchemaManifest(version="t", tables=(schema,))
+    expected = _outcome(lambda: _reference_table(schema, raw))
+    assert expected.row_count == rows
+    assert _chunked_outcomes(
+        monkeypatch, lambda: ingest_case(manifest_one, {"cells": path}).tables["cells"]) == [
+        expected] * (1 + len(CHUNK_SIZES))
+
+
+def test_ingest_holds_one_chunk_of_raw_fields_at_a_time(tmp_path):
+    """On a 2,000-row table, the peak ``tracemalloc`` sees during
+    ``ingest_case``, less what the bundle keeps, stays below what the
+    bundle keeps: the whole file's raw fields are never alive at once."""
+    manifest = canonical_manifest()
+    schema = manifest.table("cells")
+    domain = schema.column("cell_type").categorical_domain
+    rng = random.Random(20261020)
+    rows = [[str(i + 1), rng.choice(domain),
+             *(repr(round(rng.uniform(0.0, 500.0), 4)) for _ in schema.columns[2:])]
+            for i in range(2000)]
+    path = tmp_path / "cells.csv"
+    _write_table(path, schema, rows)
+    manifest_one = SchemaManifest(version="t", tables=(schema,))
+    ingest_case(manifest_one, {"cells": path})  # imports and caches warmed
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bundle = ingest_case(manifest_one, {"cells": path})
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert bundle.tables["cells"].row_count == 2000
+    assert peak - kept < kept, (peak, kept)
 
 
 def _outcome(load):
@@ -491,7 +597,7 @@ _FAULTS = ("abc", "inf", "-inf", "nan", "NaN", "", "  ", "zeta", "epsilon",
            "1_0", "+5", " 5 ", "1e999", HUGE_INT, "DROP", "EXTRA")
 
 
-def test_column_ingest_matches_row_major_reference(tmp_path):
+def test_column_ingest_matches_row_major_reference(tmp_path, monkeypatch):
     from dataclasses import replace
 
     from hypothesis import HealthCheck, given, settings
@@ -524,10 +630,10 @@ def test_column_ingest_matches_row_major_reference(tmp_path):
             elif row:
                 row[col_idx % len(row)] = fault
         path = tmp_path / "t.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([schema.column_names, *rows])
+        _write_table(path, schema, rows)
         manifest_one = SchemaManifest(version="t", tables=(schema,))
-        got = _outcome(lambda: ingest_case(manifest_one, {"t": path}).tables["t"])
-        assert got == _outcome(lambda: _reference_table(schema, rows))
+        got = _chunked_outcomes(monkeypatch,
+                                lambda: ingest_case(manifest_one, {"t": path}).tables["t"])
+        assert got == [_outcome(lambda: _reference_table(schema, rows))] * (1 + len(CHUNK_SIZES))
 
     check()

@@ -19,7 +19,7 @@ from evidencesql.backends import (
     TemplateBackend,
 )
 from evidencesql.errors import BackendError, MissingLabel, NoEvidence, NonFiniteObservation
-from evidencesql.feature_store import load_training_split
+from evidencesql.feature_store import CaseBundle, FeatureTable, load_training_split
 from evidencesql.knowledge import (
     FIT_WEIGHTS,
     FeatureFinding,
@@ -40,7 +40,7 @@ from evidencesql.knowledge import (
     score_fit,
     score_observations,
 )
-from evidencesql.pipeline import RunConfig, run_case
+from evidencesql.pipeline import RunConfig, run_case, write_case_outputs
 from evidencesql.report import contributing_features
 from evidencesql.serialize import canonical_json
 from evidencesql.sql.executor import execute
@@ -104,6 +104,38 @@ def test_score_fit_rejects_null_and_nonfinite():
         score_fit(None, r)
     with pytest.raises(NonFiniteObservation):
         score_fit(float("nan"), r)
+    with pytest.raises(NonFiniteObservation):
+        score_fit(10 ** 616, r)
+
+
+def test_integer_observation_beyond_float_range_is_unscorable(manifest, tmp_path):
+    """An exact integer result beyond float range, the square of a
+    308-digit cell id, is noted as unscorable, as a null is, and the case
+    ends with a report, not an ``OverflowError``."""
+    schema = manifest.table("cells")
+    ids = (int("9" * 308), int("8" * 308))
+    columns = {name: (None,) * len(ids) for name in schema.column_names}
+    columns["cell_id"] = ids
+    bundle = CaseBundle("big_ids", {"cells": FeatureTable(schema, columns, len(ids))})
+    backend = ScriptedBackend([
+        '```json\n{"target_features": [{"table": "cells", "column": "cell_id", '
+        '"rationale": "r"}]}\n```',
+        "```sql\nSELECT MAX(cell_id * cell_id) AS x FROM cells\n```\n"
+        "```sql\nSELECT COUNT(*) AS n FROM cells\n```",
+    ])
+    question = Question("big_ids", "Which option?", OPTIONS)
+    config = RunConfig("unused", str(tmp_path), mode="sql_only")
+    ranges = [ReferenceRange(key, option, 0.0, 10.0, "empirical")
+              for key in ("x", "n") for option in OPTIONS]
+    result = run_case(manifest, bundle, question, config, backend, ranges)
+    write_case_outputs(tmp_path, result)
+    findings = {f["feature_key"]: f for f in result.report["hypothesis"]["findings"]}
+    assert findings["x"]["observed"] == ids[0] ** 2
+    assert findings["x"]["quality_note"] == "observed integer is beyond float range"
+    assert findings["x"]["fits"] == {}
+    assert set(findings["n"]["fits"]) == set(OPTIONS)
+    assert "x: observed integer is beyond float range" in result.report["data_quality_notes"]
+    assert (tmp_path / "reports" / "big_ids.json").exists()
 
 
 def test_reference_range_invariant():
