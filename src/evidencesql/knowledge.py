@@ -383,8 +383,6 @@ def score_observations(
         quality_note = None
         if obs.observed is None:
             quality_note = "observed value is null"
-        elif not fits_float(obs.observed):
-            quality_note = "observed integer is beyond float range"
         else:
             missing = []
             for option in options:

@@ -26,12 +26,15 @@ Semantics are pinned so the audit trail is reproducible bit for bit:
 - ORDER BY is one stable sort pass per key, from the last key to the first,
   keyed on (is null, value) so nulls come last in both directions; ties
   keep input order.
-- Division by zero and non-finite float results yield null, and so do
-  float arithmetic, ROUND and SQRT on an integer beyond float range, and
-  an integer SUM whose exact total does not fit a float. Square root of
-  a negative value is a hard error carrying the offending row index (None
-  in a group context): a domain violation means the query is wrong and must
-  surface.
+- Every value a query returns is null, text, a boolean, a finite float, or
+  an integer that ``float()`` accepts (``values.fits_float``). Table cells
+  and literals hold that already, so ``_in_range`` nulls any operator,
+  ROUND or integer SUM result outside it, and so later layers need no range
+  rule. Division by zero yields null too. A ROUND digit count below -330
+  acts as -330: every value in range rounds to zero at either. Square root
+  of a negative value is a hard error carrying the offending row index
+  (None in a group context): a domain violation means the query is wrong
+  and must surface.
 """
 
 from __future__ import annotations
@@ -102,21 +105,25 @@ class ExecError:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _finite_or_null(x: float) -> Value:
-    return x if math.isfinite(x) else None
+def _in_range(x: Value) -> Value:
+    """Null for a non-finite float or an integer that ``float()`` rejects.
+    Exact type tests let a boolean, always in range, through at once."""
+    kind = type(x)
+    if kind is float:
+        return x if math.isfinite(x) else None
+    if kind is int and not fits_float(x):
+        return None
+    return x
 
 
 def _strict(op: Callable[[Value, Value], Value]) -> Callable[[Value, Value], Value]:
-    """Null if either operand is null; a non-finite float result is null too,
-    and so is one that needs an integer beyond float range as a float."""
+    """Null if either operand is null, or if the result is out of range. No
+    operator raises on operands in range: a true quotient of integers is no
+    larger than its dividend, and float overflow gives ``inf``."""
     def apply(left: Value, right: Value) -> Value:
         if left is None or right is None:
             return None
-        try:
-            result = op(left, right)
-        except OverflowError:
-            return None
-        return _finite_or_null(result) if isinstance(result, float) else result
+        return _in_range(op(left, right))
     return apply
 
 
@@ -163,18 +170,19 @@ def _scalar_fn(name: str, args: list[Value], ctx: object) -> Value:
     if any(a is None for a in args):
         return None
     x = args[0]
+    if name == "SQRT":
+        if x < 0:
+            # a row context is its row index; a group context is a tuple
+            row_index = ctx if isinstance(ctx, int) else None
+            raise ArithmeticDomain(f"SQRT of negative value {x}", row_index)
+        return math.sqrt(x)
+    if name == "ABS":
+        return abs(x)
+    # round(int, d) builds 10 ** -d, so a huge negative d would hang
+    digits = max(args[1], -330) if len(args) == 2 else 0
     try:
-        if name == "SQRT":
-            if x < 0:
-                # a row context is its row index; a group context is a tuple
-                row_index = ctx if isinstance(ctx, int) else None
-                raise ArithmeticDomain(f"SQRT of negative value {x}", row_index)
-            return math.sqrt(x)
-        if name == "ABS":
-            return abs(x)
-        digits = args[1] if len(args) == 2 else 0
-        return _finite_or_null(float(round(x, digits)))
-    except OverflowError:  # an integer beyond float range
+        return float(round(x, digits))
+    except OverflowError:  # rounded up past the largest float
         return None
 
 
@@ -249,8 +257,7 @@ def _aggregate(fn: AggFn, arg: Compiled | None, rows: list[int]) -> Value:
     try:
         if fn.name == "SUM":
             if all(isinstance(v, int) for v in values):
-                total = sum(values)  # exact, so null beyond float range
-                return total if fits_float(total) else None
+                return _in_range(sum(values))
             return math.fsum(values)
         if fn.name == "AVG":
             return math.fsum(values) / len(values)
@@ -261,7 +268,7 @@ def _aggregate(fn: AggFn, arg: Compiled | None, rows: list[int]) -> Value:
             return 0.0
         mean = math.fsum(values) / len(values)
         squared = math.fsum((float(v) - mean) ** 2 for v in values)
-        return _finite_or_null(math.sqrt(squared / (len(values) - 1)))
+        return _in_range(math.sqrt(squared / (len(values) - 1)))
     except OverflowError:
         # fsum and ** raise where a result from finite inputs leaves float range
         return None

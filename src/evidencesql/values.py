@@ -26,12 +26,14 @@ class Dtype(enum.Enum):
 FLOAT_SAFE_LENGTH = 308
 
 
+# The least integer that float() rejects: it lies halfway between the largest
+# float and 2**1024, and the tie rounds to 2**1024, which overflows.
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 def fits_float(value: int) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+    """Whether ``float(value)`` succeeds."""
+    return -_FLOAT_LIMIT < value < _FLOAT_LIMIT
 
 
 def coerce(text: str, dtype: Dtype) -> Value:

@@ -67,70 +67,37 @@ def _scalar(expr, row):
             return None
         return True
     if isinstance(expr, ScalarFn):
-        args = [_scalar(a, row) for a in expr.args]
-        if any(a is None for a in args):
-            return None
-        if expr.name == "SQRT":
-            if args[0] < 0:
-                raise OracleDomainError(str(args[0]))
-            try:
-                return math.sqrt(args[0])
-            except OverflowError:  # an integer beyond float range
-                return None
-        if expr.name == "ABS":
-            return abs(args[0])
-        nd = args[1] if len(args) == 2 else 0
-        try:
-            out = float(round(args[0], nd))
-        except OverflowError:
-            return None
-        return out if math.isfinite(out) else None
+        return _scalar_fn(expr.name, [_scalar(a, row) for a in expr.args])
     raise TypeError(f"oracle cannot evaluate {expr!r}")
 
 
 def _binary(expr, row):
-    op = expr.op
-    if op in ("AND", "OR"):
-        a = _scalar(expr.left, row)
-        b = _scalar(expr.right, row)
-        if op == "AND":
-            if a is False or b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-        if a is True or b is True:
-            return True
-        if a is None or b is None:
-            return None
-        return False
-    a = _scalar(expr.left, row)
-    b = _scalar(expr.right, row)
-    if op in ("=", "!=", "<", "<=", ">", ">="):
-        if a is None or b is None:
-            return None
-        return {
-            "=": a == b, "!=": a != b, "<": a < b,
-            "<=": a <= b, ">": a > b, ">=": a >= b,
-        }[op]
-    if a is None or b is None:
-        return None
+    return _binary_on_values(expr.op, _scalar(expr.left, row), _scalar(expr.right, row))
+
+
+def _in_range(out):
+    """Null for a number ``float()`` cannot hold finitely."""
     try:
-        if op == "+":
-            out = a + b
-        elif op == "-":
-            out = a - b
-        elif op == "*":
-            out = a * b
-        else:
-            if b == 0:
-                return None
-            out = a / b
-    except OverflowError:  # an integer operand beyond float range
+        return out if math.isfinite(out) else None
+    except OverflowError:  # an integer beyond float range
         return None
-    if isinstance(out, float) and not math.isfinite(out):
+
+
+def _scalar_fn(name, args):
+    if any(a is None for a in args):
         return None
-    return out
+    if name == "SQRT":
+        if args[0] < 0:
+            raise OracleDomainError(str(args[0]))
+        return math.sqrt(args[0])
+    if name == "ABS":
+        return abs(args[0])
+    # below -330 digits, every value in float range rounds to zero
+    nd = max(args[1], -330) if len(args) == 2 else 0
+    try:
+        return _in_range(float(round(args[0], nd)))
+    except OverflowError:
+        return None
 
 
 def _agg(fn: AggFn, rows: list[dict]) -> object:
@@ -152,26 +119,21 @@ def _agg(fn: AggFn, rows: list[dict]) -> object:
         return min(values)
     if name == "MAX":
         return max(values)
-    if name == "SUM":
-        if all(isinstance(v, int) for v in values):
-            total = sum(values)
-            try:
-                float(total)
-            except OverflowError:  # an exact total beyond float range
-                return None
-            return total
-        out = math.fsum(values)
-        return out if math.isfinite(out) else None
-    if name == "AVG":
-        out = math.fsum(float(v) for v in values) / len(values)
-        return out if math.isfinite(out) else None
-    # STDDEV, sample form
-    if len(values) < 2:
+    try:
+        if name == "SUM":
+            if all(isinstance(v, int) for v in values):
+                return _in_range(sum(values))  # the exact total
+            return _in_range(math.fsum(values))
+        if name == "AVG":
+            return _in_range(math.fsum(float(v) for v in values) / len(values))
+        # STDDEV, sample form
+        if len(values) < 2:
+            return None
+        mean = math.fsum(float(v) for v in values) / len(values)
+        var = math.fsum((float(v) - mean) ** 2 for v in values) / (len(values) - 1)
+        return _in_range(math.sqrt(var))
+    except OverflowError:  # fsum and ** raise where a finite result overflows
         return None
-    mean = math.fsum(float(v) for v in values) / len(values)
-    var = math.fsum((float(v) - mean) ** 2 for v in values) / (len(values) - 1)
-    out = math.sqrt(var)
-    return out if math.isfinite(out) else None
 
 
 def _grouped_value(expr, group_rows: list[dict], key_values: list, group_by: tuple):
@@ -216,26 +178,9 @@ def _grouped_value(expr, group_rows: list[dict], key_values: list, group_by: tup
             return None
         return True
     if isinstance(expr, ScalarFn):
-        args = [
+        return _scalar_fn(expr.name, [
             _grouped_value(a, group_rows, key_values, group_by) for a in expr.args
-        ]
-        if any(a is None for a in args):
-            return None
-        if expr.name == "SQRT":
-            if args[0] < 0:
-                raise OracleDomainError(str(args[0]))
-            try:
-                return math.sqrt(args[0])
-            except OverflowError:  # an integer beyond float range
-                return None
-        if expr.name == "ABS":
-            return abs(args[0])
-        nd = args[1] if len(args) == 2 else 0
-        try:
-            out = float(round(args[0], nd))
-        except OverflowError:
-            return None
-        return out if math.isfinite(out) else None
+        ])
     raise TypeError(f"oracle cannot evaluate {expr!r} per group")
 
 
@@ -261,22 +206,13 @@ def _binary_on_values(op, a, b):
         }[op]
     if a is None or b is None:
         return None
-    try:
-        if op == "+":
-            out = a + b
-        elif op == "-":
-            out = a - b
-        elif op == "*":
-            out = a * b
-        else:
-            if b == 0:
-                return None
-            out = a / b
-    except OverflowError:  # an integer operand beyond float range
-        return None
-    if isinstance(out, float) and not math.isfinite(out):
-        return None
-    return out
+    if op == "+":
+        return _in_range(a + b)
+    if op == "-":
+        return _in_range(a - b)
+    if op == "*":
+        return _in_range(a * b)
+    return None if b == 0 else _in_range(a / b)
 
 
 def _contains_agg(expr) -> bool:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -127,6 +128,22 @@ def test_query_on_integer_beyond_float_range_is_ingest_error(runner, manifest_pa
     error = json.loads(result.stderr)["error"]
     assert (error["stage"], error["type"]) == ("ingest", "TypeMismatch")
     assert error["message"] == "cells.cell_id row 0: 401-character integer is beyond float range"
+
+
+def test_query_json_on_a_result_beyond_float_range_prints_null(runner, manifest_path,
+                                                              demo_case_dir, tmp_path):
+    """Ingest accepts 308-digit cell ids; an exact product of 15 of them
+    would have more than 4,300 digits, past what ``json`` converts, and is
+    null instead."""
+    case = Path(shutil.copytree(demo_case_dir, tmp_path / "big_ids"))
+    cells = case / "cells.csv"
+    cells.write_text(re.sub(r"(?m)^(\d),", lambda m: m[1] + "0" * 307 + ",",
+                            cells.read_text(encoding="utf-8")), encoding="utf-8")
+    product = " * ".join(["cell_id"] * 15)
+    result = runner.invoke(main, ["query", "--manifest", str(manifest_path), "--case", str(case),
+                                  "--sql", f"SELECT MAX({product}) AS x FROM cells", "--json"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert json.loads(result.stdout) == {"columns": ["x"], "rows": [[None]]}
 
 
 def test_calibrate_ranges_deterministic(runner, manifest_path, training_split, tmp_path):

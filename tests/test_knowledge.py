@@ -108,34 +108,80 @@ def test_score_fit_rejects_null_and_nonfinite():
         score_fit(10 ** 616, r)
 
 
-def test_integer_observation_beyond_float_range_is_unscorable(manifest, tmp_path):
-    """An exact integer result beyond float range, the square of a
-    308-digit cell id, is noted as unscorable, as a null is, and the case
-    ends with a report, not an ``OverflowError``."""
-    schema = manifest.table("cells")
-    ids = (int("9" * 308), int("8" * 308))
-    columns = {name: (None,) * len(ids) for name in schema.column_names}
-    columns["cell_id"] = ids
-    bundle = CaseBundle("big_ids", {"cells": FeatureTable(schema, columns, len(ids))})
-    backend = ScriptedBackend([
+BIG_ID = int("9" * 308)
+
+
+def run_big_integer_case(manifest, tmp_path, replies, keys):
+    """``run_case`` in sql_only mode, its files written, over a case whose
+    ``cells.cell_id`` and ``global_features.total_cells`` hold 308-digit
+    integers and whose other cells are null; every option has a range for
+    each of ``keys``. Returns the result and the findings by key."""
+    tables = {}
+    for name, column, values in (("cells", "cell_id", (BIG_ID, int("8" * 308))),
+                                 ("global_features", "total_cells", (BIG_ID,))):
+        schema = manifest.table(name)
+        columns = {c: (None,) * len(values) for c in schema.column_names}
+        columns[column] = values
+        tables[name] = FeatureTable(schema, columns, len(values))
+    ranges = [ReferenceRange(key, option, 0.0, 10.0, "empirical")
+              for key in keys for option in OPTIONS]
+    result = run_case(manifest, CaseBundle("big_ids", tables),
+                      Question("big_ids", "Which option?", OPTIONS),
+                      RunConfig("unused", str(tmp_path), mode="sql_only"),
+                      ScriptedBackend(replies), ranges)
+    write_case_outputs(tmp_path, result)
+    assert (tmp_path / "reports" / "big_ids.json").exists()
+    assert (tmp_path / "reports" / "big_ids.md").exists()
+    return result, {f["feature_key"]: f for f in result.report["hypothesis"]["findings"]}
+
+
+def assert_product_of_big_ids_is_unscorable(manifest, tmp_path, factors):
+    """A product of ``factors`` 308-digit cell ids is a null observation,
+    noted as unscorable, and the case ends with its files written."""
+    product = " * ".join(["cell_id"] * factors)
+    result, findings = run_big_integer_case(manifest, tmp_path, [
         '```json\n{"target_features": [{"table": "cells", "column": "cell_id", '
         '"rationale": "r"}]}\n```',
-        "```sql\nSELECT MAX(cell_id * cell_id) AS x FROM cells\n```\n"
+        f"```sql\nSELECT MAX({product}) AS x FROM cells\n```\n"
         "```sql\nSELECT COUNT(*) AS n FROM cells\n```",
-    ])
-    question = Question("big_ids", "Which option?", OPTIONS)
-    config = RunConfig("unused", str(tmp_path), mode="sql_only")
-    ranges = [ReferenceRange(key, option, 0.0, 10.0, "empirical")
-              for key in ("x", "n") for option in OPTIONS]
-    result = run_case(manifest, bundle, question, config, backend, ranges)
-    write_case_outputs(tmp_path, result)
-    findings = {f["feature_key"]: f for f in result.report["hypothesis"]["findings"]}
-    assert findings["x"]["observed"] == ids[0] ** 2
-    assert findings["x"]["quality_note"] == "observed integer is beyond float range"
+    ], ("x", "n"))
+    assert findings["x"]["observed"] is None
+    assert findings["x"]["quality_note"] == "observed value is null"
     assert findings["x"]["fits"] == {}
     assert set(findings["n"]["fits"]) == set(OPTIONS)
-    assert "x: observed integer is beyond float range" in result.report["data_quality_notes"]
-    assert (tmp_path / "reports" / "big_ids.json").exists()
+    assert "x: observed value is null" in result.report["data_quality_notes"]
+
+
+def test_integer_observation_beyond_float_range_is_unscorable(manifest, tmp_path):
+    """The square of a 308-digit cell id is beyond float range, so the
+    executor returns null and the case ends with a report, not an
+    ``OverflowError``."""
+    assert_product_of_big_ids_is_unscorable(manifest, tmp_path, 2)
+
+
+def test_observation_of_more_than_4300_digits_is_null(manifest, tmp_path):
+    """An exact product of 15 308-digit cell ids would have more than 4,300
+    digits, past what ``repr`` converts; it is null, and the report and
+    markdown are written."""
+    assert_product_of_big_ids_is_unscorable(manifest, tmp_path, 15)
+
+
+def test_global_result_beyond_float_range_reaches_the_local_prompt_as_null(manifest, tmp_path):
+    """A global query multiplying a 308-digit ``total_cells`` 15 times
+    returns null, so the local agent's prompt is built around it and the
+    case ends with a report."""
+    product = " * ".join(["total_cells"] * 15)
+    result, findings = run_big_integer_case(manifest, tmp_path, [
+        '```json\n{"target_features": [{"table": "global_features", '
+        '"column": "total_cells", "rationale": "r"}]}\n```\n'
+        f"```sql\nSELECT {product} AS g FROM global_features\n```",
+        "```sql\nSELECT COUNT(*) AS n FROM cells\n```",
+    ], ("g", "n"))
+    local_prompt = result.transcripts[1].attempts[0].user_prompt
+    assert f"q0: SELECT {product} AS g FROM global_features\ng\n" in local_prompt
+    assert findings["g"]["observed"] is None
+    assert "g: observed value is null" in result.report["data_quality_notes"]
+    assert set(findings["n"]["fits"]) == set(OPTIONS)
 
 
 def test_reference_range_invariant():

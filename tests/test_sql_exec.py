@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from evidencesql.sql.guard import ValidatedQuery, validate_pipeline
 from evidencesql.sql.ast import AggFn, ColumnRef, Projection, QueryAst, Star, Unary
 from evidencesql.sql.parser import parse
 from evidencesql.sql.render import render
-from evidencesql.values import FLOAT_SAFE_LENGTH
+from evidencesql.values import FLOAT_SAFE_LENGTH, Dtype, fits_float
 
 import oracle
 from generators import QueryGenerator, random_schema, random_table, schema_manifest, table_bundle
@@ -226,16 +227,36 @@ def test_integer_sum_beyond_float_range_is_null(manifest):
 
 
 def test_arithmetic_on_integers_beyond_float_range_is_null(manifest):
-    """An integer product beyond float range stays exact, but a float
-    operation on it, and ROUND or SQRT of it, is null."""
-    for text in ("SELECT cell_id * cell_id * 1.5 AS s FROM cells",
+    """An integer sum or product beyond float range is null, like any other
+    result ``float()`` rejects, and so is every operation on it."""
+    for text in ("SELECT cell_id * cell_id AS s FROM cells",
+                 "SELECT cell_id + cell_id AS s FROM cells",
+                 "SELECT -cell_id * cell_id AS s FROM cells",
+                 "SELECT cell_id * cell_id * 1.5 AS s FROM cells",
                  "SELECT cell_id * cell_id + 0.5 AS s FROM cells",
                  "SELECT cell_id * cell_id / 2 AS s FROM cells",
                  "SELECT ROUND(cell_id * cell_id, 1) AS s FROM cells",
                  "SELECT SQRT(cell_id * cell_id) AS s FROM cells"):
         assert big_id_rows(text, manifest, [BIG, None]) == [[None], [None]], text
+    assert big_id_rows("SELECT MAX(cell_id * cell_id) AS s FROM cells", manifest,
+                       [BIG, None]) == [[None]]
     assert big_id_rows("SELECT cell_id * 1.5 AS s FROM cells", manifest, [BIG // 2]) == [
         [BIG // 2 * 1.5]]
+
+
+def test_round_to_a_huge_negative_digit_count_is_fast(manifest, demo_bundle):
+    """``round(int, d)`` builds ``10 ** -d``; the executor clamps ``d`` at
+    -330, where every value in float range already rounds to zero."""
+    expected = rows_of(execute(q("SELECT ROUND(cell_id, -330) AS r FROM cells", manifest),
+                               demo_bundle))
+    assert expected == [[0.0]] * 6
+    query = q("SELECT ROUND(cell_id, -1000000) AS r FROM cells", manifest)
+    start = time.perf_counter()
+    rows = rows_of(execute(query, demo_bundle))
+    assert time.perf_counter() - start < 0.2
+    assert rows == expected
+    assert rows_of(execute(q("SELECT ROUND(cell_id, -1000000000000) AS r FROM cells", manifest),
+                           demo_bundle)) == expected
 
 
 def test_aggregate_identities(manifest, demo_bundle):
@@ -262,44 +283,49 @@ def values_match(a, b) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def engine_rows_matching_oracle(ast: QueryAst, table: FeatureTable) -> list[list] | None:
+    """The engine's result rows for ``ast`` over ``table``, once checked
+    against the oracle's; None when both raise a domain error."""
+    from evidencesql.sql.guard import check_schema
+
+    schema = table.schema
+    assert check_schema(ast, schema_manifest(schema)) == [], render(ast)
+    vq = ValidatedQuery(ast, render(ast))
+    dict_rows = [
+        {name: values[i] for name, values in table.columns.items()}
+        for i in range(table.row_count)
+    ]
+
+    engine_rows = engine_error = None
+    try:
+        engine_rows = [list(r) for r in execute(vq, table_bundle(table)).rows]
+    except ArithmeticDomain:
+        engine_error = "domain"
+    oracle_rows = oracle_error = None
+    try:
+        oracle_rows = [list(r) for r in oracle.evaluate(
+            ast, dict_rows, list(schema.column_names))]
+    except oracle.OracleDomainError:
+        oracle_error = "domain"
+
+    assert engine_error == oracle_error, render(ast)
+    if engine_error is None:
+        assert len(engine_rows) == len(oracle_rows), render(ast)
+        for engine_row, oracle_row in zip(engine_rows, oracle_rows):
+            assert len(engine_row) == len(oracle_row), render(ast)
+            for a, b in zip(engine_row, oracle_row):
+                assert values_match(a, b), (render(ast), engine_row, oracle_row)
+    return engine_rows
+
+
 def run_differential(seed: int, n_pairs: int) -> int:
     rng = random.Random(seed)
     checked = 0
     for _ in range(n_pairs):
         schema = random_schema(rng)
         table = random_table(rng, schema)
-        bundle = table_bundle(table)
-        manifest = schema_manifest(schema)
         generator = QueryGenerator(rng, schema, allow_raw_sqrt=rng.random() < 0.1)
-        ast = generator.query()
-        from evidencesql.sql.guard import check_schema
-
-        assert check_schema(ast, manifest) == [], render(ast)
-        vq = ValidatedQuery(ast, render(ast))
-        dict_rows = [
-            {name: values[i] for name, values in table.columns.items()}
-            for i in range(table.row_count)
-        ]
-
-        engine_rows = engine_error = None
-        try:
-            engine_rows = [list(r) for r in execute(vq, bundle).rows]
-        except ArithmeticDomain:
-            engine_error = "domain"
-        oracle_rows = oracle_error = None
-        try:
-            oracle_rows = [list(r) for r in oracle.evaluate(
-                ast, dict_rows, list(schema.column_names))]
-        except oracle.OracleDomainError:
-            oracle_error = "domain"
-
-        assert engine_error == oracle_error, render(ast)
-        if engine_error is None:
-            assert len(engine_rows) == len(oracle_rows), render(ast)
-            for engine_row, oracle_row in zip(engine_rows, oracle_rows):
-                assert len(engine_row) == len(oracle_row), render(ast)
-                for a, b in zip(engine_row, oracle_row):
-                    assert values_match(a, b), (render(ast), engine_row, oracle_row)
+        engine_rows_matching_oracle(generator.query(), table)
         checked += 1
     return checked
 
@@ -373,5 +399,48 @@ def test_having_partitions_groups_by_ternary_logic():
         base = QueryAst((*(Projection(k) for k in keys), Projection(AggFn("COUNT", Star(), False), "n")),
                         "t", group_by=keys)
         _assert_partitioned(base, "having", generator.having_predicate(), table)
+
+    check()
+
+
+# -- every result value within float range ---------------------------------------
+
+
+def _with_big_integers(rng: random.Random, table: FeatureTable) -> FeatureTable:
+    """``table`` with each distinct value of its integer columns replaced by
+    one of 300 to 308 digits and the same sign, so equal values stay equal."""
+    big: dict[int, int] = {}
+
+    def widen(v):
+        if v is not None and v not in big:
+            digits = rng.randint(300, 308)
+            big[v] = (-1 if v < 0 else 1) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+        return big.get(v)
+
+    columns = {c.name: tuple(map(widen, table.columns[c.name]))
+               if c.dtype is Dtype.INTEGER else table.columns[c.name]
+               for c in table.schema.columns}
+    return FeatureTable(table.schema, columns, table.row_count)
+
+
+def _in_result_domain(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, int):  # bools included
+        return fits_float(value)
+    return value is None or isinstance(value, str)
+
+
+def test_every_result_value_is_within_float_range():
+    """Over integer columns whose values have 300 to 308 digits, every value
+    a random query returns is null, text, a boolean, a finite float or an
+    integer ``float()`` accepts, and the oracle agrees with the engine."""
+    @_derandomized
+    def check(rng, raw_sqrt):
+        schema = random_schema(rng)
+        table = _with_big_integers(rng, random_table(rng, schema, max_rows=30))
+        ast = QueryGenerator(rng, schema, allow_raw_sqrt=raw_sqrt).query()
+        for row in engine_rows_matching_oracle(ast, table) or ():
+            assert all(map(_in_result_domain, row)), (render(ast), row)
 
     check()
