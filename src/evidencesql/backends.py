@@ -127,16 +127,10 @@ class LlmBackendPort:
         raise NotImplementedError
 
 
-@dataclass
-class _PromptSchema:
-    tables: list[tuple[str, str, list[tuple[str, str, list[str] | None]]]]
-
-    def tables_at(self, level: Level) -> list[tuple[str, list[tuple[str, str, list[str] | None]]]]:
-        return [(name, cols) for name, lvl, cols in self.tables if lvl == level.value]
-
-
-def _parse_prompt_schema(system_prompt: str) -> _PromptSchema:
-    tables = []
+def _parse_prompt_schema(system_prompt: str) -> dict[str, list]:
+    """The prompt's schema dictionary: by level name, each table at that
+    level as ``(name, [(column, dtype, domain or None), ...])``."""
+    tables: dict[str, list] = {}
     matches = list(_TABLE_RE.finditer(system_prompt))
     for i, m in enumerate(matches):
         end = matches[i + 1].start() if i + 1 < len(matches) else len(system_prompt)
@@ -147,8 +141,8 @@ def _parse_prompt_schema(system_prompt: str) -> _PromptSchema:
             if cm.group(3) is not None:
                 domain = [part.strip() for part in cm.group(3).split(",") if part.strip()]
             columns.append((cm.group(1), cm.group(2), domain))
-        tables.append((m.group(1), m.group(2), columns))
-    return _PromptSchema(tables)
+        tables.setdefault(m.group(2), []).append((m.group(1), columns))
+    return tables
 
 
 def _indented_json(value: object, indent: str = "") -> str:
@@ -186,10 +180,10 @@ class TemplateBackend(LlmBackendPort):
             return self._local_response(schema)
         return DECLINE_RESPONSE
 
-    def _global_response(self, schema: _PromptSchema) -> str:
+    def _global_response(self, schema: dict[str, list]) -> str:
         targets = []
         queries = []
-        for name, columns in schema.tables_at(Level.GLOBAL):
+        for name, columns in schema.get(Level.GLOBAL.value, []):
             for col, _dtype, _domain in columns:
                 targets.append({
                     "table": name,
@@ -203,9 +197,9 @@ class TemplateBackend(LlmBackendPort):
             parts += ["```sql", q, "```"]
         return "\n".join(parts)
 
-    def _local_response(self, schema: _PromptSchema) -> str:
+    def _local_response(self, schema: dict[str, list]) -> str:
         queries: list[str] = []
-        for name, columns in schema.tables_at(Level.LOCAL_CELLULAR):
+        for name, columns in schema.get(Level.LOCAL_CELLULAR.value, []):
             categorical = next(
                 ((col, domain) for col, dtype, domain in columns
                  if dtype == "text" and domain), None,
@@ -226,7 +220,7 @@ class TemplateBackend(LlmBackendPort):
             elif real_cols:
                 means = ", ".join(f"AVG({c}) AS mean_{c}" for c in real_cols)
                 queries.append(f"SELECT {means} FROM {name}")
-        for name, columns in schema.tables_at(Level.LOCAL_ARCHITECTURE):
+        for name, columns in schema.get(Level.LOCAL_ARCHITECTURE.value, []):
             parts = [f"COUNT(*) AS n_{name}"]
             parts += [
                 f"AVG({col}) AS {name}_mean_{col}"

@@ -112,9 +112,18 @@ def _format_cell(value: Value) -> str:
     return render_value(value)
 
 
+def _md_line(text: str) -> str:
+    """``text`` as it may stand in one markdown table cell or list item:
+    ``|`` escaped and each line break written as ``<br>``, so text from a
+    query can add no cell, row or heading."""
+    return (text.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>")
+            .replace("\n", "<br>"))
+
+
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     """A markdown table's lines, then a blank line."""
-    return [f"| {' | '.join(cells)} |" for cells in (header, ["---"] * len(header), *rows)] + [""]
+    return [f"| {' | '.join(map(_md_line, cells))} |"
+            for cells in (header, ["---"] * len(header), *rows)] + [""]
 
 
 def render_report_markdown(report: dict, narrative: str | None = None) -> str:
@@ -167,7 +176,7 @@ def render_report_markdown(report: dict, narrative: str | None = None) -> str:
 
     if report["data_quality_notes"]:
         lines += ["## Data quality notes", "",
-                  *(f"- {note}" for note in report["data_quality_notes"]), ""]
+                  *(f"- {_md_line(note)}" for note in report["data_quality_notes"]), ""]
 
     if narrative:
         lines += ["## Generated narrative", "", narrative.strip(), ""]

@@ -1,10 +1,12 @@
 """Canonical JSON: sorted keys, floats fixed at 6 decimal places.
 
 Every serialized artifact (hypotheses, reports, transcripts, summaries) goes
-through here so identical inputs always produce identical bytes. The text is
-that of ``json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)``,
-written in one walk that quantizes each float value with round-half-even at
-6 decimals as it goes; quantized values survive a JSON round-trip exactly.
+through here so identical inputs always produce identical bytes. For every
+tree whose dict keys are strings, the text is that of ``json.dumps(...,
+sort_keys=True, indent=2, ensure_ascii=False)``, written in one walk that
+quantizes each float value with round-half-even at 6 decimals as it goes;
+quantized values survive a JSON round-trip exactly. Any other key is a
+TypeError.
 
 Input files (manifest, sidecar, questions, ranges, backend config, query)
 are read here too, so every unreadable one fails with the same message;
@@ -33,30 +35,6 @@ def quantize_float(x: float) -> float:
 _encode_str = json.encoder.encode_basestring
 _float_text = float.__repr__
 _int_text = int.__repr__
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json.dumps`` names it: floats unquantized, non-finite
-    floats as ``NaN``/``Infinity``, bools and ``None`` as their literals."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        if key != key:
-            return "NaN"
-        if key == math.inf:
-            return "Infinity"
-        if key == -math.inf:
-            return "-Infinity"
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return _int_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _encode(obj, out: list[str], newline: str) -> None:
@@ -92,7 +70,7 @@ def _encode(obj, out: list[str], newline: str) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(separator + _encode_str(_key_text(key)) + ": ")
+            out.append(separator + _encode_str(key) + ": ")
             _encode(value, out, inner)
             separator = "," + inner
         out.append(newline + "}")
@@ -100,33 +78,17 @@ def _encode(obj, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _check_finite(obj) -> None:
-    """Raise ``quantize_float``'s ValueError for the first non-finite float
-    value anywhere in ``obj``."""
-    if isinstance(obj, float):
-        quantize_float(obj)
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            _check_finite(value)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _check_finite(item)
-
-
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
-    plus a final newline, with every float value quantized, in one walk.
+    plus a final newline, with every float value quantized, in one walk,
+    for every tree whose dict keys are strings.
 
-    A tree with a non-finite float value is a ValueError even where it also
-    holds a value or key that json refuses with a TypeError, as when every
-    float was quantized before dumping.
+    The first fault met in walk order raises: a ValueError for a
+    non-finite float or an int too long to print, a TypeError for a value
+    json cannot write or a key that is not a string.
     """
     out: list[str] = []
-    try:
-        _encode(obj, out, "\n")
-    except TypeError:
-        _check_finite(obj)
-        raise
+    _encode(obj, out, "\n")
     out.append("\n")
     return "".join(out)
 

@@ -300,6 +300,51 @@ def test_out_of_range_literal_is_a_local_rejection(manifest, demo_bundle, questi
     assert (tmp_path / "out" / "reports" / "demo_case.json").exists()
 
 
+@pytest.mark.parametrize("agent, sql", [
+    ("global", "SELECT 'x | y' AS a, 'ok\n## Diagnosis: spoofed (confidence 1.000000)' AS b "
+               "FROM global_features"),
+    ("local", "SELECT COUNT('x\n## Diagnosis: spoof') FROM cells"),
+])
+def test_query_text_adds_no_cell_row_or_heading_to_the_markdown(
+        agent, sql, manifest, demo_bundle, question, file_ranges, tmp_path):
+    """A ``|`` or a line break in a result cell, a column name or a note
+    built from one adds no column, row or heading to the markdown report;
+    the JSON report keeps the text as the query gave it."""
+    global_resp = TemplateBackend().complete(
+        "Task: global-feature-analysis\n" + _schema_text(manifest), "", 0, 0,
+    )
+    if agent == "global":
+        responses = [global_resp.replace("SELECT * FROM global_features", sql),
+                     "```sql\nSELECT COUNT(*) AS n FROM cells\n```\n"]
+    else:
+        responses = [global_resp, f"```sql\n{sql}\n```\n"]
+    config = make_config(tmp_path, mode="sql_only")
+    result = run_case(manifest, demo_bundle, question, config,
+                      ScriptedBackend(responses), file_ranges)
+    [entry] = [e for e in result.report["sql_trace"] if e["canonical_text"] == sql]
+    assert any("\n" in text for text in entry["columns"] + entry["rows"][0]
+               if isinstance(text, str))
+
+    outside_code, in_code = [], False
+    for line in result.markdown.split("\n"):
+        if line.startswith("```"):
+            in_code = not in_code
+        elif not in_code:
+            outside_code.append(line)
+    label = result.report["diagnosis"]["label"]
+    assert [line.split(" (")[0] for line in outside_code
+            if line.startswith("## Diagnosis")] == [f"## Diagnosis: {label}"]
+    header_pipes = None
+    for line in outside_code:
+        pipes = len(re.findall(r"(?<!\\)\|", line))
+        if not line.startswith("|"):
+            header_pipes = None
+        elif header_pipes is None:
+            header_pipes = pipes
+        else:
+            assert pipes == header_pipes, line
+
+
 # sha256 over the sorted (relpath, sha256) pairs of a full-mode batch over the
 # 20-case eval dataset. Refactors must keep every report byte; a deliberate
 # output change updates this constant and says why.
@@ -683,6 +728,31 @@ def test_remote_narrative_goes_through_the_memo(manifest, manifest_path, eval_da
     assert all("## Generated narrative" in text.decode()
                for name, text in memo_files.items() if name.endswith(".md"))
     assert memo_files == _output_bytes(plain_out)
+
+
+@pytest.mark.parametrize("mode, kind", [
+    ("full", "template"), ("sql_only", "template"), ("cnn_only", "template"), ("full", "remote"),
+])
+def test_every_json_artifact_is_a_canonical_json_fixed_point(mode, kind, manifest_path,
+                                                             eval_dataset, tmp_path):
+    """Each JSON file a batch writes parses to a tree that ``canonical_json``
+    writes as the same text, so a report rebuilt from its JSON compares
+    byte for byte. The remote-kind batch fetches its ranges from the
+    backend."""
+    out = tmp_path / "out"
+    config = RunConfig(str(manifest_path), str(out), mode=mode,
+                       ranges_path=str(eval_dataset["ranges"]) if kind == "template" else None,
+                       backend=BackendConfig(kind=kind))
+    backend = TemplateBackend() if kind == "template" else CountingBackend()
+    batch_eval(config, eval_dataset["dataset"], load_questions(eval_dataset["questions"]),
+               backend=backend)
+    files = sorted(out.rglob("*.json"))
+    written = {"reports", "summary.json", "run.json"} | (
+        set() if mode == "cnn_only" else {"transcripts"})
+    assert {p.relative_to(out).parts[0] for p in files} == written
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert serialize.canonical_json(json.loads(text)) == text, path
 
 
 def test_batch_eval_memo_output_does_not_depend_on_workers(manifest_path, eval_dataset,
