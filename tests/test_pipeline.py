@@ -43,6 +43,7 @@ from evidencesql.sql.guard import GuardRejection
 
 from datasets import OPTIONS, PAPILLARY, QUESTION_TEXT, RANGE_FIXTURE
 from scripted_backend import ScriptedBackend
+from test_batch_digests import batch_digests
 
 
 @pytest.fixture(scope="module")
@@ -346,8 +347,9 @@ def test_query_text_adds_no_cell_row_or_heading_to_the_markdown(
 
 
 # sha256 over the sorted (relpath, sha256) pairs of a full-mode batch over the
-# 20-case eval dataset. Refactors must keep every report byte; a deliberate
-# output change updates this constant and says why.
+# 20-case eval dataset, as tools/batch_digests.py's output_digest takes it.
+# Refactors must keep every report byte; a deliberate output change updates
+# this constant and says why.
 EVAL_FULL_OUTPUT_DIGEST = "f0aadf9351e02f060b74037f0f1a2d5140e9f5ce605d1cb463d4a760c784051c"
 
 
@@ -359,16 +361,9 @@ def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_p
     )
     batch_eval(config, eval_dataset["dataset"], load_questions(eval_dataset["questions"]),
                backend=TemplateBackend())
-    files = [out / "summary.json"]
-    for pattern in ("reports/*.json", "reports/*.md", "transcripts/*.json"):
-        files += out.glob(pattern)
-    assert len(files) == 61  # summary + 20 x (report json, report md, transcript)
-    pairs = sorted(
-        (p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
-        for p in files
-    )
-    digest = hashlib.sha256("".join(f"{rel} {h}\n" for rel, h in pairs).encode()).hexdigest()
-    assert digest == EVAL_FULL_OUTPUT_DIGEST
+    # summary + 20 x (report json, report md, transcript)
+    assert len(batch_digests.output_files(out)) == 61
+    assert batch_digests.output_digest(out) == EVAL_FULL_OUTPUT_DIGEST
 
 
 # sha256 of summary.json from a cnn_only batch over the eval dataset plus two

@@ -2,15 +2,15 @@
 worker count, to check that they are byte-identical across worker counts
 and across two source trees:
 
-    python tools/batch_digests.py SEED... [--workers N...] [--workload NAME...]
+    python tools/batch_digests.py SEED... [--workers N...]
 
-For each workload (``cohort_batch`` and ``hosted_batch`` by default) and
-seed, the dataset is set up as ``perfbench/workloads.py`` sets it up, and
-one ``batch_eval`` runs at each worker count (1 and 4 by default) with that
+For each workload, ``cohort_batch`` and ``hosted_batch``, and each seed,
+the dataset is set up as ``perfbench/workloads.py`` sets it up, and one
+``batch_eval`` runs at each worker count (1 and 4 by default) with that
 workload's backend. Each run prints one line, ``workload seed workers
 digest``. The digest is a sha256 over the sorted (relpath, sha256) pairs of
 ``reports/*.json``, ``reports/*.md``, ``transcripts/*.json`` and
-``summary.json``, the scheme of ``tests/test_pipeline.py``'s
+``summary.json``, the scheme that ``tests/test_pipeline.py`` pins as
 ``EVAL_FULL_OUTPUT_DIGEST``; ``run.json`` holds paths and is left out. The
 exit status is 1 when two worker counts of one workload and seed differ.
 
@@ -33,22 +33,24 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import evidencesql.pipeline as pipeline  # noqa: E402
 from workloads import CohortBatch, HostedBatch  # noqa: E402
 
-WORKLOADS = {w.name: w for w in (CohortBatch, HostedBatch)}
 
-
-def output_digest(out: Path) -> str:
+def output_files(out: Path) -> list[Path]:
     files = [out / "summary.json"]
     for pattern in ("reports/*.json", "reports/*.md", "transcripts/*.json"):
         files += out.glob(pattern)
+    return files
+
+
+def output_digest(out: Path) -> str:
     pairs = sorted((p.relative_to(out).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
-                   for p in files)
+                   for p in output_files(out))
     return hashlib.sha256("".join(f"{rel} {h}\n" for rel, h in pairs).encode()).hexdigest()
 
 
-def workload_digests(name: str, seed: int, workers: list[int]) -> list[str]:
+def workload_digests(kind: type, seed: int, workers: list[int]) -> list[str]:
     """The output digest of one batch at each worker count in ``workers``,
-    over the dataset workload ``name`` sets up from ``seed``."""
-    workload = WORKLOADS[name]()
+    over the dataset the workload class ``kind`` sets up from ``seed``."""
+    workload = kind()
     with tempfile.TemporaryDirectory(prefix="batch_digests_") as tmp:
         root = Path(tmp)
         try:
@@ -69,17 +71,15 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--workers", nargs="+", type=int, default=[1, 4], metavar="N")
-    parser.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS),
-                        default=sorted(WORKLOADS), metavar="NAME")
     args = parser.parse_args(argv)
     status = 0
-    for name in args.workload:
+    for kind in (CohortBatch, HostedBatch):
         for seed in args.seeds:
-            digests = workload_digests(name, seed, args.workers)
+            digests = workload_digests(kind, seed, args.workers)
             for count, digest in zip(args.workers, digests):
-                print(f"{name} {seed} {count} {digest}", flush=True)
+                print(f"{kind.name} {seed} {count} {digest}", flush=True)
             if len(set(digests)) > 1:
-                print(f"{name} seed {seed}: outputs differ across worker counts",
+                print(f"{kind.name} seed {seed}: outputs differ across worker counts",
                       file=sys.stderr)
                 status = 1
     return status
