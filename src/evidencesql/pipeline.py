@@ -46,7 +46,7 @@ from evidencesql.feature_store import (
     ingest_case_dir,
     load_manifest,
 )
-from evidencesql.fusion import CnnOutput, cnn_only_decision, fuse, fuse_sql_only
+from evidencesql.fusion import cnn_only_decision, fuse, fuse_sql_only
 from evidencesql.knowledge import (
     Hypothesis,
     ReferenceRange,
@@ -135,12 +135,12 @@ def _format_results_text(trace: list[TraceEntry]) -> str:
     )
 
 
-def _require_cnn(bundle: CaseBundle, mode: str) -> CnnOutput:
+def _require_cnn(bundle: CaseBundle, mode: str) -> dict[str, float]:
     if bundle.cnn_probs is None:
         raise ConfigError(
             f"mode {mode!r} requires classifier probabilities in the case sidecar"
         )
-    return CnnOutput(dict(bundle.cnn_probs))
+    return dict(bundle.cnn_probs)
 
 
 def run_case(

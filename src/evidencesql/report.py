@@ -5,11 +5,14 @@ hypothesis, the contributing features, and the full executed-SQL trace with
 repair logs and result rows. JSON output is byte-deterministic; markdown is
 the human view of the same structured fields. An optional narrative
 paragraph is appended only when a remote backend wrote one, clearly labeled,
-and never carries information absent from the structured fields.
+and never carries information absent from the structured fields. Text from
+a model cannot change the markdown's block structure: it stands in escaped
+table cells or list items, or in a fence no line of it can close.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from evidencesql.agents import Question
@@ -22,6 +25,11 @@ from evidencesql.sql.guard import ValidatedQuery
 from evidencesql.values import Value, render_value
 
 REPORT_SCHEMA_VERSION = "1"
+
+# A line start from which text could open a markdown block (CommonMark 0.30):
+# up to three spaces, then a heading, quote, table, fence, list, setext
+# underline, thematic break, HTML block or link reference definition marker.
+_BLOCK_START = re.compile(r"(?:^|[\r\n]) {0,3}(?:[#>|`~*+=<_\[-]|[0-9]+[.)])")
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,15 @@ def _md_line(text: str) -> str:
             .replace("\n", "<br>"))
 
 
+def _fenced(info: str, text: str) -> list[str]:
+    """``text`` as a fenced code block's lines. The fence is a backtick run
+    longer than any in ``text``, and at least three; since a closing fence
+    must be at least as long as the opening one (CommonMark 0.30, §4.5), no
+    line of ``text`` can close it."""
+    fence = "`" * max(3, 1 + max(map(len, re.findall("`+", text)), default=0))
+    return [fence + info, text, fence]
+
+
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     """A markdown table's lines, then a blank line."""
     return [f"| {' | '.join(map(_md_line, cells))} |"
@@ -159,7 +176,7 @@ def render_report_markdown(report: dict, narrative: str | None = None) -> str:
         lines += ["## SQL evidence trace", ""]
         for entry in report["sql_trace"]:
             lines += [f"### q{entry['query_id']} ({entry['agent']})",
-                      "", "```sql", entry["canonical_text"], "```", ""]
+                      "", *_fenced("sql", entry["canonical_text"]), ""]
             if entry["repair_log"]:
                 lines.append("Repairs applied:")
                 for action in entry["repair_log"]:
@@ -179,5 +196,7 @@ def render_report_markdown(report: dict, narrative: str | None = None) -> str:
                   *(f"- {_md_line(note)}" for note in report["data_quality_notes"]), ""]
 
     if narrative:
-        lines += ["## Generated narrative", "", narrative.strip(), ""]
+        text = narrative.strip()
+        lines += ["## Generated narrative", "",
+                  *(_fenced("text", text) if _BLOCK_START.search(text) else [text]), ""]
     return "\n".join(lines)

@@ -25,7 +25,7 @@ from evidencesql.feature_store import (
     ingest_case_dir,
     load_manifest,
 )
-from evidencesql.fusion import CnnOutput, argmax_option, fuse
+from evidencesql.fusion import argmax_option, fuse
 from evidencesql.knowledge import (
     FIT_WEIGHTS,
     FeatureFinding,
@@ -195,7 +195,7 @@ def test_criterion_5_fusion_identities():
     """Endpoint identities, simplex preservation, and flag soundness over
     10,000 random valid pairs; worked example exact."""
     q_options = ("A", "B")
-    cnn = CnnOutput({"A": 0.6, "B": 0.4})
+    cnn = {"A": 0.6, "B": 0.4}
     h = build_hypothesis(Question("c", "?", q_options), [], [("A", 0.2), ("B", 0.8)], [])
     decision = fuse(cnn, h, 0.7, q_options)
     assert math.isclose(decision.fused["A"], 0.48, rel_tol=1e-12)
@@ -210,7 +210,7 @@ def test_criterion_5_fusion_identities():
         cnn_probs = {k: v / sum(raw_cnn) for k, v in zip(labels, raw_cnn)}
         raw_sql = [rng.uniform(0.001, 1.0) for _ in labels]
         sql_probs = {k: v / sum(raw_sql) for k, v in zip(labels, raw_sql)}
-        cnn = CnnOutput(cnn_probs)
+        cnn = cnn_probs
         h = build_hypothesis(Question("c", "?", labels), [], list(sql_probs.items()), [])
         sql_probs = h.confidences  # quantized at build time
 

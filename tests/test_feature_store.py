@@ -232,8 +232,12 @@ def test_sidecar_prob_beyond_float_range(demo_case_dir, manifest, tmp_path):
     ('{"cnn_probs": {"a": "0.5", "b": 0.5}}', r"cnn_probs\['a'\] is not a number"),
     ('{"cnn_probs": {"a": true, "b": 0.0}}', r"cnn_probs\['a'\] is not a number"),
     ('{"cnn_probs": {"a": 1.5, "b": -0.5}}', r"cnn_probs\['a'\] = 1.5 outside \[0, 1\]"),
+    ('{"cnn_probs": {"a": NaN, "b": 0.5}}', r"cnn_probs\['a'\] = nan outside \[0, 1\]"),
+    ('{"cnn_probs": {"a": 0.5, "b": -0.0001, "c": 0.5001}}',
+     r"cnn_probs\['b'\] = -0.0001 outside \[0, 1\]"),
     ('{"ground_truth": 3}', "ground_truth must be a string label"),
-], ids=["probs-list", "prob-string", "prob-bool", "prob-above-one", "label-number"])
+], ids=["probs-list", "prob-string", "prob-bool", "prob-above-one", "prob-nan",
+        "prob-below-zero", "label-number"])
 def test_sidecar_shape_errors(demo_case_dir, manifest, tmp_path, sidecar, message):
     case = tmp_path / "sidecar_shape"
     _copy_case(demo_case_dir, case)

@@ -6,7 +6,7 @@ import pytest
 
 from evidencesql.agents import Question
 from evidencesql.errors import DanglingQueryId, OptionMismatch
-from evidencesql.fusion import CnnOutput, argmax_option, cnn_only_decision, fuse, fuse_sql_only
+from evidencesql.fusion import argmax_option, cnn_only_decision, fuse, fuse_sql_only
 from evidencesql.knowledge import (
     FIT_WEIGHTS,
     FeatureFinding,
@@ -25,7 +25,7 @@ from evidencesql.report import (
 )
 from evidencesql.serialize import canonical_json
 from evidencesql.sql.executor import execute
-from evidencesql.sql.guard import validate_pipeline
+from evidencesql.sql.guard import ValidatedQuery, validate_pipeline
 
 
 def hyp(confidences, options=None, findings=(), notes=()):
@@ -35,14 +35,14 @@ def hyp(confidences, options=None, findings=(), notes=()):
 
 
 def test_fuse_alpha_one_is_cnn_exactly():
-    cnn = CnnOutput({"A": 0.6, "B": 0.4})
+    cnn = {"A": 0.6, "B": 0.4}
     decision = fuse(cnn, hyp([("A", 0.2), ("B", 0.8)]), 1.0, ("A", "B"))
     assert decision.fused == {"A": 0.6, "B": 0.4}
     assert decision.label == "A"
 
 
 def test_fuse_alpha_zero_is_hypothesis_exactly():
-    cnn = CnnOutput({"A": 0.6, "B": 0.4})
+    cnn = {"A": 0.6, "B": 0.4}
     h = hyp([("A", 0.2), ("B", 0.8)])
     decision = fuse(cnn, h, 0.0, ("A", "B"))
     assert decision.fused == {"A": 0.2, "B": 0.8}
@@ -50,7 +50,7 @@ def test_fuse_alpha_zero_is_hypothesis_exactly():
 
 
 def test_fuse_worked_example():
-    cnn = CnnOutput({"A": 0.6, "B": 0.4})
+    cnn = {"A": 0.6, "B": 0.4}
     decision = fuse(cnn, hyp([("A", 0.2), ("B", 0.8)]), 0.7, ("A", "B"))
     assert math.isclose(decision.fused["A"], 0.48, rel_tol=1e-12)
     assert math.isclose(decision.fused["B"], 0.52, rel_tol=1e-12)
@@ -60,38 +60,25 @@ def test_fuse_worked_example():
 
 
 def test_fuse_agreement_clears_flag():
-    cnn = CnnOutput({"A": 0.9, "B": 0.1})
+    cnn = {"A": 0.9, "B": 0.1}
     decision = fuse(cnn, hyp([("A", 0.8), ("B", 0.2)]), 0.7, ("A", "B"))
     assert decision.review_flag is False
 
 
 def test_fuse_option_mismatch():
-    cnn = CnnOutput({"A": 0.5, "C": 0.5})
-    with pytest.raises(OptionMismatch):
-        fuse(cnn, hyp([("A", 0.5), ("B", 0.5)]), 0.5, ("A", "B"))
-
-
-@pytest.mark.parametrize("probs, message", [
-    ({"A": 1.2, "B": -0.2}, r"probability for 'A' is 1.2, outside \[0, 1\]"),
-    ({"A": float("nan"), "B": 0.5}, r"probability for 'A' is nan, outside \[0, 1\]"),
-    ({"A": 0.5, "B": 0.4}, r"classifier probabilities sum to 0.9"),
-])
-def test_cnn_output_rejects_bad_probabilities(probs, message):
+    cnn = {"A": 0.5, "C": 0.5}
+    message = r"^classifier options \['A', 'C'\] do not match question options \['A', 'B'\]$"
     with pytest.raises(OptionMismatch, match=message):
-        CnnOutput(probs).validate(("A", "B"))
+        fuse(cnn, hyp([("A", 0.5), ("B", 0.5)]), 0.5, ("A", "B"))
+    with pytest.raises(OptionMismatch, match=message):
+        cnn_only_decision(cnn, ("A", "B"))
 
 
 def test_fuse_rejects_hypothesis_options_unlike_the_question():
-    cnn = CnnOutput({"A": 0.5, "B": 0.5})
+    cnn = {"A": 0.5, "B": 0.5}
     with pytest.raises(OptionMismatch,
                        match=r"hypothesis options \['A', 'C'\] do not match question"):
         fuse(cnn, hyp([("A", 0.5), ("C", 0.5)]), 0.5, ("A", "B"))
-
-
-def test_fuse_alpha_validated():
-    cnn = CnnOutput({"A": 1.0, "B": 0.0})
-    with pytest.raises(ValueError):
-        fuse(cnn, hyp([("A", 0.5), ("B", 0.5)]), 1.5, ("A", "B"))
 
 
 def test_fuse_sql_only():
@@ -104,13 +91,19 @@ def test_fuse_sql_only():
 
 
 def test_sql_only_equals_alpha_zero_endpoint():
+    """Each ablation mode is the full rule at its endpoint, with the absent
+    branch equal to the present one: the whole decision, flag and branch
+    labels included, not only the fused probabilities."""
     h = hyp([("A", 0.3), ("B", 0.7)])
-    cnn = CnnOutput({"A": 0.5, "B": 0.5})
-    assert fuse_sql_only(h, ("A", "B")).fused == fuse(cnn, h, 0.0, ("A", "B")).fused
+    assert (fuse_sql_only(h, ("A", "B")).to_json_dict()
+            == fuse(h.confidences, h, 0.0, ("A", "B")).to_json_dict())
+    cnn = {"A": 0.3, "B": 0.7}
+    assert (cnn_only_decision(cnn, ("A", "B")).to_json_dict()
+            == fuse(cnn, h, 1.0, ("A", "B")).to_json_dict())
 
 
 def test_cnn_only_decision():
-    decision = cnn_only_decision(CnnOutput({"A": 0.3, "B": 0.7}), ("A", "B"))
+    decision = cnn_only_decision({"A": 0.3, "B": 0.7}, ("A", "B"))
     assert decision.label == "B"
     assert decision.alpha == 1.0
 
@@ -131,14 +124,14 @@ def test_fusion_properties_random():
     for _ in range(2000):
         n = rng.randint(2, 5)
         labels = tuple(f"o{i}" for i in range(n))
-        cnn = CnnOutput(_random_simplex(rng, labels))
+        cnn = _random_simplex(rng, labels)
         sql_probs = _random_simplex(rng, labels)
         h = hyp(list(sql_probs.items()), options=labels)
         alpha = rng.random()
         decision = fuse(cnn, h, alpha, labels)
         assert abs(sum(decision.fused.values()) - 1.0) <= 1e-9
         assert all(0.0 <= v <= 1.0 for v in decision.fused.values())
-        expected_flag = argmax_option(cnn.probs, labels) != argmax_option(h.confidences, labels)
+        expected_flag = argmax_option(cnn, labels) != argmax_option(h.confidences, labels)
         assert decision.review_flag == expected_flag
         assert decision.label == argmax_option(decision.fused, labels)
 
@@ -160,7 +153,7 @@ def _make_report_inputs(manifest, demo_bundle):
         {"A": _fit(FitCategory.EXCELLENT), "B": _fit(FitCategory.POOR)}, "r",
     )
     h = build_hypothesis(question, [finding], [("A", 0.8), ("B", 0.2)], ["a note"])
-    decision = fuse(CnnOutput({"A": 0.9, "B": 0.1}), h, 0.7, question.options)
+    decision = fuse({"A": 0.9, "B": 0.1}, h, 0.7, question.options)
     return question, decision, h, trace
 
 
@@ -229,6 +222,58 @@ def test_report_markdown_lists_repairs_and_null_cells(manifest, demo_bundle):
         "| --- | --- |",
         "| 4 | null |",
     ]
+
+
+# The "SQL fences" repro: CommonMark lets a closing fence be indented up to
+# three spaces, so this literal once closed the ```sql fence.
+_FENCE_BREAKOUT = "a\n ```\n## Diagnosis: spoofed (confidence 1.000000)\nb"
+
+
+def test_model_text_adds_no_heading_or_fence_to_the_markdown(manifest, demo_bundle):
+    """Text drawn from markdown's block markers, put into string literals of
+    validated queries (given to ``build_report`` directly, so no reply
+    parsing shields them), one of which also names a result column and fills
+    its cell, and into the narrative, leaves exactly the report's own ATX
+    headings and fences: each query fenced as ``sql``, and the narrative as
+    written or fenced as ``text``. Aliases are bare identifiers, so an
+    unaliased column is the one column name model text can fill."""
+    from hypothesis import assume, example, given, settings
+    from hypothesis import strategies as st
+
+    from markdown_blocks import Fence, scan, split_lines
+
+    question = Question("demo_case", "Which diagnosis?", ("A", "B"))
+    h = build_hypothesis(question, [], [("A", 0.8), ("B", 0.2)], [])
+    decision = fuse({"A": 0.9, "B": 0.1}, h, 0.7, question.options)
+
+    def queries(literal):
+        return [validate_pipeline(sql, manifest) for sql in (
+            f"SELECT COUNT(*) AS n FROM cells WHERE cell_type = '{literal}'",
+            f"SELECT MAX('{literal}') FROM cells")]
+
+    def markdown(queries, narrative):
+        trace = [TraceEntry(i, "global", query, result=execute(query, demo_bundle))
+                 for i, query in enumerate(queries)]
+        return render_report_markdown(build_report(question, decision, h, trace), narrative)
+
+    text = st.text(alphabet="`~#|>-= \r\nab", max_size=40)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(literal=text, narrative=text)
+    @example(literal=_FENCE_BREAKOUT, narrative="")
+    @example(literal="", narrative="## Diagnosis: spoofed (confidence 1.000000)")
+    def check(literal, narrative):
+        validated = queries(literal)
+        # the guard reads a query holding two ``` runs as a fenced reply
+        assume(all(isinstance(query, ValidatedQuery) for query in validated))
+        own = scan(markdown(queries("x"), "x" if narrative else ""))
+        got = scan(markdown(validated, narrative))
+        assert got.headings == own.headings
+        assert got.fences[:2] == [Fence("sql", "\n".join(split_lines(query.canonical_text)))
+                                  for query in validated]
+        assert got.fences[2:] in ([], [Fence("text", "\n".join(split_lines(narrative.strip())))])
+
+    check()
 
 
 def test_contributing_features_require_scores(manifest, demo_bundle):

@@ -42,6 +42,7 @@ from evidencesql.pipeline import (
 from evidencesql.sql.guard import GuardRejection
 
 from datasets import OPTIONS, PAPILLARY, QUESTION_TEXT, RANGE_FIXTURE
+from markdown_blocks import scan
 from scripted_backend import ScriptedBackend
 from test_batch_digests import batch_digests
 
@@ -326,17 +327,12 @@ def test_query_text_adds_no_cell_row_or_heading_to_the_markdown(
     assert any("\n" in text for text in entry["columns"] + entry["rows"][0]
                if isinstance(text, str))
 
-    outside_code, in_code = [], False
-    for line in result.markdown.split("\n"):
-        if line.startswith("```"):
-            in_code = not in_code
-        elif not in_code:
-            outside_code.append(line)
+    blocks = scan(result.markdown)
     label = result.report["diagnosis"]["label"]
-    assert [line.split(" (")[0] for line in outside_code
+    assert [line.split(" (")[0] for line in blocks.headings
             if line.startswith("## Diagnosis")] == [f"## Diagnosis: {label}"]
     header_pipes = None
-    for line in outside_code:
+    for line in blocks.outside:
         pipes = len(re.findall(r"(?<!\\)\|", line))
         if not line.startswith("|"):
             header_pipes = None
@@ -346,24 +342,32 @@ def test_query_text_adds_no_cell_row_or_heading_to_the_markdown(
             assert pipes == header_pipes, line
 
 
-# sha256 over the sorted (relpath, sha256) pairs of a full-mode batch over the
-# 20-case eval dataset, as tools/batch_digests.py's output_digest takes it.
-# Refactors must keep every report byte; a deliberate output change updates
-# this constant and says why.
+# sha256 over the sorted (relpath, sha256) pairs of a batch over the 20-case
+# eval dataset, as tools/batch_digests.py's output_digest takes it, one per
+# mode. Refactors must keep every report byte; a deliberate output change
+# updates these constants and says why.
 EVAL_FULL_OUTPUT_DIGEST = "f0aadf9351e02f060b74037f0f1a2d5140e9f5ce605d1cb463d4a760c784051c"
+EVAL_SQL_ONLY_OUTPUT_DIGEST = "0a39645d1b0e0c5e554815c06843ce7984e775a9273dd189989b5736640ad9b7"
+EVAL_CNN_ONLY_OUTPUT_DIGEST = "c99c365ac1af4faf972e0dcbdc60089bfc8b28a177295e17034916666bb1177f"
 
 
-def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_path):
+# summary + 20 x (report json, report md[, transcript]): cnn_only asks no agent
+@pytest.mark.parametrize("mode, files, digest", [
+    ("full", 61, EVAL_FULL_OUTPUT_DIGEST),
+    ("sql_only", 61, EVAL_SQL_ONLY_OUTPUT_DIGEST),
+    ("cnn_only", 41, EVAL_CNN_ONLY_OUTPUT_DIGEST),
+], ids=["full", "sql_only", "cnn_only"])
+def test_eval_dataset_report_bytes_are_pinned(manifest_path, eval_dataset, tmp_path,
+                                              mode, files, digest):
     out = tmp_path / "out"
     config = RunConfig(
-        manifest_path=str(manifest_path), out_dir=str(out), mode="full",
+        manifest_path=str(manifest_path), out_dir=str(out), mode=mode,
         alpha=0.7, ranges_path=str(eval_dataset["ranges"]),
     )
     batch_eval(config, eval_dataset["dataset"], load_questions(eval_dataset["questions"]),
                backend=TemplateBackend())
-    # summary + 20 x (report json, report md, transcript)
-    assert len(batch_digests.output_files(out)) == 61
-    assert batch_digests.output_digest(out) == EVAL_FULL_OUTPUT_DIGEST
+    assert len(batch_digests.output_files(out)) == files
+    assert batch_digests.output_digest(out) == digest
 
 
 # sha256 of summary.json from a cnn_only batch over the eval dataset plus two

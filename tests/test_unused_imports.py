@@ -12,7 +12,7 @@ MODULES = sorted(SRC.rglob("*.py"))
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
-    """Names read inside string annotations such as ``-> "CnnOutput"``."""
+    """Names read inside string annotations such as ``-> "BackendConfig"``."""
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

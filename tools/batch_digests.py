@@ -10,8 +10,8 @@ the dataset is set up as ``perfbench/workloads.py`` sets it up, and one
 workload's backend. Each run prints one line, ``workload seed workers
 digest``. The digest is a sha256 over the sorted (relpath, sha256) pairs of
 ``reports/*.json``, ``reports/*.md``, ``transcripts/*.json`` and
-``summary.json``, the scheme that ``tests/test_pipeline.py`` pins as
-``EVAL_FULL_OUTPUT_DIGEST``; ``run.json`` holds paths and is left out. The
+``summary.json``, the scheme that ``tests/test_pipeline.py`` pins for each
+mode as ``EVAL_*_OUTPUT_DIGEST``; ``run.json`` holds paths and is left out. The
 exit status is 1 when two worker counts of one workload and seed differ.
 
 Batches run one after another in this process, in a temporary directory
