@@ -10,6 +10,7 @@ round-trip tests) but none of the evaluation code.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 from evidencesql.sql.ast import (
     AggFn,
@@ -26,7 +27,35 @@ from evidencesql.sql.ast import (
 
 
 class OracleDomainError(Exception):
-    """Square root of a negative value."""
+    """Square root of negative ``value``. ``row_index`` is the row the
+    engine reports: the row being evaluated, or None where SQRT is
+    evaluated per group (outside any aggregate's argument). ``clause``
+    names the part of the query that met it (``where``, ``group_by``,
+    ``having``, ``projection`` or ``order_by``), and ``in_aggregate`` tells
+    whether it lay in an aggregate's argument."""
+
+    def __init__(self, value, row_index):
+        super().__init__(str(value))
+        self.value, self.row_index = value, row_index
+        self.clause, self.in_aggregate = None, False
+
+
+class _Row(dict):
+    """A row dict that knows its index in the table."""
+
+    def __init__(self, values: dict, index: int):
+        super().__init__(values)
+        self.index = index
+
+
+@contextmanager
+def _clause(name: str):
+    """Name the clause of a domain error raised inside."""
+    try:
+        yield
+    except OracleDomainError as exc:
+        exc.clause = name
+        raise
 
 
 def _scalar(expr, row):
@@ -67,7 +96,7 @@ def _scalar(expr, row):
             return None
         return True
     if isinstance(expr, ScalarFn):
-        return _scalar_fn(expr.name, [_scalar(a, row) for a in expr.args])
+        return _scalar_fn(expr.name, [_scalar(a, row) for a in expr.args], row.index)
     raise TypeError(f"oracle cannot evaluate {expr!r}")
 
 
@@ -83,12 +112,12 @@ def _in_range(out):
         return None
 
 
-def _scalar_fn(name, args):
+def _scalar_fn(name, args, row_index):
     if any(a is None for a in args):
         return None
     if name == "SQRT":
         if args[0] < 0:
-            raise OracleDomainError(str(args[0]))
+            raise OracleDomainError(args[0], row_index)
         return math.sqrt(args[0])
     if name == "ABS":
         return abs(args[0])
@@ -103,7 +132,11 @@ def _scalar_fn(name, args):
 def _agg(fn: AggFn, rows: list[dict]) -> object:
     if isinstance(fn.arg, Star):
         return len(rows)
-    values = [v for v in (_scalar(fn.arg, r) for r in rows) if v is not None]
+    try:
+        values = [v for v in (_scalar(fn.arg, r) for r in rows) if v is not None]
+    except OracleDomainError as exc:
+        exc.in_aggregate = True
+        raise
     if fn.distinct:
         seen = []
         for v in values:
@@ -180,7 +213,7 @@ def _grouped_value(expr, group_rows: list[dict], key_values: list, group_by: tup
     if isinstance(expr, ScalarFn):
         return _scalar_fn(expr.name, [
             _grouped_value(a, group_rows, key_values, group_by) for a in expr.args
-        ])
+        ], None)
     raise TypeError(f"oracle cannot evaluate {expr!r} per group")
 
 
@@ -252,7 +285,9 @@ def evaluate(ast: QueryAst, rows: list[dict], column_order: list[str]) -> list[t
     """Evaluate ``ast`` over ``rows`` (dicts) and return result tuples in
     the contract's deterministic order."""
     ast = _resolve_aliases(ast)
-    kept = [r for r in rows if ast.where is None or _scalar(ast.where, r) is True]
+    rows = [_Row(r, i) for i, r in enumerate(rows)]
+    with _clause("where"):
+        kept = [r for r in rows if ast.where is None or _scalar(ast.where, r) is True]
 
     has_agg = any(
         not isinstance(p.expr, Star) and _contains_agg(p.expr) for p in ast.projections
@@ -266,7 +301,8 @@ def evaluate(ast: QueryAst, rows: list[dict], column_order: list[str]) -> list[t
         buckets: list[list[dict]] = []
         if ast.group_by:
             for r in kept:
-                key = [_scalar(e, r) for e in ast.group_by]
+                with _clause("group_by"):
+                    key = [_scalar(e, r) for e in ast.group_by]
                 for i, existing in enumerate(keys):
                     if existing == key:
                         buckets[i].append(r)
@@ -280,16 +316,19 @@ def evaluate(ast: QueryAst, rows: list[dict], column_order: list[str]) -> list[t
         position = 0
         for key, bucket in zip(keys, buckets):
             if ast.having is not None:
-                if _grouped_value(ast.having, bucket, key, ast.group_by) is not True:
-                    continue
-            out = tuple(
-                _grouped_value(p.expr, bucket, key, ast.group_by)
-                for p in ast.projections
-            )
-            sort_key = [
-                _grouped_value(item.expr, bucket, key, ast.group_by)
-                for item in ast.order_by
-            ]
+                with _clause("having"):
+                    if _grouped_value(ast.having, bucket, key, ast.group_by) is not True:
+                        continue
+            with _clause("projection"):
+                out = tuple(
+                    _grouped_value(p.expr, bucket, key, ast.group_by)
+                    for p in ast.projections
+                )
+            with _clause("order_by"):
+                sort_key = [
+                    _grouped_value(item.expr, bucket, key, ast.group_by)
+                    for item in ast.order_by
+                ]
             decorated.append((sort_key, out, position))
             position += 1
     else:
@@ -297,8 +336,10 @@ def evaluate(ast: QueryAst, rows: list[dict], column_order: list[str]) -> list[t
             if star:
                 out = tuple(r[name] for name in column_order)
             else:
-                out = tuple(_scalar(p.expr, r) for p in ast.projections)
-            sort_key = [_scalar(item.expr, r) for item in ast.order_by]
+                with _clause("projection"):
+                    out = tuple(_scalar(p.expr, r) for p in ast.projections)
+            with _clause("order_by"):
+                sort_key = [_scalar(item.expr, r) for item in ast.order_by]
             decorated.append((sort_key, out, position))
 
     if ast.order_by:

@@ -334,6 +334,93 @@ def test_differential_against_oracle_quick():
     assert run_differential(seed=424242, n_pairs=150) == 150
 
 
+def _domain_error(run):
+    """``(message, row index)`` of the ``ArithmeticDomain`` ``run`` raises,
+    or None."""
+    try:
+        run()
+    except ArithmeticDomain as exc:
+        return str(exc), exc.row_index
+    return None
+
+
+def _oracle_domain_error(ast: QueryAst, table: FeatureTable):
+    """The oracle's ``OracleDomainError`` for ``ast`` over ``table``, or None."""
+    dict_rows = [{name: values[i] for name, values in table.columns.items()}
+                 for i in range(table.row_count)]
+    try:
+        oracle.evaluate(ast, dict_rows, list(table.schema.column_names))
+    except oracle.OracleDomainError as exc:
+        return exc
+    return None
+
+
+def _assert_same_domain_error(ast: QueryAst, table: FeatureTable):
+    """The engine raises the SQRT error the oracle meets first, evaluating
+    one row or group at a time, with its message and row index; or neither
+    raises. Returns the oracle's error."""
+    expected = _oracle_domain_error(ast, table)
+    got = _domain_error(lambda: execute(ValidatedQuery(ast, render(ast)), table_bundle(table)))
+    assert got == (expected and (f"SQRT of negative value {expected.value}",
+                                 expected.row_index)), render(ast)
+    return expected
+
+
+def test_sqrt_errors_match_the_oracle_in_message_and_row():
+    """Random queries with bare SQRT: the error surfaces from the same
+    clause, row and value as under row-at-a-time evaluation, across WHERE,
+    GROUP BY, HAVING, projections, ORDER BY and aggregate arguments."""
+    rng = random.Random(20261020)
+    sites = Counter()
+    for _ in range(600):
+        schema = random_schema(rng)
+        table = random_table(rng, schema, max_rows=40)
+        error = _assert_same_domain_error(
+            QueryGenerator(rng, schema, allow_raw_sqrt=True).query(), table)
+        if error is not None:
+            sites[error.clause, error.in_aggregate] += 1
+    clauses = {clause for clause, _ in sites}
+    assert clauses >= {"where", "having", "projection", "order_by"}, sites
+    assert any(in_aggregate for _, in_aggregate in sites), sites
+
+
+def test_sqrt_error_precedence_matches_the_oracle():
+    """Each query below has SQRT errors at more than one place; the one
+    raised is the first in row-at-a-time order (WHERE rows; GROUP BY keys
+    per row; per row or group HAVING, the projections, the sort keys; an
+    aggregate's argument row by row), which a node-at-a-time order would
+    get wrong. A group HAVING drops raises nothing from its projections, and
+    SQRT over a group's values reports no row."""
+    schema = random_schema(random.Random(3), max_columns=1)
+    schema = replace(schema, columns=(replace(schema.columns[0], dtype=Dtype.INTEGER),
+                                      replace(schema.columns[0], name="c1", dtype=Dtype.INTEGER)))
+    # groups by c0: 1 holds rows 0 and 2, 2 rows 1 and 4, 3 row 3
+    table = FeatureTable(schema, {"c0": (1, 2, 1, 3, 2), "c1": (4, -5, 6, -7, 8)}, 5)
+    cases = (
+        ("SELECT c0 FROM t WHERE SQRT(c1 + 6) > 0 AND SQRT(5 - c1) > 0", ("-1", "where", 2)),
+        ("SELECT COUNT(*) FROM t GROUP BY SQRT(c1 + 6), SQRT(c0 - 2)", ("-1", "group_by", 0)),
+        ("SELECT SQRT(5 - c1), SQRT(c1 - 7) FROM t", ("-3", "projection", 0)),
+        ("SELECT SQRT(7 - c1) FROM t ORDER BY SQRT(c1 + 6)", ("-1", "order_by", 3)),
+        ("SELECT c0, SQRT(MIN(c1)) FROM t GROUP BY c0 ORDER BY SQRT(MAX(c1) - 7)",
+         ("-1", "order_by", None)),
+        ("SELECT c0, SQRT(SUM(c1) - 9) FROM t GROUP BY c0 HAVING SQRT(MAX(c1) - 5) > 0",
+         ("-6", "projection", None)),
+        ("SELECT c0, SQRT(SUM(c1) - 100) FROM t GROUP BY c0 HAVING SQRT(MIN(c1) - 5) > 0 OR 1 = 1",
+         ("-1", "having", None)),
+        ("SELECT c0, SQRT(MIN(c1)) FROM t GROUP BY c0 HAVING MIN(c1) > 0", None),
+        ("SELECT c0, SUM(SQRT(5 - c1) + SQRT(c1 - 7)) FROM t GROUP BY c0",
+         ("-3", "projection", 0)),
+        ("SELECT c0, SUM(SQRT(c1)) FROM t GROUP BY c0 HAVING COUNT(*) > 1",
+         ("-5", "projection", 1)),
+        ("SELECT SQRT(SUM(c1)) FROM t", None),
+    )
+    seen = []
+    for text, _ in cases:
+        error = _assert_same_domain_error(q(text, schema_manifest(schema)).ast, table)
+        seen.append(error and (str(error.value), error.clause, error.row_index))
+    assert seen == [expected for _, expected in cases]
+
+
 # -- ternary logic partitioning (Rigger & Su, OOPSLA 2020) ---------------------
 
 
