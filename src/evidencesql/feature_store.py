@@ -7,6 +7,15 @@ path once a bundle exists.
 
 A table is read and converted one chunk of ``_CHUNK_ROWS`` rows at a time,
 so only that chunk's raw fields are alive beside the columns built so far.
+After the header, which ``csv.reader`` reads, each chunk of lines that is
+plainly quote-free (``_split_chunk``: no quote, carriage return, NUL or
+blank line, no line longer than ``csv.field_size_limit()``, and the
+header's comma count on every line) is split straight into its columns
+from its text. The first chunk that is not hands itself and the rest of the
+file to ``csv.reader``, which reads the remaining chunks. Both give the
+fields ``csv.reader`` reads, so every error message and row number is the
+same whichever path a chunk takes.
+
 Each chunk is converted a column at a time, with ``values.coerce``'s
 builtins and empty-is-null rule, and each dtype's checks run over the
 chunk's whole columns; the chunks' columns are joined at the end. A column
@@ -24,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from evidencesql.errors import (
@@ -186,30 +195,72 @@ def canonical_manifest() -> SchemaManifest:
     return manifest_from_dict(json.loads(text))
 
 
-def _convert_columns(schema: TableSchema, raw_rows: list[list[str]],
-                     first: int) -> tuple[dict[str, tuple], TypeMismatch | DomainViolation | None]:
+def _split_chunk(lines: list[str], width: int) -> list[list[str]] | None:
+    """The raw columns of a chunk of lines that is plainly quote-free, split
+    straight from its text, or None for any other chunk.
+
+    Plainly quote-free means no ``"``, carriage return or NUL, no blank
+    line, no line longer than ``csv.field_size_limit()``, and ``width - 1``
+    commas on every line: then each line is one record, and its fields are
+    exactly what ``csv.reader`` reads.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text or "\n" in lines
+            or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    flat = text.removesuffix("\n").replace("\n", ",").split(",")
+    return [flat[j::width] for j in range(width)]
+
+
+def _csv_chunks(reader, width: int):
+    """Each chunk of up to ``_CHUNK_ROWS`` rows ``reader`` reads, as its
+    raw columns up to its first row of the wrong width, its row count, and
+    that row's index in the chunk and field count, or None."""
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        bad = next(((i, len(raw)) for i, raw in enumerate(rows) if len(raw) != width), None)
+        yield list(zip(*rows[:bad and bad[0]])) or [()] * width, len(rows), bad
+        del rows  # freed before the next chunk is read, which reuses its memory
+
+
+def _raw_chunks(fh, width: int):
+    """``_csv_chunks`` of the rest of ``fh``: each plainly quote-free chunk
+    of lines split by ``_split_chunk``; from the first other chunk on,
+    ``csv.reader`` reads that chunk and the rest of the file."""
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        columns = _split_chunk(lines, width)
+        if columns is None:  # the lines are dropped once the reader is past them
+            reader, lines = csv.reader(chain(lines, fh)), None
+            yield from _csv_chunks(reader, width)
+            return
+        yield columns, len(lines), None
+        del lines, columns
+
+
+def _convert_columns(schema: TableSchema, raw_columns: list, first: int,
+                     bad: tuple[int, int] | None
+                     ) -> tuple[dict[str, tuple], TypeMismatch | DomainViolation | None]:
     """The columns of the rows numbered from ``first``, converted one
     column at a time, and the error for their first bad row or cell in
     row-major order, or None.
 
-    The error names the earliest row, then the leftmost column, and a row
-    of the wrong width before any cell at or after it. With an error, the
-    columns are incomplete.
+    ``bad`` is the index and field count of the first row of the wrong
+    width, whose error comes before any cell at or after it; the raw
+    columns end before that row. The error names the earliest row, then the
+    leftmost column. With an error, the columns are incomplete.
     """
-    width = len(schema.columns)
     fault = None  # (row, error) of the earliest fault found so far
-    if set(map(len, raw_rows)) - {width}:
-        i = next(i for i, raw in enumerate(raw_rows) if len(raw) != width)
+    if bad:
+        i, fields = bad
         fault = (first + i, TypeMismatch(
-            f"row {first + i} has {len(raw_rows[i])} fields, expected {width}",
+            f"row {first + i} has {fields} fields, expected {len(schema.columns)}",
             table=schema.name, row=first + i))
-        raw_rows = raw_rows[:i]
     columns = {}
-    for col, texts in zip(schema.columns, list(zip(*raw_rows)) or [()] * width):
+    for col, texts in zip(schema.columns, raw_columns):
         has_null = "" in texts
         try:
             if col.dtype is Dtype.TEXT:
-                values = tuple([t or None for t in texts]) if has_null else texts
+                values = tuple([t or None for t in texts]) if has_null else tuple(texts)
             else:
                 convert = int if col.dtype is Dtype.INTEGER else float
                 values = (tuple([convert(t) if t else None for t in texts]) if has_null
@@ -217,10 +268,12 @@ def _convert_columns(schema: TableSchema, raw_rows: list[list[str]],
         except ValueError:
             ok = False
         else:
-            # filter(None, ...) skips nulls and zeros, which are finite; only a
-            # long text can hold an integer beyond float range
+            # filter(None, ...) skips nulls and zeros, which are finite; a sum
+            # of floats is finite only if each is; only a long text can hold
+            # an integer beyond float range
             ok = (not (has_null and col.is_key)
-                  and (col.dtype is not Dtype.REAL or all(map(math.isfinite, filter(None, values))))
+                  and (col.dtype is not Dtype.REAL or math.isfinite(sum(filter(None, values)))
+                       or all(map(math.isfinite, filter(None, values))))
                   and (col.dtype is not Dtype.INTEGER
                        or max(map(len, texts), default=0) <= FLOAT_SAFE_LENGTH
                        or all(map(fits_float, filter(None, values))))
@@ -275,12 +328,12 @@ def _load_table(schema: TableSchema, path: Path) -> FeatureTable:
                 )
             # after a fault the rest is read but not converted, so an error
             # reading the file still wins wherever it lies
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
+            for raw, rows, bad in _raw_chunks(fh, len(schema.columns)):
                 if fault is None:
-                    columns, fault = _convert_columns(schema, chunk, row_count)
+                    columns, fault = _convert_columns(schema, raw, row_count, bad)
                     chunks.append(columns)
-                row_count += len(chunk)
-                del chunk  # freed before the next chunk is read, which reuses its memory
+                row_count += rows
+                del raw  # freed before the next chunk is read, which reuses its memory
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
     if fault:

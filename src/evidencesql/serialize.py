@@ -16,10 +16,11 @@ backend-config field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
+import threading
 from pathlib import Path
 
 
@@ -133,15 +134,30 @@ def json_field(value, what: str, kind: type = str, nullable: bool = False):
                     f"not {type(value).__name__}")
 
 
+# Numbers the temp files of this process's atomic writes.
+_TEMP_NUMBERS = itertools.count()
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` via a temp file + rename so readers never see a
-    half-written artifact."""
+    half-written artifact.
+
+    The temp file is created beside ``path`` with ``O_EXCL`` and mode 0600
+    (less the umask, as ``mkstemp`` makes it), under a name no other thread
+    or process of this run can take: the pid, the thread and a counter.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    data = memoryview(text.encode("utf-8"))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}."
+                         f"{next(_TEMP_NUMBERS)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            while data:  # a write may take only part of what it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,9 +19,11 @@ from evidencesql.errors import (
     TypeMismatch,
 )
 from evidencesql.feature_store import (
+    ColumnSchema,
     FeatureTable,
     Level,
     SchemaManifest,
+    TableSchema,
     canonical_manifest,
     ingest_case,
     ingest_case_dir,
@@ -641,3 +643,79 @@ def test_column_ingest_matches_row_major_reference(tmp_path, monkeypatch):
         assert got == [_outcome(lambda: _reference_table(schema, rows))] * (1 + len(CHUNK_SIZES))
 
     check()
+
+
+# -- differential: the quote-free splitter vs a whole-file csv.reader ------
+
+def _csv_reference(schema, path):
+    """The table a whole-file ``csv.reader`` and ``_reference_table`` make
+    of ``path``, with the ingest's header and read-error messages."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise TypeMismatch(f"{path} is empty; header row required", table=schema.name)
+            if tuple(header) != schema.column_names:
+                raise TypeMismatch(f"header {header!r} does not match schema columns "
+                                   f"{list(schema.column_names)!r}", table=schema.name)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise TypeMismatch(f"cannot read table file {path}: {exc}", table=schema.name) from exc
+    return _reference_table(schema, rows)
+
+
+# csv.field_size_limit() while the splitter differential runs, so that a
+# field longer than the limit stays short.
+_FIELD_LIMIT = 24
+_SPLIT_FIELDS = ("1", "42", "-3", "2.5", "1e3", "", "x", "alpha", "beta", "inf",
+                 '"1"', '""', "9" * (_FIELD_LIMIT + 1), "1" * _FIELD_LIMIT)
+_SPLIT_NOISE = (",", '"', '""', '"a,b"', "\r", "\n", "\r\n", "\0", "\ufeff", "\n\n")
+
+
+def test_quote_free_splitter_matches_csv_reader(tmp_path, monkeypatch):
+    """Over texts with commas, quotes, carriage returns, line feeds, NUL, a
+    BOM, blank lines, one-column tables, fields longer than
+    ``csv.field_size_limit()`` and with and without a final newline, the
+    ingest gives what a whole-file ``csv.reader`` gives, under every chunk
+    size: the same table, or the same error type, message, table, column
+    and row."""
+    from dataclasses import replace
+
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from(list(Level)))
+    def check(seed, level):
+        rng = random.Random(seed)  # cheaper per draw than a hypothesis random
+        width = rng.choice((1, 1, 2, 3))
+        schema = TableSchema("t", level, tuple(
+            ColumnSchema(f"c{j}", rng.choice(list(Dtype))) for j in range(width)))
+        if rng.random() < 0.3:
+            schema = replace(schema, columns=(replace(schema.columns[0], name="c0_id"),
+                                              *schema.columns[1:]))
+        n_rows = rng.randint(250, 262) if rng.random() < 0.05 else rng.randint(0, 12)
+        lines = [",".join(rng.choice(_SPLIT_FIELDS) for _ in range(
+            width + (rng.random() < 0.1) * rng.choice((-1, 1)))) for _ in range(n_rows)]
+        body = "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            at = rng.randint(0, len(body))
+            body = body[:at] + rng.choice(_SPLIT_NOISE) + body[at:]
+        header = ",".join(schema.column_names) + "\n"
+        if rng.random() < 0.05:
+            header = "\ufeff" + header
+        path = tmp_path / "t.csv"
+        path.write_text(header + body, encoding="utf-8", newline="")
+        manifest_one = SchemaManifest(version="t", tables=(schema,))
+        expected = _outcome(lambda: _csv_reference(schema, path))
+        got = _chunked_outcomes(monkeypatch,
+                                lambda: ingest_case(manifest_one, {"t": path}).tables["t"])
+        assert got == [expected] * (1 + len(CHUNK_SIZES)), (header + body)[:400]
+
+    limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        check()
+    finally:
+        csv.field_size_limit(limit)

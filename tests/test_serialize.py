@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import pytest
 
@@ -127,3 +129,25 @@ def test_write_text_atomic_removes_its_temp_file_after_a_failed_write(tmp_path):
         write_text_atomic(target, "half \ud800 written")  # a lone surrogate has no UTF-8
     assert sorted(p.name for p in target.parent.iterdir()) == ["report.md"]
     assert target.read_text(encoding="utf-8") == "old\n"
+
+
+def test_write_text_atomic_gives_mode_0600_as_mkstemp_does(tmp_path):
+    """An artifact, new or replaced, has the mode ``tempfile.mkstemp``
+    gives its file under the same umask, 0600 under 022, and no temp file
+    is left beside it."""
+    import tempfile
+
+    old_umask = os.umask(0o022)
+    try:
+        fd, reference = tempfile.mkstemp(dir=tmp_path)
+        os.close(fd)
+        target = tmp_path / "out" / "report.json"
+        write_text_atomic(target, "new\n")
+        new_mode = stat.S_IMODE(target.stat().st_mode)
+        write_text_atomic(target, "replaced\n")
+        replaced_mode = stat.S_IMODE(target.stat().st_mode)
+    finally:
+        os.umask(old_umask)
+    assert new_mode == replaced_mode == stat.S_IMODE(os.stat(reference).st_mode) == 0o600
+    assert [p.name for p in target.parent.iterdir()] == ["report.json"]
+    assert target.read_text(encoding="utf-8") == "replaced\n"
