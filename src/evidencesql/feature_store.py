@@ -219,8 +219,9 @@ def _csv_chunks(reader, width: int):
     that row's index in the chunk and field count, or None."""
     while rows := list(islice(reader, _CHUNK_ROWS)):
         bad = next(((i, len(raw)) for i, raw in enumerate(rows) if len(raw) != width), None)
-        yield list(zip(*rows[:bad and bad[0]])) or [()] * width, len(rows), bad
-        del rows  # freed before the next chunk is read, which reuses its memory
+        kept = rows if bad is None else rows[:bad[0]]
+        yield list(zip(*kept)) or [()] * width, len(rows), bad
+        del rows, kept  # freed before the next chunk is read, which reuses its memory
 
 
 def _raw_chunks(fh, width: int):
@@ -268,12 +269,10 @@ def _convert_columns(schema: TableSchema, raw_columns: list, first: int,
         except ValueError:
             ok = False
         else:
-            # filter(None, ...) skips nulls and zeros, which are finite; a sum
-            # of floats is finite only if each is; only a long text can hold
-            # an integer beyond float range
+            # filter(None, ...) skips nulls and zeros, which are finite; only a
+            # long text can hold an integer beyond float range
             ok = (not (has_null and col.is_key)
-                  and (col.dtype is not Dtype.REAL or math.isfinite(sum(filter(None, values)))
-                       or all(map(math.isfinite, filter(None, values))))
+                  and (col.dtype is not Dtype.REAL or all(map(math.isfinite, filter(None, values))))
                   and (col.dtype is not Dtype.INTEGER
                        or max(map(len, texts), default=0) <= FLOAT_SAFE_LENGTH
                        or all(map(fits_float, filter(None, values))))

@@ -134,7 +134,8 @@ def json_field(value, what: str, kind: type = str, nullable: bool = False):
                     f"not {type(value).__name__}")
 
 
-# Numbers the temp files of this process's atomic writes.
+# One counter for the process: with the pid and the thread, it makes every
+# temp file name unique, even for two writes from one thread.
 _TEMP_NUMBERS = itertools.count()
 
 

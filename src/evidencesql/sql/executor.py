@@ -317,7 +317,8 @@ def execute(query: ValidatedQuery, bundle: CaseBundle) -> ResultTable:
     rows: Sequence[int] = range(table.row_count)
     if ast.where is not None:
         where = _checked(_compile(ast.where, row_leaf), rows, per_row=True)
-        rows = list(compress(rows, where))  # a predicate is true, false or null
+        # a predicate yields only True, False or None, so compress keeps the true rows
+        rows = list(compress(rows, where))
 
     # A context is a row index, or a group ordinal in first-appearance order.
     leaf, contexts, grouped = row_leaf, rows, is_grouped(ast)
