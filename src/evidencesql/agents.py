@@ -53,11 +53,6 @@ class PlanTarget:
     rationale: str
 
 
-@dataclass(frozen=True)
-class ReasoningPlan:
-    target_features: tuple[PlanTarget, ...]
-
-
 @dataclass
 class Exchange:
     system_prompt: str
@@ -249,13 +244,13 @@ def plan_global(
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
     verdicts: GuardMemo | None = None,
-) -> tuple[ReasoningPlan, list[ValidatedQuery], AgentTranscript]:
+) -> tuple[tuple[PlanTarget, ...], list[ValidatedQuery], AgentTranscript]:
     """Run the whole-image reasoning stage.
 
     Validated queries against non-global tables are dropped and logged in
-    the transcript; the plan keeps only targets that resolve to global-level
-    columns in the manifest. ``verdicts`` is the run's guard memo (see
-    ``_run_agent``).
+    the transcript; the plan is the tuple of targets that resolve to
+    global-level columns in the manifest. ``verdicts`` is the run's guard
+    memo (see ``_run_agent``).
     """
     config = config or BackendConfig()
     if not manifest.tables_at(Level.GLOBAL):
@@ -272,12 +267,12 @@ def plan_global(
             )
             continue
         valid_targets.append(target)
-    return ReasoningPlan(tuple(valid_targets)), kept, transcript
+    return tuple(valid_targets), kept, transcript
 
 
 def plan_local(
     question: Question,
-    plan: ReasoningPlan,
+    plan: tuple[PlanTarget, ...],
     manifest: SchemaManifest,
     backend: LlmBackendPort,
     config: BackendConfig | None = None,
@@ -288,7 +283,7 @@ def plan_local(
     ``verdicts`` is the run's guard memo, as for ``plan_global``."""
     config = config or BackendConfig()
     context = ["Global plan:",
-               *(f"- {t.table}.{t.column}: {t.rationale}" for t in plan.target_features)]
+               *(f"- {t.table}.{t.column}: {t.rationale}" for t in plan)]
     if global_results_text:
         context += ["Global measurements:", global_results_text]
     _, kept, transcript = _run_agent(

@@ -3,10 +3,13 @@
 Ranges come from two sources: empirical quantile intervals computed over a
 labeled training split (authoritative when present), and backend-generated
 intervals for features queried dynamically. An observed value is scored
-against each option's range on a five-band categorical scale, band weights
-are averaged per option, and the normalized result is the SQL branch's
+against each option's range on a five-band categorical scale; a fit is its
+``FitCategory``, whose weight is read from ``FIT_WEIGHTS``. Band weights are
+averaged per option, and the normalized result is the SQL branch's
 calibrated confidence, packaged with its findings into an auditable
-hypothesis object.
+hypothesis object. A finding fixes a float observation at serialization
+precision when it is made, and ``build_hypothesis`` fixes the confidences,
+so a hypothesis equals its JSON round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import enum
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from evidencesql.agents import Question
 from evidencesql.backends import (
@@ -47,6 +50,10 @@ class FitCategory(enum.Enum):
     FAIR = "fair"
     POOR = "poor"
     NO_FIT = "no_fit"
+
+    @property
+    def weight(self) -> float:
+        return FIT_WEIGHTS[self]
 
 
 FIT_WEIGHTS: dict[FitCategory, float] = {
@@ -80,19 +87,17 @@ class ReferenceRange:
 
 
 @dataclass(frozen=True)
-class FitScore:
-    category: FitCategory
-    weight: float
-
-
-@dataclass(frozen=True)
 class FeatureFinding:
     feature_key: str
     observed: Value
     query_id: int
-    per_option_fits: dict[str, FitScore]
+    per_option_fits: dict[str, FitCategory]
     rationale: str
     quality_note: str | None = None
+
+    def __post_init__(self):
+        if isinstance(self.observed, float):
+            object.__setattr__(self, "observed", quantize_float(self.observed))
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,7 @@ def merge_ranges(ranges: list[ReferenceRange]) -> dict[tuple[str, str], Referenc
 # -- fit scoring -----------------------------------------------------------------
 
 
-def score_fit(observed: float, reference: ReferenceRange) -> FitScore:
+def score_fit(observed: Value, reference: ReferenceRange) -> FitCategory:
     """Band the normalized distance of ``observed`` from the range.
 
     Inside the interval scores EXCELLENT; otherwise the distance to the
@@ -318,19 +323,16 @@ def score_fit(observed: float, reference: ReferenceRange) -> FitScore:
         raise NonFiniteObservation(f"cannot score observation {observed!r}")
     x = float(observed)
     if reference.low <= x <= reference.high:
-        category = FitCategory.EXCELLENT
-    else:
-        width = reference.high - reference.low
-        if width == 0:
-            width = _ZERO_WIDTH_EPSILON
-        distance = reference.low - x if x < reference.low else x - reference.high
-        normalized = distance / width
-        category = FitCategory.NO_FIT
-        for edge, band in _BAND_EDGES:
-            if normalized <= edge:
-                category = band
-                break
-    return FitScore(category, FIT_WEIGHTS[category])
+        return FitCategory.EXCELLENT
+    width = reference.high - reference.low
+    if width == 0:
+        width = _ZERO_WIDTH_EPSILON
+    distance = reference.low - x if x < reference.low else x - reference.high
+    normalized = distance / width
+    for edge, band in _BAND_EDGES:
+        if normalized <= edge:
+            return band
+    return FitCategory.NO_FIT
 
 
 # -- observations and findings ------------------------------------------------------
@@ -379,7 +381,7 @@ def score_observations(
     findings: list[FeatureFinding] = []
     notes: list[str] = []
     for obs in observations:
-        fits: dict[str, FitScore] = {}
+        fits: dict[str, FitCategory] = {}
         quality_note = None
         if obs.observed is None:
             quality_note = "observed value is null"
@@ -390,7 +392,7 @@ def score_observations(
                 if reference is None:
                     missing.append(option)
                     continue
-                fits[option] = score_fit(float(obs.observed), reference)
+                fits[option] = score_fit(obs.observed, reference)
             if not fits:
                 quality_note = "no reference range for this feature"
             elif missing:
@@ -409,7 +411,7 @@ def score_observations(
     return findings, notes
 
 
-def best_fit(fits: dict[str, FitScore]) -> tuple[str, FitScore]:
+def best_fit(fits: dict[str, FitCategory]) -> tuple[str, FitCategory]:
     """The option a finding fits best, with its fit: the highest weight,
     and of tied options the earliest in question order, the order
     ``score_observations`` keys ``fits`` in. A finding's rationale and its
@@ -417,11 +419,11 @@ def best_fit(fits: dict[str, FitScore]) -> tuple[str, FitScore]:
     return max(fits.items(), key=lambda kv: kv[1].weight)
 
 
-def _rationale(obs: Observation, fits: dict[str, FitScore]) -> str:
+def _rationale(obs: Observation, fits: dict[str, FitCategory]) -> str:
     if not fits:
         return f"{obs.feature_key} = {obs.observed!r}; no scorable reference range"
     option, fit = best_fit(fits)
-    return f"{obs.feature_key} = {obs.observed!r} fits {option!r} best ({fit.category.value})"
+    return f"{obs.feature_key} = {obs.observed!r} fits {option!r} best ({fit.value})"
 
 
 # -- calibration -----------------------------------------------------------------------
@@ -480,8 +482,9 @@ def build_hypothesis(
     notes: list[str],
 ) -> Hypothesis:
     """Assemble the auditable hypothesis: options ranked by descending
-    confidence with canonical-order tie-break, floats fixed at the
-    serialization precision so the object equals its JSON round-trip."""
+    confidence with canonical-order tie-break, each confidence fixed at the
+    serialization precision. The findings fixed their own observations when
+    they were made, so the object equals its JSON round-trip."""
     by_label = dict(confidences)
     missing = [o for o in question.options if o not in by_label]
     if missing:
@@ -491,17 +494,11 @@ def build_hypothesis(
         question.options, key=lambda o: (-by_label[o], canonical_index[o]),
     )
     quantized = _quantize_simplex([by_label[o] for o in ordered])
-    quantized_findings = tuple(
-        replace(f, observed=(
-            quantize_float(f.observed) if isinstance(f.observed, float) else f.observed
-        ))
-        for f in findings
-    )
     return Hypothesis(
         schema_version=HYPOTHESIS_SCHEMA_VERSION,
         case_id=question.case_id,
         ranked_options=tuple(zip(ordered, quantized)),
-        findings=quantized_findings,
+        findings=tuple(findings),
         data_quality_notes=tuple(notes),
     )
 
@@ -516,7 +513,7 @@ def hypothesis_to_json_dict(hypothesis: Hypothesis) -> dict:
             "feature_key": f.feature_key,
             "observed": f.observed,
             "query_id": f.query_id,
-            "fits": {label: fit.category.value for label, fit in f.per_option_fits.items()},
+            "fits": {label: fit.value for label, fit in f.per_option_fits.items()},
             "rationale": f.rationale,
         }
         if f.quality_note is not None:
@@ -539,11 +536,10 @@ def hypothesis_from_json_dict(doc: dict, options: tuple[str, ...]) -> Hypothesis
     fits keyed in option order as ``score_observations`` keys them, so
     ``best_fit`` breaks ties as before; a fit for another option is a ValueError."""
 
-    def fits_in_option_order(fits: dict[str, str]) -> dict[str, FitScore]:
+    def fits_in_option_order(fits: dict[str, str]) -> dict[str, FitCategory]:
         if unknown := sorted(set(fits) - set(options)):
             raise ValueError(f"fits name option(s) not in the question: {unknown}")
-        return {label: FitScore(FitCategory(fits[label]), FIT_WEIGHTS[FitCategory(fits[label])])
-                for label in options if label in fits}
+        return {label: FitCategory(fits[label]) for label in options if label in fits}
 
     findings = tuple(
         FeatureFinding(

@@ -61,7 +61,7 @@ def contributing_features(hypothesis: Hypothesis) -> list[dict]:
                    for finding in hypothesis.findings if finding.per_option_fits),
                   key=lambda triple: (-triple[2].weight, triple[0].feature_key))
     return [{"feature_key": finding.feature_key, "observed": finding.observed,
-             "best_option": option, "fit_category": fit.category.value}
+             "best_option": option, "fit_category": fit.value}
             for finding, option, fit in best]
 
 

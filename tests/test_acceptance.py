@@ -27,10 +27,8 @@ from evidencesql.feature_store import (
 )
 from evidencesql.fusion import argmax_option, fuse
 from evidencesql.knowledge import (
-    FIT_WEIGHTS,
     FeatureFinding,
     FitCategory,
-    FitScore,
     ReferenceRange,
     build_hypothesis,
     calibrate_confidence,
@@ -118,16 +116,16 @@ def test_criterion_3_guard_safety_corpus(manifest):
 
 
 def _fit(category):
-    return FitScore(category, FIT_WEIGHTS[category])
+    return category
 
 
 def test_criterion_4_fit_and_calibration():
     """Worked fit/calibration examples exact; simplex and monotonicity hold
     over 10,000 random finding sets."""
     r = ReferenceRange("f", "A", 0.3, 0.6, "empirical")
-    assert score_fit(0.45, r).category is FitCategory.EXCELLENT
-    assert score_fit(0.66, r).category is FitCategory.GOOD
-    assert score_fit(1.2, r).category is FitCategory.NO_FIT
+    assert score_fit(0.45, r) is FitCategory.EXCELLENT
+    assert score_fit(0.66, r) is FitCategory.GOOD
+    assert score_fit(1.2, r) is FitCategory.NO_FIT
 
     finding = FeatureFinding("f", 0.45, 0, {"A": _fit(FitCategory.EXCELLENT),
                                             "B": _fit(FitCategory.POOR)}, "r")
@@ -156,11 +154,11 @@ def test_criterion_4_fit_and_calibration():
         upgradable = [
             (i, f) for i, f in enumerate(findings)
             if options[0] in f.per_option_fits
-            and f.per_option_fits[options[0]].category is not FitCategory.EXCELLENT
+            and f.per_option_fits[options[0]] is not FitCategory.EXCELLENT
         ]
         if upgradable:
             idx, target = upgradable[0]
-            level = ladder.index(target.per_option_fits[options[0]].category)
+            level = ladder.index(target.per_option_fits[options[0]])
             upgraded_fits = dict(target.per_option_fits)
             upgraded_fits[options[0]] = _fit(ladder[level + 1])
             upgraded = list(findings)

@@ -81,7 +81,7 @@ def test_schema_dictionary_lists_all_columns(manifest):
 
 def test_template_global_stage(question, manifest):
     plan, queries, transcript = plan_global(question, manifest, TemplateBackend())
-    assert [t.column for t in plan.target_features] == [
+    assert [t.column for t in plan] == [
         c.name for c in manifest.table("global_features").columns
     ]
     assert [v.canonical_text for v in queries] == ["SELECT * FROM global_features"]
@@ -124,7 +124,7 @@ def test_global_stage_drops_local_table_queries(question, manifest):
     assert queries == []
     assert transcript.dropped
     assert "outside global agent scope" in transcript.dropped[0][1]
-    assert [t.column for t in plan.target_features] == ["neoplastic_ratio"]
+    assert [t.column for t in plan] == ["neoplastic_ratio"]
 
 
 def test_global_plan_target_outside_global_schema_is_dropped(question, manifest):
@@ -137,7 +137,7 @@ def test_global_plan_target_outside_global_schema_is_dropped(question, manifest)
         "```sql\nSELECT * FROM global_features\n```"
     ])
     plan, queries, transcript = plan_global(question, manifest, backend)
-    assert [(t.table, t.column) for t in plan.target_features] == [
+    assert [(t.table, t.column) for t in plan] == [
         ("global_features", "neoplastic_ratio")]
     assert transcript.dropped == [
         (f"plan:{target}", "plan target outside global schema")

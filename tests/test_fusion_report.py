@@ -8,10 +8,8 @@ from evidencesql.agents import Question
 from evidencesql.errors import DanglingQueryId, OptionMismatch
 from evidencesql.fusion import argmax_option, cnn_only_decision, fuse, fuse_sql_only
 from evidencesql.knowledge import (
-    FIT_WEIGHTS,
     FeatureFinding,
     FitCategory,
-    FitScore,
     Observation,
     ReferenceRange,
     build_hypothesis,
@@ -140,7 +138,7 @@ def test_fusion_properties_random():
 
 
 def _fit(category):
-    return FitScore(category, FIT_WEIGHTS[category])
+    return category
 
 
 def _make_report_inputs(manifest, demo_bundle):
@@ -293,7 +291,7 @@ def test_best_option_is_the_option_the_rationale_names_on_a_tie():
     question = Question("case-x", "?", ("A", "B"))
     index = {("f", o): ReferenceRange("f", o, 0.0, 1.0, "empirical") for o in "AB"}
     findings, _ = score_observations([Observation("f", 0.5, 0)], index, question.options)
-    assert {o: f.category for o, f in findings[0].per_option_fits.items()} == {
+    assert findings[0].per_option_fits == {
         "A": FitCategory.EXCELLENT, "B": FitCategory.EXCELLENT}
     h = build_hypothesis(question, findings, [("A", 0.4), ("B", 0.6)], [])
     assert h.ranked_options[0][0] == "B"

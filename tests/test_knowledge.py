@@ -24,7 +24,6 @@ from evidencesql.knowledge import (
     FIT_WEIGHTS,
     FeatureFinding,
     FitCategory,
-    FitScore,
     Observation,
     ReferenceRange,
     build_hypothesis,
@@ -55,7 +54,7 @@ def rng_range(low, high):
 
 
 def fit(category):
-    return FitScore(category, FIT_WEIGHTS[category])
+    return category
 
 
 # -- score_fit -------------------------------------------------------------
@@ -63,12 +62,12 @@ def fit(category):
 
 def test_score_fit_bands():
     r = rng_range(0.3, 0.6)
-    assert score_fit(0.45, r).category is FitCategory.EXCELLENT
-    assert score_fit(0.3, r).category is FitCategory.EXCELLENT   # boundary inclusive
-    assert score_fit(0.66, r).category is FitCategory.GOOD       # d/w = 0.2
-    assert score_fit(0.75, r).category is FitCategory.FAIR       # d/w = 0.5
-    assert score_fit(0.9, r).category is FitCategory.POOR        # d/w = 1.0
-    assert score_fit(1.2, r).category is FitCategory.NO_FIT      # d/w = 2.0
+    assert score_fit(0.45, r) is FitCategory.EXCELLENT
+    assert score_fit(0.3, r) is FitCategory.EXCELLENT   # boundary inclusive
+    assert score_fit(0.66, r) is FitCategory.GOOD       # d/w = 0.2
+    assert score_fit(0.75, r) is FitCategory.FAIR       # d/w = 0.5
+    assert score_fit(0.9, r) is FitCategory.POOR        # d/w = 1.0
+    assert score_fit(1.2, r) is FitCategory.NO_FIT      # d/w = 2.0
 
 
 def test_score_fit_weight_map_is_fixed():
@@ -80,12 +79,13 @@ def test_score_fit_weight_map_is_fixed():
         FitCategory.NO_FIT: 0.0,
     }
     assert len({w for w in FIT_WEIGHTS.values()}) == len(FIT_WEIGHTS)
+    assert {c: c.weight for c in FitCategory} == FIT_WEIGHTS
 
 
 def test_score_fit_zero_width_range():
     r = rng_range(0.5, 0.5)
-    assert score_fit(0.5, r).category is FitCategory.EXCELLENT
-    assert score_fit(0.5000001, r).category is FitCategory.NO_FIT
+    assert score_fit(0.5, r) is FitCategory.EXCELLENT
+    assert score_fit(0.5000001, r) is FitCategory.NO_FIT
 
 
 def test_score_fit_symmetry():
@@ -93,8 +93,8 @@ def test_score_fit_symmetry():
     r = rng_range(2.0, 5.0)
     for _ in range(500):
         x = rng.uniform(0.01, 10.0)
-        below = score_fit(2.0 - x, r).category
-        above = score_fit(5.0 + x, r).category
+        below = score_fit(2.0 - x, r)
+        above = score_fit(5.0 + x, r)
         assert below is above
 
 
@@ -106,6 +106,12 @@ def test_score_fit_rejects_null_and_nonfinite():
         score_fit(float("nan"), r)
     with pytest.raises(NonFiniteObservation):
         score_fit(10 ** 616, r)
+
+
+def test_scoring_an_integer_beyond_float_range_is_a_non_finite_observation():
+    with pytest.raises(NonFiniteObservation):
+        score_observations([Observation("k", 10 ** 400, 0)],
+                           {("k", "A"): ReferenceRange("k", "A", 0.0, 1.0, "empirical")}, ("A", "B"))
 
 
 BIG_ID = int("9" * 308)
@@ -583,7 +589,7 @@ def test_calibration_monotonicity():
             fits = {o: fit(rng.choice(ladder)) for o in options}
             findings.append(FeatureFinding(f"f{i}", 1.0, i, fits, "r"))
         target = rng.randrange(len(findings))
-        current = findings[target].per_option_fits["A"].category
+        current = findings[target].per_option_fits["A"]
         level = ladder.index(current)
         if level == len(ladder) - 1:
             continue
@@ -636,6 +642,15 @@ def test_hypothesis_serialization_roundtrip():
     again = hypothesis_from_json_dict(json.loads(blob), q.options)
     assert again == h
     assert canonical_json(hypothesis_to_json_dict(again)) == blob
+
+
+def test_finding_fixes_its_observation_at_serialization_precision():
+    q = Question("c", "?", ("A", "B"))
+    finding = FeatureFinding("t.col", 0.1234567, 0, {"A": fit(FitCategory.GOOD)}, "r")
+    assert finding.observed == 0.123457
+    h = build_hypothesis(q, [finding], [("A", 0.5), ("B", 0.5)], [])
+    doc = json.loads(canonical_json(hypothesis_to_json_dict(h)))
+    assert hypothesis_from_json_dict(doc, q.options).findings == (finding,)
 
 
 def test_hypothesis_round_trip_keeps_fits_in_option_order():

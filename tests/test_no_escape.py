@@ -7,6 +7,7 @@ fails with exit 1 and a structured ``ingest`` error.
 """
 
 import json
+import random
 import shutil
 from collections import Counter
 
@@ -33,9 +34,13 @@ def _derandomized(check):
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    return settings(max_examples=200, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])(
-        given(rng=st.randoms(use_true_random=False))(check))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def run(seed):
+        check(random.Random(seed))  # cheaper per draw than a hypothesis random
+
+    return run
 
 
 # -- backend replies ------------------------------------------------------------------
