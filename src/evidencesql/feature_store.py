@@ -18,7 +18,9 @@ same whichever path a chunk takes.
 
 Each chunk is converted a column at a time, with ``values.coerce``'s
 builtins and empty-is-null rule, and each dtype's checks run over the
-chunk's whole columns; the chunks' columns are joined at the end. A column
+chunk's whole columns; the chunks' columns are joined at the end. A
+categorical column is mapped through its domain, so each of its cells is
+the manifest's own string for its category. A column
 that fails one is scanned again through ``coerce`` up to its first bad
 cell, so a bad file reports the cell that comes first in row-major order,
 with its table, column and row.
@@ -260,13 +262,19 @@ def _convert_columns(schema: TableSchema, raw_columns: list, first: int,
     for col, texts in zip(schema.columns, raw_columns):
         has_null = "" in texts
         try:
-            if col.dtype is Dtype.TEXT:
+            if col.categorical_domain is not None:
+                # one pass checks membership, nulls each empty text and
+                # shares one string per category; "" is set last, so it is
+                # null even where the domain lists it
+                interned = {entry: entry for entry in col.categorical_domain} | {"": None}
+                values = tuple(map(interned.__getitem__, texts))
+            elif col.dtype is Dtype.TEXT:
                 values = tuple([t or None for t in texts]) if has_null else tuple(texts)
             else:
                 convert = int if col.dtype is Dtype.INTEGER else float
                 values = (tuple([convert(t) if t else None for t in texts]) if has_null
                           else tuple(map(convert, texts)))
-        except ValueError:
+        except (ValueError, KeyError):
             ok = False
         else:
             # filter(None, ...) skips nulls and zeros, which are finite; only a
@@ -275,9 +283,7 @@ def _convert_columns(schema: TableSchema, raw_columns: list, first: int,
                   and (col.dtype is not Dtype.REAL or all(map(math.isfinite, filter(None, values))))
                   and (col.dtype is not Dtype.INTEGER
                        or max(map(len, texts), default=0) <= FLOAT_SAFE_LENGTH
-                       or all(map(fits_float, filter(None, values))))
-                  and (col.categorical_domain is None
-                       or set(values) <= {None, *col.categorical_domain}))
+                       or all(map(fits_float, filter(None, values)))))
         if ok:
             columns[col.name] = values
         else:

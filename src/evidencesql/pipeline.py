@@ -77,6 +77,10 @@ DEFAULT_ALPHA = 0.7
 # driver's one I/O pool. Eleven features by two options leave 21 range
 # prompts after the probe, which one wave covers.
 _CALLS_IN_FLIGHT = 32
+# The most cases per worker that hold their ingested tables at once under
+# a remote-kind backend: one computing while the rest wait on the backend
+# (see ``_drive``).
+_HOLDERS_PER_WORKER = 5
 
 
 @dataclass(frozen=True)
@@ -298,14 +302,16 @@ def _drive(
     and returns a value. A case holds its ingested tables until it yields
     None. One loop steps every case, one step at a time, and admits a new
     case, starting its steps, only when no admitted case is ready to run,
-    while fewer than three times ``workers`` cases hold tables and fewer
-    than twelve times ``workers`` are in flight. So each worker keeps three
-    cases holding tables, one computing while the other two wait on the
-    backend: on a backend that answers in 20 ms, a case holding its tables
-    waits about 20 ms on its local agent and computes about 7 ms, so
-    1 + 20/7, about 3, holders keep one computing. The rest of those in
-    flight hold no table and wait on their range fetch or their narrative.
-    Ready cases run in the order they became ready.
+    while fewer than ``_HOLDERS_PER_WORKER`` (five) times ``workers`` cases
+    hold tables and fewer than twelve times ``workers`` are in flight. So
+    each worker keeps five cases holding tables, one computing while the
+    other four wait on the backend: on a backend that answers in 20 ms, a
+    ~1,000-cell case holding its tables waits about 20 ms on its local
+    agent and computes about 4-5 ms (thread CPU in a batch: ingest 3-4 ms,
+    its queries about 1 ms, both agent stages about 0.3 ms), so 1 + 20/5,
+    five, holders keep one computing. The rest of those in flight hold no
+    table and wait on their range fetch or their narrative. Ready cases run
+    in the order they became ready.
 
     Each distinct prompt pair is asked once while it is in flight, for
     every case waiting on it, and its answer is posted to one queue. A
@@ -358,7 +364,7 @@ def _drive(
         start = partial(pool.submit, ask) if config.kind == "remote" else ask
         while True:
             settle(block=False)
-            if (not ready and sum(case.holding for case in live) < 3 * workers
+            if (not ready and sum(case.holding for case in live) < _HOLDERS_PER_WORKER * workers
                     and len(live) < 12 * workers and (admitted := next(pending, None))):
                 live.append(_Case(*admitted, ReplyBook(backend.name, replies)))
                 ready.append(live[-1])

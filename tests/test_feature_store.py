@@ -464,12 +464,12 @@ def _chunked_outcomes(monkeypatch, load):
     return outcomes
 
 
-def _write_table(path, schema, rows):
+def _write_table(path, schema, rows, quoting=csv.QUOTE_MINIMAL):
     """``rows`` under ``schema``'s header, as CSV; a lone surrogate in a
     field is written as the byte it escapes, so a row can hold invalid
     UTF-8."""
     with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        csv.writer(fh).writerows([schema.column_names, *rows])
+        csv.writer(fh, quoting=quoting).writerows([schema.column_names, *rows])
 
 
 @pytest.mark.parametrize("table, rows, expected", [row[1:] for row in PRECEDENCE],
@@ -528,6 +528,59 @@ def test_chunked_ingest_of_whole_chunks_matches_row_major_reference(manifest, tm
     assert expected.row_count == rows
     assert _chunked_outcomes(
         monkeypatch, lambda: ingest_case(manifest_one, {"cells": path}).tables["cells"]) == [
+        expected] * (1 + len(CHUNK_SIZES))
+
+
+# Both ways a chunk is split: straight from its text, or, once a quote
+# shows up, by ``csv.reader``.
+_SPLITTERS = pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                                     ids=["quote-free", "csv-reader"])
+
+
+@_SPLITTERS
+def test_categorical_cells_are_the_manifest_domain_strings(manifest, tmp_path, monkeypatch,
+                                                            quoting):
+    """Every categorical cell of an ingested table is the manifest's own
+    domain string, not an equal copy, and an empty categorical text is
+    null, under every chunk size."""
+    schema = manifest.table("cells")
+    domain = schema.column("cell_type").categorical_domain
+    texts = [("", *domain)[i % (len(domain) + 1)] for i in range(23)]
+    path = tmp_path / "cells.csv"
+    _write_table(path, schema, [_cell_row(i, cell_type=t) for i, t in enumerate(texts)], quoting)
+    manifest_one = SchemaManifest(version="t", tables=(schema,))
+    for rows in (feature_store._CHUNK_ROWS, *CHUNK_SIZES):
+        monkeypatch.setattr(feature_store, "_CHUNK_ROWS", rows)
+        cells = ingest_case(manifest_one, {"cells": path}).tables["cells"].columns["cell_type"]
+        assert cells == tuple(t or None for t in texts)
+        assert all(cell is None or cell is domain[domain.index(cell)] for cell in cells)
+
+
+@_SPLITTERS
+def test_empty_text_is_null_even_where_the_domain_lists_it(tmp_path, quoting):
+    schema = TableSchema("t", Level.LOCAL_CELLULAR, (
+        ColumnSchema("kind", Dtype.TEXT, categorical_domain=("a", "", "b")),))
+    path = tmp_path / "t.csv"
+    _write_table(path, schema, [["a"], [""], ["b"]], quoting)
+    table = ingest_case(SchemaManifest(version="t", tables=(schema,)), {"t": path}).tables["t"]
+    assert table.columns["kind"] == ("a", None, "b")
+
+
+@_SPLITTERS
+@pytest.mark.parametrize("text", ["bogus", "Dead", " dead", "dead ", "neoplastic\u200b"])
+def test_out_of_domain_text_is_the_same_domain_violation(manifest, tmp_path, monkeypatch,
+                                                          quoting, text):
+    """A text outside the domain, however close to an entry, is the
+    ``DomainViolation`` naming its table, column and row, whichever way its
+    chunk is split, under every chunk size; an empty cell before it is
+    no fault."""
+    schema = manifest.table("cells")
+    path = tmp_path / "cells.csv"
+    _write_table(path, schema, _cells(7, r2={"cell_type": ""}, r4={"cell_type": text}), quoting)
+    manifest_one = SchemaManifest(version="t", tables=(schema,))
+    expected = (DomainViolation, f"cells.cell_type row 4: {text!r} outside domain {_DOMAIN}",
+                "cells", "cell_type", 4)
+    assert _chunked_outcomes(monkeypatch, lambda: ingest_case(manifest_one, {"cells": path})) == [
         expected] * (1 + len(CHUNK_SIZES))
 
 
@@ -604,12 +657,18 @@ _FAULTS = ("abc", "inf", "-inf", "nan", "NaN", "", "  ", "zeta", "epsilon",
 
 
 def test_column_ingest_matches_row_major_reference(tmp_path, monkeypatch):
+    """Over generated tables with faults drawn into their cells, the ingest
+    gives what the row-major reference gives, under every chunk size. One
+    example in four holds a row whose key is null, and at least one in ten
+    reports that null key as its error."""
     from dataclasses import replace
 
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    from generators import random_schema, random_table
+    from generators import random_schema, random_table, random_value
+
+    null_keys = []  # per example: whether a null key was the error
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -619,13 +678,17 @@ def test_column_ingest_matches_row_major_reference(tmp_path, monkeypatch):
                                      st.sampled_from(_FAULTS)), max_size=3))
     def check(seed, keyed, level, max_rows, faults):
         rng = random.Random(seed)  # cheaper per draw than a hypothesis random
+        null_key = rng.random() < 0.25
         schema = replace(random_schema(rng), level=level)
-        if keyed:
+        if keyed or null_key:
             columns = (replace(schema.columns[0], name="c0_id"), *schema.columns[1:])
             schema = replace(schema, columns=columns)
         table = random_table(rng, schema, max_rows=max_rows)
         rows = [[render_value(table.columns[c][i]) for c in schema.column_names]
                 for i in range(table.row_count)]
+        if null_key:
+            rows.insert(rng.randint(0, len(rows)),
+                        ["", *(render_value(random_value(rng, c)) for c in schema.columns[1:])])
         for row_idx, col_idx, fault in faults:
             if not rows:
                 break
@@ -642,8 +705,11 @@ def test_column_ingest_matches_row_major_reference(tmp_path, monkeypatch):
         got = _chunked_outcomes(monkeypatch,
                                 lambda: ingest_case(manifest_one, {"t": path}).tables["t"])
         assert got == [_outcome(lambda: _reference_table(schema, rows))] * (1 + len(CHUNK_SIZES))
+        null_keys.append(isinstance(got[0], tuple)
+                         and got[0][1].endswith("key column may not be null"))
 
     check()
+    assert sum(null_keys) >= len(null_keys) // 10, (sum(null_keys), len(null_keys))
 
 
 # -- differential: the quote-free splitter vs a whole-file csv.reader ------

@@ -514,16 +514,16 @@ def test_driver_runs_an_answered_case_before_it_admits_the_next(monkeypatch):
 def test_driver_failure_reaches_every_waiting_case_and_is_not_stored():
     """A prompt that fails fails every case waiting on it, each with that
     error; a case admitted later asks it afresh and reads the reply. At one
-    worker three cases are analysed at once, so the fourth waits for a
-    slot."""
+    worker ``_HOLDERS_PER_WORKER`` cases are analysed at once, so the one
+    after them waits for a slot."""
     backend = EchoBackend(delay=0.05, fail_first={"k"})
-    cases = [(name, _asking([("Task: t", "k")]))
-             for name in ("first", "second", "third", "later")]
+    waiting = [f"case {i}" for i in range(pipeline._HOLDERS_PER_WORKER)]
+    cases = [(name, _asking([("Task: t", "k")])) for name in (*waiting, "later")]
     outcomes = {}
     pipeline._drive(backend, BackendConfig(kind="remote"), 1, cases, outcomes.__setitem__)
-    assert isinstance(outcomes["first"], BackendError)
-    assert outcomes["second"] is outcomes["third"] is outcomes["first"]
-    assert str(outcomes["first"]) == "no reply to k"
+    assert isinstance(outcomes["case 0"], BackendError)
+    assert all(outcomes[name] is outcomes["case 0"] for name in waiting)
+    assert str(outcomes["case 0"]) == "no reply to k"
     assert outcomes["later"] == ["reply to k"]
     assert backend.calls == Counter({("Task: t", "k"): 2})
 
@@ -598,9 +598,11 @@ def three_cases(eval_dataset, tmp_path):
 
 
 @pytest.fixture
-def four_cases(eval_dataset, tmp_path):
-    """The first four eval cases, copied into their own dataset directory."""
-    return _first_cases(eval_dataset, tmp_path / "four", 4)
+def cases_past_the_holders(eval_dataset, tmp_path):
+    """The first ``_HOLDERS_PER_WORKER + 1`` eval cases, one more than a
+    worker lets hold tables at once, copied into their own dataset
+    directory."""
+    return _first_cases(eval_dataset, tmp_path / "past", pipeline._HOLDERS_PER_WORKER + 1)
 
 
 def _output_bytes(out: Path) -> dict[str, bytes]:
@@ -910,12 +912,15 @@ def test_remote_batch_asks_each_prompt_once_at_any_worker_count(manifest_path, e
 
 
 def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
-        manifest, manifest_path, eval_dataset, four_cases, tmp_path, monkeypatch):
-    """At one worker three cases hold tables at once, and their range
-    fetches are in flight while the fourth case's local agent is asked, so
-    each case is written after that agent is asked; the fourth case catches
-    up on the shared range wave, so all four narratives are in flight at
-    once. The files and prompts are those of each case run on its own."""
+        manifest, manifest_path, eval_dataset, cases_past_the_holders, tmp_path, monkeypatch):
+    """At one worker ``_HOLDERS_PER_WORKER`` cases hold tables at once, and
+    their range fetches are in flight while the next case's local agent is
+    asked, so each case is written after that agent is asked; the last case
+    catches up on the shared range wave, so all the narratives are in
+    flight at once. The files and prompts are those of each case run on its
+    own."""
+    holders = pipeline._HOLDERS_PER_WORKER
+    n = holders + 1
     questions = load_questions(eval_dataset["questions"])
     backend = CountingBackend(delay=0.1)
     local_calls_at_write = []
@@ -928,22 +933,22 @@ def test_remote_batch_asks_a_narrative_while_the_next_case_is_analysed(
     monkeypatch.setattr(pipeline, "write_case_outputs", logged_write)
     config = RunConfig(str(manifest_path), str(tmp_path / "batch"),
                        backend=BackendConfig(kind="remote"))
-    summary = batch_eval(config, four_cases, questions, backend=backend)
-    assert summary.n_cases == 4 and summary.failures == []
+    summary = batch_eval(config, cases_past_the_holders, questions, backend=backend)
+    assert summary.n_cases == n and summary.failures == []
     assert TASK_RANGES in backend.met[TASK_LOCAL]
-    assert local_calls_at_write == [4, 4, 4, 4]
-    assert backend.peak[TASK_LOCAL] == 3 and backend.peak[TASK_NARRATIVE] == 4
+    assert local_calls_at_write == [n] * n
+    assert backend.peak[TASK_LOCAL] == holders and backend.peak[TASK_NARRATIVE] == n
 
     plain_backend = CountingBackend()
     plain_out = tmp_path / "plain"
-    per_case_calls = _run_each_case(manifest, four_cases, questions, config,
+    per_case_calls = _run_each_case(manifest, cases_past_the_holders, questions, config,
                                     plain_backend, plain_out, TASK_NARRATIVE)
-    assert per_case_calls == [1, 1, 1, 1]
+    assert per_case_calls == [1] * n
     assert set(backend.prompts) == set(plain_backend.prompts)
     assert set(backend.prompts.values()) == {1}
-    assert backend.calls[TASK_NARRATIVE] == backend.calls[TASK_LOCAL] == 4
+    assert backend.calls[TASK_NARRATIVE] == backend.calls[TASK_LOCAL] == n
     files = _output_bytes(Path(config.out_dir))
-    assert len(files) == 12
+    assert len(files) == 3 * n
     assert files == _output_bytes(plain_out)
 
 
@@ -1058,8 +1063,8 @@ def test_remote_batch_frees_each_bundle_once_its_case_is_analysed(
         workers, manifest_path, eval_dataset, tmp_path, monkeypatch):
     """A case's bundle is freed, with the cyclic collector off, by the time
     its report is built, so before its narrative is asked; no more than
-    three bundles per worker are ever alive, at an ingest or at a backend
-    call, and that many are."""
+    ``_HOLDERS_PER_WORKER`` bundles per worker are ever alive, at an ingest
+    or at a backend call, and that many are."""
     bundles: dict[str, weakref.ref] = {}
     alive_counts, alive_at_report = [], []
     lock = threading.Lock()
@@ -1094,12 +1099,12 @@ def test_remote_batch_frees_each_bundle_once_its_case_is_analysed(
     gc.disable()
     try:
         summary = batch_eval(config, eval_dataset["dataset"], questions,
-                             backend=TrackedBackend(delay=0.005))
+                             backend=TrackedBackend(delay=0.02))
     finally:
         gc.enable()
     assert summary.n_cases == 20 and summary.failures == []
     assert alive_at_report == [False] * 20
-    assert max(alive_counts) == 3 * workers
+    assert max(alive_counts) == pipeline._HOLDERS_PER_WORKER * workers
 
 
 def test_remote_case_frees_its_tables_before_its_range_fetch(manifest_path, eval_dataset,
@@ -1107,10 +1112,10 @@ def test_remote_case_frees_its_tables_before_its_range_fetch(manifest_path, eval
     """At one worker on a remote backend whose narratives are slow, a case
     frees its bundle, with the cyclic collector off, before it asks for
     ranges, so the range waves and the narratives are waited on by cases
-    that hold no table: more than three cases are in flight while a range
-    prompt is asked, yet no more than three bundles are ever alive, and no
-    more than twelve cases are ever in flight, counted from each ingest to
-    its written files."""
+    that hold no table: more than ``_HOLDERS_PER_WORKER`` cases are in
+    flight while a range prompt is asked, yet no more than that many
+    bundles are ever alive, and no more than twelve cases are ever in
+    flight, counted from each ingest to its written files."""
     bundles: dict[str, weakref.ref] = {}
     alive_counts, in_flight_counts, in_flight_at_ranges, range_askers_alive = [], [], [], []
     done = Counter()
@@ -1173,8 +1178,8 @@ def test_remote_case_frees_its_tables_before_its_range_fetch(manifest_path, eval
         gc.enable()
     assert summary.n_cases == 20 and summary.failures == []
     assert range_askers_alive and not any(range_askers_alive)
-    assert max(alive_counts) == 3
-    assert max(in_flight_at_ranges) > 3
+    assert max(alive_counts) == pipeline._HOLDERS_PER_WORKER
+    assert max(in_flight_at_ranges) > pipeline._HOLDERS_PER_WORKER
     assert max(in_flight_counts) == 12
 
 

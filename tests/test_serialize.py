@@ -1,6 +1,9 @@
 import math
 import os
+import random
 import stat
+import struct
+from collections import Counter
 
 import pytest
 
@@ -18,45 +21,128 @@ _SPECIAL_TEXTS = [
 ]
 
 
+_UNSUPPORTED = (b"bytes", 1j, frozenset({1}))
+_TOO_LONG = 10 ** 4300  # an int too long to print
+# Kinds of value in a tree that the reference refuses to encode.
+_FAULTS = {"non-finite", "long int", "unsupported"}
+# Code point ranges a text's characters are drawn from, each equally often:
+# printable ASCII, C0 controls, DEL and Latin-1, the rest of the BMP, lone
+# surrogates, and astral characters.
+_CHAR_RANGES = ((0x20, 0x7f), (0, 0x20), (0x7f, 0x100), (0x100, 0x10000), (0xd800, 0xe000),
+                (0x10000, 0x110000))
+
+
+def _random_text(rng):
+    if rng.random() < 0.2:
+        return rng.choice(_SPECIAL_TEXTS)
+    return "".join(chr(rng.randrange(*rng.choice(_CHAR_RANGES))) for _ in range(rng.randrange(9)))
+
+
+def _random_float(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.choice(_SPECIAL_FLOATS)
+    if pick == 1:  # any bit pattern: subnormals, huge magnitudes, now and then a NaN
+        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    if pick == 2:  # seven decimals, so often a tie at the six kept
+        return rng.randrange(-10 ** 7, 10 ** 7) / 10 ** 7
+    return rng.uniform(-1e6, 1e6)
+
+
+def _random_int(rng):
+    pick = rng.randrange(8)
+    if pick == 0:
+        return _TOO_LONG
+    if pick < 3:
+        return rng.randint(-10 ** 40, 10 ** 40)
+    if pick < 5:
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 200))
+    return rng.randint(-1000, 1000)
+
+
+def _random_leaf(rng):
+    kind = rng.randrange(12)
+    if kind < 3:
+        return _random_text(rng)
+    if kind < 6:
+        return _random_float(rng)
+    if kind < 9:
+        return _random_int(rng)
+    if kind == 9:
+        return rng.random() < 0.5
+    return None if kind == 10 else rng.choice(_UNSUPPORTED)
+
+
+def _random_tree(rng, leaves, depth=0):
+    """A tree of lists, tuples, dicts with text keys and leaves, taking at
+    most ``leaves[0]`` leaves and counting them off."""
+    if leaves[0] == 1 or depth == 5 or rng.random() < 0.3:
+        leaves[0] -= 1
+        return _random_leaf(rng)
+    kind = rng.randrange(3)
+    children = [_random_tree(rng, leaves, depth + 1)
+                for _ in range(rng.randrange(5)) if leaves[0]]
+    if kind == 0:
+        return {_random_text(rng): child for child in children}
+    return children if kind == 1 else tuple(children)
+
+
+def _kinds(obj, seen):
+    """Add the kind of ``obj`` and of each value in it to ``seen``."""
+    if isinstance(obj, (list, tuple, dict)):
+        seen.add(type(obj).__name__)
+        for child in obj.values() if isinstance(obj, dict) else obj:
+            _kinds(child, seen)
+    elif isinstance(obj, str):
+        seen.add("text")
+    elif obj is None or isinstance(obj, bool):
+        seen.add(repr(obj))
+    elif isinstance(obj, int):
+        seen.add("long int" if obj is _TOO_LONG else "int")
+    elif isinstance(obj, float):
+        seen.add("float" if math.isfinite(obj) else "non-finite")
+    else:
+        seen.add("unsupported")
+
+
 def test_one_walk_encoder_matches_the_two_pass_reference():
     """Every tree with string keys gives the reference's text; where the
     reference refuses the tree (a non-finite float value, an unsupported
     value or an int too long to print), the encoder raises a ValueError or
-    a TypeError for the first fault in its walk."""
+    a TypeError for the first fault in its walk. Each example builds a tree
+    of up to ten leaves from one seed; every kind of value is drawn, and
+    each fault is the only one in many trees."""
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                       st.sampled_from(_SPECIAL_FLOATS))
-    texts = st.one_of(st.text(st.characters(exclude_categories=()), max_size=8),
-                      st.sampled_from(_SPECIAL_TEXTS))
-    ints = st.one_of(st.integers(), st.integers(min_value=-10**40, max_value=10**40),
-                     st.just(4300).map(lambda digits: 10**digits))
-    leaves = st.one_of(
-        texts, floats, ints, st.booleans(), st.none(),
-        st.sampled_from([b"bytes", 1j, frozenset({1})]),
-    )
-
-    def containers(children):
-        return st.one_of(
-            st.lists(children, max_size=4),
-            st.lists(children, max_size=4).map(tuple),
-            st.lists(st.tuples(texts, children), max_size=4).map(dict),
-        )
+    kinds, lone_faults, clean = Counter(), Counter(), []
 
     @settings(max_examples=2000, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(st.recursive(leaves, containers, max_leaves=10))
-    def check(obj):
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        obj, seen = _random_tree(random.Random(seed), [10]), set()
+        _kinds(obj, seen)
         try:
             expected = reference_canonical_json(obj)
         except (ValueError, TypeError):
             with pytest.raises((ValueError, TypeError)):
                 canonical_json(obj)
+            refused = True
         else:
             assert canonical_json(obj) == expected
+            refused = False
+        assert refused == bool(seen & _FAULTS)
+        kinds.update(seen)
+        if len(seen & _FAULTS) == 1:
+            lone_faults.update(seen & _FAULTS)
+        clean.append(not refused)
 
     check()
+    assert set(kinds) == {"text", "float", "int", "True", "False", "None", "list", "tuple",
+                          "dict", *_FAULTS}, kinds
+    assert min(lone_faults[fault] for fault in _FAULTS) >= 20, lone_faults
+    assert sum(clean) >= len(clean) // 4, sum(clean)
 
 
 @pytest.mark.parametrize("obj", [

@@ -11,8 +11,12 @@ workload's backend. Each run prints one line, ``workload seed workers
 digest``. The digest is a sha256 over the sorted (relpath, sha256) pairs of
 ``reports/*.json``, ``reports/*.md``, ``transcripts/*.json`` and
 ``summary.json``, the scheme that ``tests/test_pipeline.py`` pins for each
-mode as ``EVAL_*_OUTPUT_DIGEST``; ``run.json`` holds paths and is left out. The
-exit status is 1 when two worker counts of one workload and seed differ.
+mode as ``EVAL_*_OUTPUT_DIGEST``; ``run.json`` holds paths and is left out.
+Where the backend counts its calls by task, as ``hosted_batch``'s
+``LatencyBackend`` does, a second line follows, ``workload seed workers
+calls global=G local=L ranges=R narrative=N``: the calls that batch made.
+The exit status is 1 when two worker counts of one workload and seed differ
+in their digests or in their calls.
 
 Batches run one after another in this process, in a temporary directory
 that is removed at exit; setting up a dataset starts one generator child.
@@ -25,13 +29,19 @@ import dataclasses
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import evidencesql.pipeline as pipeline  # noqa: E402
+from evidencesql.backends import TASK_GLOBAL, TASK_LOCAL, TASK_NARRATIVE, TASK_RANGES  # noqa: E402
 from workloads import CohortBatch, HostedBatch  # noqa: E402
+
+# The calls line's label for each task a batch asks the backend.
+CALL_TASKS = {"global": TASK_GLOBAL, "local": TASK_LOCAL, "ranges": TASK_RANGES,
+              "narrative": TASK_NARRATIVE}
 
 
 def output_files(out: Path) -> list[Path]:
@@ -47,22 +57,33 @@ def output_digest(out: Path) -> str:
     return hashlib.sha256("".join(f"{rel} {h}\n" for rel, h in pairs).encode()).hexdigest()
 
 
-def workload_digests(kind: type, seed: int, workers: list[int]) -> list[str]:
+def calls_text(calls: dict[str, int]) -> str:
+    return " ".join(f"{label}={calls[label]}" for label in CALL_TASKS)
+
+
+def workload_digests(kind: type, seed: int,
+                     workers: list[int]) -> list[tuple[str, dict[str, int] | None]]:
     """The output digest of one batch at each worker count in ``workers``,
-    over the dataset the workload class ``kind`` sets up from ``seed``."""
+    over the dataset the workload class ``kind`` sets up from ``seed``, and
+    the backend calls that batch made by ``CALL_TASKS`` label, or None
+    where the workload's backend does not count its calls."""
     workload = kind()
     with tempfile.TemporaryDirectory(prefix="batch_digests_") as tmp:
         root = Path(tmp)
         try:
             workload.setup(root, seed)
-            digests = []
+            runs = []
             for count in workers:
                 out = root / f"out_w{count}"
                 config = dataclasses.replace(workload.config, out_dir=str(out), workers=count)
+                counted = getattr(workload.backend, "calls", None)
+                before = Counter(counted)
                 pipeline.batch_eval(config, workload.dataset, workload.questions,
                                     backend=workload.backend)
-                digests.append(output_digest(out))
-            return digests
+                calls = None if counted is None else {
+                    label: counted[task] - before[task] for label, task in CALL_TASKS.items()}
+                runs.append((output_digest(out), calls))
+            return runs
         finally:
             workload.close()
 
@@ -75,11 +96,17 @@ def main(argv: list[str]) -> int:
     status = 0
     for kind in (CohortBatch, HostedBatch):
         for seed in args.seeds:
-            digests = workload_digests(kind, seed, args.workers)
-            for count, digest in zip(args.workers, digests):
+            runs = workload_digests(kind, seed, args.workers)
+            for count, (digest, calls) in zip(args.workers, runs):
                 print(f"{kind.name} {seed} {count} {digest}", flush=True)
-            if len(set(digests)) > 1:
+                if calls is not None:
+                    print(f"{kind.name} {seed} {count} calls {calls_text(calls)}", flush=True)
+            if len({digest for digest, _ in runs}) > 1:
                 print(f"{kind.name} seed {seed}: outputs differ across worker counts",
+                      file=sys.stderr)
+                status = 1
+            if len({calls_text(calls) for _, calls in runs if calls is not None}) > 1:
+                print(f"{kind.name} seed {seed}: backend calls differ across worker counts",
                       file=sys.stderr)
                 status = 1
     return status
