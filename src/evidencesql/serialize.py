@@ -146,13 +146,18 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     The temp file is created beside ``path`` with ``O_EXCL`` and mode 0600
     (less the umask, as ``mkstemp`` makes it), under a name no other thread
     or process of this run can take: the pid, the thread and a counter.
+    The parent directory is made, with its own parents, only when creating
+    the temp file fails for want of it.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = os.fspath(path)
     data = memoryview(text.encode("utf-8"))
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}."
-                         f"{next(_TEMP_NUMBERS)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.{next(_TEMP_NUMBERS)}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fd = os.open(tmp, flags, 0o600)
     try:
         try:
             while data:  # a write may take only part of what it is given

@@ -144,13 +144,17 @@ def levenshtein(a: str, b: str) -> int:
 def sanitize(text: str) -> str | GuardRejection:
     """Strip markdown fences and leading prose, then screen the raw text.
 
+    A text that opens with ``SELECT`` is a query as it stands, so a fence
+    inside one of its string literals is left alone; any other text is cut
+    to the body of its first fenced block, if it has one.
+
     Rejects statement separators, comment tokens, and DDL/DML statement
     heads before any parsing happens, so hostile input that would not even
     parse is still refused cheaply.
     """
     candidate = text.strip()
-    fence = FENCE_RE.search(candidate)
-    if fence:
+    head = WORD_RE.match(candidate)
+    if not (head and head.group(0).upper() == "SELECT") and (fence := FENCE_RE.search(candidate)):
         candidate = fence.group(2).strip()
 
     head = WORD_RE.match(candidate)

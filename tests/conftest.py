@@ -1,4 +1,6 @@
+import gc
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,37 @@ sys.path.insert(0, str(Path(__file__).parent))
 from evidencesql.feature_store import canonical_manifest, ingest_case_dir
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture
+def collections_in():
+    """``with collections_in(at_start) as seen:`` runs its block with the
+    cyclic collector off, after one collection, and records in ``seen``
+    each collection that runs in it: its generation, what ``at_start()``
+    returned as it started, and how many objects it found collectable and
+    uncollectable. With the collector off, only an explicit
+    ``gc.collect()`` runs one."""
+
+    @contextmanager
+    def recording(at_start=lambda: None):
+        seen = []
+
+        def record(phase, info):
+            if phase == "start":
+                seen.append([info["generation"], at_start()])
+            else:
+                seen[-1] += [info["collected"], info["uncollectable"]]
+
+        gc.collect()
+        gc.disable()
+        gc.callbacks.append(record)
+        try:
+            yield seen
+        finally:
+            gc.callbacks.remove(record)
+            gc.enable()
+
+    return recording
 
 
 @pytest.fixture(scope="session")

@@ -208,10 +208,11 @@ class DownBackend(LlmBackendPort):
 
 
 def test_failed_cases_free_their_bundles_without_the_cyclic_collector(
-        manifest_path, eval_dataset, cases, tmp_path, monkeypatch):
+        manifest_path, eval_dataset, cases, tmp_path, monkeypatch, collections_in):
     """A case that fails on its backend leaves no reference cycle through
     its exception: with the cyclic collector off, every ingested bundle is
-    freed by the time ``batch_eval`` returns."""
+    freed by the time the full collection that ends the batch starts, and
+    that collection finds nothing."""
     bundles = []
 
     def ingest(manifest, case_dir):
@@ -222,14 +223,10 @@ def test_failed_cases_free_their_bundles_without_the_cyclic_collector(
     monkeypatch.setattr(pipeline, "ingest_case_dir", ingest)
     config = RunConfig(str(manifest_path), str(tmp_path), backend=BackendConfig(kind="remote"))
     questions = load_questions(eval_dataset["questions"])
-    gc.collect()
-    gc.disable()
-    try:
+    with collections_in(lambda: [i for i, ref in enumerate(bundles) if ref() is not None]) as seen:
         summary = batch_eval(config, cases, questions, backend=DownBackend())
-        assert len(summary.failures) == len(bundles) == 3
-        assert [i for i, ref in enumerate(bundles) if ref() is not None] == []
-    finally:
-        gc.enable()
+    assert len(summary.failures) == len(bundles) == 3
+    assert seen == [[2, [], 0, 0]]
 
 
 def test_failed_run_case_leaves_no_garbage_cycle(manifest, manifest_path, eval_dataset, cases,

@@ -167,6 +167,26 @@ def test_calibrate_ranges_deterministic(runner, manifest_path, training_split, t
     assert {r["option_label"] for r in ranges} == set(OPTIONS)
 
 
+def test_out_paths_in_missing_directories_are_made(runner, manifest_path, training_split,
+                                                   demo_case_dir, eval_dataset, tmp_path):
+    """``calibrate-ranges --out-file`` and ``ask --out`` make the
+    directories their files go in, parents included."""
+    out_file = tmp_path / "new" / "ranges" / "out.json"
+    result = invoke(runner, [
+        "calibrate-ranges", "--manifest", str(manifest_path), "--training", str(training_split),
+        "--feature", "global_features.neoplastic_ratio", "--out-file", str(out_file)])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(out_file.read_text(encoding="utf-8"))) == 2
+    out = tmp_path / "new" / "runs" / "run"
+    result = invoke(runner, [
+        "ask", "--manifest", str(manifest_path), "--case", str(demo_case_dir),
+        "--question", str(eval_dataset["questions"]), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+        "reports/demo_case.json", "reports/demo_case.md", "run.json",
+        "transcripts/demo_case.json"]
+
+
 def test_calibrate_ranges_unlabeled_fails(runner, manifest_path, tmp_path):
     split = build_training_split(tmp_path)
     sidecar = split / "train_00" / "sidecar.json"

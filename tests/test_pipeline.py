@@ -45,6 +45,7 @@ from datasets import OPTIONS, PAPILLARY, QUESTION_TEXT, RANGE_FIXTURE
 from markdown_blocks import scan
 from scripted_backend import ScriptedBackend
 from test_batch_digests import batch_digests
+from test_batch_faults import DownBackend
 
 
 @pytest.fixture(scope="module")
@@ -1212,21 +1213,49 @@ def test_template_batch_starts_no_thread_and_analyses_one_case_at_a_time(
 
 
 def test_fault_free_template_batch_leaves_no_garbage_cycle(manifest_path, eval_dataset,
-                                                           tmp_path):
+                                                           tmp_path, collections_in):
     """A template-kind batch with no fault leaves nothing for the cyclic
-    collector: the template backend's JSON plan, among the rest, is built
-    without reference cycles."""
+    collector: with the collector off, the full collection that ends the
+    batch finds nothing. The template backend's JSON plan, among the rest,
+    is built without reference cycles."""
     config = RunConfig(str(manifest_path), str(tmp_path / "out"), workers=2)
     questions = load_questions(eval_dataset["questions"])
-    gc.collect()
-    gc.disable()
-    try:
+    with collections_in() as seen:
         summary = batch_eval(config, eval_dataset["dataset"], questions,
                              backend=TemplateBackend())
-        assert summary.n_cases == 20 and summary.failures == []
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    assert summary.n_cases == 20 and summary.failures == []
+    assert seen == [[2, None, 0, 0]]
+
+
+@pytest.mark.parametrize("kind", ["template", "remote"])
+def test_batch_ends_with_one_full_collection_after_its_summary(
+        manifest_path, eval_dataset, tmp_path, collections_in, kind):
+    """With the cyclic collector off, a batch runs exactly one collection,
+    a full one, once ``summary.json`` is written, and it finds nothing:
+    for a template-kind batch whose cases all pass, and for a remote-kind
+    batch whose every backend call fails."""
+    summary_path = tmp_path / "out" / "summary.json"
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"),
+                       backend=BackendConfig(kind=kind))
+    backend = TemplateBackend() if kind == "template" else DownBackend()
+    with collections_in(summary_path.is_file) as seen:
+        summary = batch_eval(config, eval_dataset["dataset"],
+                             load_questions(eval_dataset["questions"]), backend=backend)
+    assert len(summary.failures) == (0 if kind == "template" else 20)
+    assert seen == [[2, True, 0, 0]]
+
+
+def test_a_batch_gives_back_the_blocks_it_allocates(manifest_path, eval_dataset, tmp_path):
+    """After a warm-up batch, a batch leaves at most a few hundred more
+    allocated blocks than it found. Without the full collection that ends
+    it, the free lists it fills would keep about a thousand more."""
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    questions = load_questions(eval_dataset["questions"])
+    backend = TemplateBackend()
+    batch_eval(config, eval_dataset["dataset"], questions, backend=backend)
+    before = sys.getallocatedblocks()
+    batch_eval(config, eval_dataset["dataset"], questions, backend=backend)
+    assert sys.getallocatedblocks() - before <= 300
 
 
 def test_calling_thread_is_one_of_the_workers(manifest_path, eval_dataset, tmp_path,

@@ -217,6 +217,27 @@ def test_write_text_atomic_removes_its_temp_file_after_a_failed_write(tmp_path):
     assert target.read_text(encoding="utf-8") == "old\n"
 
 
+def test_write_text_atomic_makes_the_parent_directory_only_when_it_is_missing(
+        tmp_path, monkeypatch):
+    made = []
+    real_makedirs = os.makedirs
+
+    def logged_makedirs(name, *args, **kwargs):
+        made.append(name)
+        real_makedirs(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", logged_makedirs)
+    target = tmp_path / "a" / "b" / "report.json"
+    write_text_atomic(target, "new\n")
+    assert made[0] == str(target.parent)  # then its own calls, for the parents
+    made.clear()
+    write_text_atomic(target, "replaced\n")
+    write_text_atomic(target.with_name("report.md"), "beside\n")
+    assert made == []
+    assert sorted(p.name for p in target.parent.iterdir()) == ["report.json", "report.md"]
+    assert target.read_text(encoding="utf-8") == "replaced\n"
+
+
 def test_write_text_atomic_gives_mode_0600_as_mkstemp_does(tmp_path):
     """An artifact, new or replaced, has the mode ``tempfile.mkstemp``
     gives its file under the same umask, 0600 under 022, and no temp file

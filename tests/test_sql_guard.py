@@ -65,6 +65,28 @@ def test_sanitize_fence_stripping():
     assert sanitize("```sql\nSELECT COUNT(*) FROM cells\n```") == "SELECT COUNT(*) FROM cells"
 
 
+def test_fences_inside_a_query_are_its_own(manifest, demo_bundle):
+    """A text that opens with SELECT is taken whole, so fence runs inside
+    its string literals stay literal text: the query validates and runs."""
+    from evidencesql.sql.executor import execute
+
+    text = "SELECT COUNT('```') AS n FROM cells WHERE cell_type = '```'"
+    outcome = validate_pipeline(text, manifest)
+    assert isinstance(outcome, ValidatedQuery), outcome
+    assert outcome.canonical_text == text
+    assert execute(outcome, demo_bundle).rows == ((0,),)
+
+
+@pytest.mark.parametrize("text", [
+    "Here is the query:\n```sql\nSELECT COUNT(*) FROM cells\n```\nIt counts the cells.",
+    "```sql SELECT COUNT(*) FROM cells```",
+])
+def test_a_fenced_query_after_prose_or_on_one_line_is_unwrapped(manifest, text):
+    outcome = validate_pipeline(text, manifest)
+    assert isinstance(outcome, ValidatedQuery), outcome
+    assert outcome.canonical_text == "SELECT COUNT(*) FROM cells"
+
+
 def test_sanitize_rejections_carry_position():
     text = "SELECT a FROM t; DROP TABLE t"
     out = sanitize(text)
