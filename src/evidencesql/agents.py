@@ -10,7 +10,6 @@ can be audited or replayed.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, field
 
 from evidencesql.backends import (
@@ -25,9 +24,9 @@ from evidencesql.backends import (
 from evidencesql.errors import ConfigError, EmptyGeneration
 from evidencesql.feature_store import Level, SchemaManifest
 from evidencesql.sql.ast import AGGREGATE_FUNCTIONS, SCALAR_FUNCTIONS
-from evidencesql.sql.guard import FENCE_RE, GuardRejection, ValidatedQuery, validate_pipeline
-
-_FENCE_JSON_RE = re.compile(r"```json[ \t]*\r?\n(.*?)```", re.DOTALL | re.IGNORECASE)
+from evidencesql.sql.guard import (
+    GuardRejection, ValidatedQuery, fenced_blocks, opens_with_select, validate_pipeline,
+)
 
 # Guard outcomes by (agent, raw SQL text), for one manifest.
 GuardMemo = dict[tuple[str, str], ValidatedQuery | GuardRejection]
@@ -90,22 +89,11 @@ class AgentTranscript:
 def extract_sql(response: str) -> list[str]:
     """All fenced SQL blocks, in document order.
 
-    A fence counts when tagged ``sql`` or when untagged and its first word
-    is SELECT (any casing).
+    A non-empty fence counts when tagged ``sql`` or when untagged and its
+    first word is SELECT (any casing).
     """
-    found = []
-    for match in FENCE_RE.finditer(response):
-        tag = match.group(1).lower()
-        body = match.group(2).strip()
-        if not body:
-            continue
-        if tag == "sql":
-            found.append(body)
-        elif tag == "":
-            head = body.split(None, 1)[0].upper() if body.split() else ""
-            if head == "SELECT":
-                found.append(body)
-    return found
+    return [body for tag, body in fenced_blocks(response)
+            if (tag == "sql" and body) or (tag == "" and opens_with_select(body))]
 
 
 _GRAMMAR_NOTE = (
@@ -157,11 +145,13 @@ LOCAL_STAGE = AgentStage(
 
 
 def _parse_plan(response: str) -> list[PlanTarget] | None:
-    match = _FENCE_JSON_RE.search(response)
-    if match is None:
+    """The targets of the first ``json`` fence's plan; None when there is
+    no such fence or its plan is unusable."""
+    body = next((body for tag, body in fenced_blocks(response) if tag == "json"), None)
+    if body is None:
         return None
     try:
-        doc = json.loads(match.group(1))
+        doc = json.loads(body)
         targets = [
             PlanTarget(str(t["table"]), str(t["column"]), str(t.get("rationale", "")))
             for t in doc["target_features"]

@@ -209,13 +209,12 @@ def _case_steps(manifest: SchemaManifest, bundle: CaseBundle, question: Question
         plan, global_queries, global_tx = yield from _answered(
             plan_global, question, manifest, book, config.backend, verdicts=guard_verdicts)
         transcripts.append(global_tx)
-        trace = [_execute_into_trace(i, "global", query, bundle)
-                 for i, query in enumerate(global_queries)]
+        trace = [_execute_into_trace(i, query, bundle) for i, query in enumerate(global_queries)]
         local_queries, local_tx = yield from _answered(
             plan_local, question, plan, manifest, book, config.backend,
             global_results_text=_format_results_text(trace), verdicts=guard_verdicts)
         transcripts.append(local_tx)
-        trace += [_execute_into_trace(i, "local", query, bundle)
+        trace += [_execute_into_trace(i, query, bundle)
                   for i, query in enumerate(local_queries, len(trace))]
 
     case_id, ground_truth = bundle.case_id, bundle.ground_truth
@@ -392,16 +391,14 @@ def _drive(
                 return
 
 
-def _execute_into_trace(
-    query_id: int, agent: str, query: ValidatedQuery, bundle: CaseBundle,
-) -> TraceEntry:
+def _execute_into_trace(query_id: int, query: ValidatedQuery, bundle: CaseBundle) -> TraceEntry:
     try:
-        return TraceEntry(query_id, agent, query, result=execute(query, bundle))
+        return TraceEntry(query_id, query, result=execute(query, bundle))
     except TableNotInBundle as exc:
         error = ExecError("table_not_in_bundle", str(exc))
     except ArithmeticDomain as exc:
         error = ExecError("arithmetic_domain", str(exc), exc.row_index)
-    return TraceEntry(query_id, agent, query, error=error)
+    return TraceEntry(query_id, query, error=error)
 
 
 def write_case_outputs(out_dir: str | Path, result: CaseResult) -> None:

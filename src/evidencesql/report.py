@@ -34,8 +34,10 @@ _BLOCK_START = re.compile(r"(?:^|[\r\n]) {0,3}(?:[#>|`~*+=<_\[-]|[0-9]+[.)])")
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One executed query: its result, or the error it failed with. Its agent
+    is the one its query's guard outcome names."""
+
     query_id: int
-    agent: str
     query: ValidatedQuery
     result: ResultTable | None = None
     error: ExecError | None = None
@@ -43,7 +45,7 @@ class TraceEntry:
     def to_json_dict(self) -> dict:
         doc: dict = {
             "query_id": self.query_id,
-            "agent": self.agent,
+            "agent": self.query.source_agent,
             "canonical_text": self.query.canonical_text,
             "repair_log": [a.to_json_dict() for a in self.query.repair_log],
         }

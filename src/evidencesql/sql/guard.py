@@ -11,6 +11,7 @@ literals and refuses to guess between equidistant candidates.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -57,7 +58,9 @@ FORBIDDEN_STATEMENT_KEYWORDS = (
 )
 
 # A markdown code fence: its tag (group 1, possibly empty), then its body.
-FENCE_RE = re.compile(r"```([a-zA-Z]*)[ \t]*\r?\n?(.*?)```", re.DOTALL)
+# The tag is the word the opening line starts with, except a SELECT that has
+# more of the line after it: that is a one-line body's first word.
+FENCE_RE = re.compile(r"```((?:(?!(?i:select)\b(?![ \t]*\r?\n))[a-zA-Z]+)?)[ \t]*\r?\n?(.*?)```", re.DOTALL)
 
 _REPAIR_KEYWORD_SET = tuple(sorted(KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)))
 _KNOWN_WORDS = KEYWORDS | UNSUPPORTED_KEYWORDS | set(AGGREGATE_FUNCTIONS) | set(SCALAR_FUNCTIONS)
@@ -141,6 +144,17 @@ def levenshtein(a: str, b: str) -> int:
 # -- stage 1: sanitization ---------------------------------------------------
 
 
+def fenced_blocks(text: str) -> Iterator[tuple[str, str]]:
+    """Each fenced block of ``text`` in order, as its lower-cased tag and
+    its stripped body."""
+    return ((m.group(1).lower(), m.group(2).strip()) for m in FENCE_RE.finditer(text))
+
+
+def opens_with_select(text: str) -> bool:
+    """Whether the first word of ``text`` is SELECT, in any casing."""
+    return (head := WORD_RE.match(text)) is not None and head.group(0).upper() == "SELECT"
+
+
 def sanitize(text: str) -> str | GuardRejection:
     """Strip markdown fences and leading prose, then screen the raw text.
 
@@ -153,9 +167,8 @@ def sanitize(text: str) -> str | GuardRejection:
     parse is still refused cheaply.
     """
     candidate = text.strip()
-    head = WORD_RE.match(candidate)
-    if not (head and head.group(0).upper() == "SELECT") and (fence := FENCE_RE.search(candidate)):
-        candidate = fence.group(2).strip()
+    if not opens_with_select(candidate) and (block := next(fenced_blocks(candidate), None)):
+        candidate = block[1]
 
     head = WORD_RE.match(candidate)
     if head and head.group(0).upper() not in _KNOWN_WORDS:

@@ -12,6 +12,14 @@ from evidencesql.feature_store import canonical_manifest, ingest_case_dir
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def pytest_collection_finish(session):
+    """Freeze what collection left alive (pytest's and hypothesis's heap),
+    so the full collection each ``batch_eval`` ends with does not traverse
+    it again; objects made after this are collected as before."""
+    gc.collect()
+    gc.freeze()
+
+
 @pytest.fixture
 def collections_in():
     """``with collections_in(at_start) as seen:`` runs its block with the

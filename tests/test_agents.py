@@ -42,6 +42,12 @@ def test_extract_sql_tagged_and_untagged():
     assert extract_sql(response) == ["SELECT 1 FROM t", "select 2 from u"]
     assert extract_sql("no fences here") == []
     assert extract_sql("```\nnot a query\n```") == []
+    # on the opening line a SELECT with more after it starts the body, not a tag
+    assert extract_sql("```SELECT AVG(area) FROM cells```") == ["SELECT AVG(area) FROM cells"]
+    assert extract_sql("```sql SELECT 1 FROM t```") == ["SELECT 1 FROM t"]
+    assert extract_sql("```\nSELECT*FROM cells\n```") == ["SELECT*FROM cells"]
+    # a word followed by a line break stays a tag, and select is not sql
+    assert extract_sql("```select\nSELECT 1 FROM t\n```") == []
 
 
 def test_extract_sql_skips_an_empty_fence():
@@ -68,6 +74,8 @@ def test_parse_plan_reads_each_target():
         agents.PlanTarget("cells", "area", ""),
         agents.PlanTarget("global_features", "total_cells", "size"),
     ]
+    one_line = '```json {"target_features": [{"table": "cells", "column": "area"}]}```'
+    assert agents._parse_plan(one_line) == [agents.PlanTarget("cells", "area", "")]
 
 
 def test_schema_dictionary_lists_all_columns(manifest):

@@ -143,9 +143,9 @@ def _fit(category):
 
 def _make_report_inputs(manifest, demo_bundle):
     question = Question("demo_case", "Which diagnosis?", ("A", "B"))
-    vq = validate_pipeline("SELECT * FROM global_features", manifest)
+    vq = validate_pipeline("SELECT * FROM global_features", manifest, source_agent="global")
     result = execute(vq, demo_bundle)
-    trace = [TraceEntry(0, "global", vq, result=result)]
+    trace = [TraceEntry(0, vq, result=result)]
     finding = FeatureFinding(
         "global_features.neoplastic_ratio", 0.65, 0,
         {"A": _fit(FitCategory.EXCELLENT), "B": _fit(FitCategory.POOR)}, "r",
@@ -205,9 +205,9 @@ def test_report_markdown_sections(manifest, demo_bundle):
 
 def test_report_markdown_lists_repairs_and_null_cells(manifest, demo_bundle):
     question, decision, h, trace = _make_report_inputs(manifest, demo_bundle)
-    repaired = validate_pipeline(
-        "SELECT cell_id, mean_intensty FROM cells WHERE cell_id = 4", manifest)
-    trace.append(TraceEntry(1, "local", repaired, result=execute(repaired, demo_bundle)))
+    repaired = validate_pipeline("SELECT cell_id, mean_intensty FROM cells WHERE cell_id = 4",
+                                 manifest, source_agent="local")
+    trace.append(TraceEntry(1, repaired, result=execute(repaired, demo_bundle)))
     md = render_report_markdown(build_report(question, decision, h, trace)).splitlines()
     start = md.index("SELECT cell_id, mean_intensity FROM cells WHERE cell_id = 4")
     assert md[start + 1:start + 9] == [
@@ -245,12 +245,12 @@ def test_model_text_adds_no_heading_or_fence_to_the_markdown(manifest, demo_bund
     decision = fuse({"A": 0.9, "B": 0.1}, h, 0.7, question.options)
 
     def queries(literal):
-        return [validate_pipeline(sql, manifest) for sql in (
+        return [validate_pipeline(sql, manifest, source_agent="global") for sql in (
             f"SELECT COUNT(*) AS n FROM cells WHERE cell_type = '{literal}'",
             f"SELECT MAX('{literal}') FROM cells")]
 
     def markdown(queries, narrative):
-        trace = [TraceEntry(i, "global", query, result=execute(query, demo_bundle))
+        trace = [TraceEntry(i, query, result=execute(query, demo_bundle))
                  for i, query in enumerate(queries)]
         return render_report_markdown(build_report(question, decision, h, trace), narrative)
 

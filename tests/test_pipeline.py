@@ -1227,6 +1227,27 @@ def test_fault_free_template_batch_leaves_no_garbage_cycle(manifest_path, eval_d
     assert seen == [[2, None, 0, 0]]
 
 
+def test_an_unread_range_failure_leaves_no_garbage_cycle(manifest_path, eval_dataset,
+                                                         tmp_path, collections_in):
+    """An in-process backend fails the first two prompts of a case's range
+    wave: the case reads the first failure, notes that range generation is
+    unavailable and ends without reading the second. That unread failure,
+    whose traceback holds the driver's frame, does not outlive its case in
+    a cycle: the full collection that ends the batch finds nothing."""
+    dataset = _first_cases(eval_dataset, tmp_path / "one", 1)
+    backend = CountingBackend(fail_calls={TASK_RANGES: {2, 3}})  # call 1 is the probe
+    config = RunConfig(str(manifest_path), str(tmp_path / "out"))
+    with collections_in() as seen:
+        summary = batch_eval(config, dataset, load_questions(eval_dataset["questions"]),
+                             backend=backend)
+    assert summary.n_cases == 1 and summary.failures == []
+    report = json.loads(next((Path(config.out_dir) / "reports").glob("*.json")).read_text())
+    assert [n for n in report["data_quality_notes"]
+            if n.startswith("range generation unavailable")] == [
+        f"range generation unavailable: {TASK_RANGES} service unavailable"]
+    assert seen == [[2, None, 0, 0]]
+
+
 @pytest.mark.parametrize("kind", ["template", "remote"])
 def test_batch_ends_with_one_full_collection_after_its_summary(
         manifest_path, eval_dataset, tmp_path, collections_in, kind):

@@ -147,7 +147,7 @@ def test_execute_batch_isolation(manifest, demo_bundle):
     good = q("SELECT COUNT(*) FROM cells", manifest)
     missing = ValidatedQuery(parse("SELECT COUNT(*) FROM absent"),
                              "SELECT COUNT(*) FROM absent")
-    out = [_execute_into_trace(qid, "local", query, demo_bundle)
+    out = [_execute_into_trace(qid, query, demo_bundle)
            for qid, query in enumerate([good, missing, good])]
     assert [entry.query_id for entry in out] == [0, 1, 2]
     assert [entry.result is not None for entry in out] == [True, False, True]

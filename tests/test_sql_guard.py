@@ -80,6 +80,7 @@ def test_fences_inside_a_query_are_its_own(manifest, demo_bundle):
 @pytest.mark.parametrize("text", [
     "Here is the query:\n```sql\nSELECT COUNT(*) FROM cells\n```\nIt counts the cells.",
     "```sql SELECT COUNT(*) FROM cells```",
+    "```SELECT COUNT(*) FROM cells```",
 ])
 def test_a_fenced_query_after_prose_or_on_one_line_is_unwrapped(manifest, text):
     outcome = validate_pipeline(text, manifest)
